@@ -35,7 +35,7 @@ import argparse
 import json
 import time
 from dataclasses import replace
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 import numpy as np
 
@@ -45,7 +45,6 @@ from repro.arrays.steering import steering_vector
 from repro.channel.channel import fractional_delay, phase_random_walk
 from repro.channel.raytracer import RayTracer
 from repro.hardware.capture import Capture
-from repro.kernels import get_backend
 from repro.phy.ofdm import OfdmConfig, OfdmModulator, _qpsk_map
 from repro.phy.preamble import _LTF_SEQUENCE, _STF_SEQUENCE, _sequence_to_spectrum
 from repro.utils.decibels import dbm_to_watts
@@ -222,17 +221,14 @@ def build_info() -> Dict:
 
 
 def measure(num_packets: int = 64, repeats: int = 4,
-            backend: Optional[str] = None,
             precision: str = "float64") -> Dict:
     """Time the three end-to-end paths and verify their outputs."""
     spec = ScenarioSpec(name="bench-e2e", seed=SEED)
-    if backend is not None or precision != "float64":
+    if precision != "float64":
         spec = replace(
             spec,
-            simulator=replace(spec.simulator, backend=backend,
-                              precision=precision),
-            estimator=replace(spec.estimator, backend=backend,
-                              precision=precision))
+            simulator=replace(spec.simulator, precision=precision),
+            estimator=replace(spec.estimator, precision=precision))
 
     streaming_dep = Deployment(spec)
     batched_dep = Deployment(spec)
@@ -282,7 +278,6 @@ def measure(num_packets: int = 64, repeats: int = 4,
         "benchmark": BENCH_NAME,
         "packets": num_packets,
         "seed": SEED,
-        "backend": get_backend(backend).name,
         "precision": precision,
         "build": build_info(),
         "legacy_scalar_ms": round(legacy_s * 1e3, 2),
@@ -322,7 +317,7 @@ def check_regression(result: Dict, baseline: Dict,
 def format_report(result: Dict) -> str:
     return "\n".join([
         f"packets:                 {result['packets']}",
-        f"backend / precision:     {result['backend']} / {result['precision']}",
+        f"precision:               {result['precision']}",
         f"legacy scalar path:      {result['legacy_scalar_ms']:8.1f} ms "
         f"({result['packets_per_sec']['legacy_scalar']:7.0f} pkt/s)",
         f"streaming path (run):    {result['streaming_ms']:8.1f} ms "
@@ -339,9 +334,6 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--packets", type=int, default=64)
     parser.add_argument("--repeats", type=int, default=4)
-    parser.add_argument("--backend", type=str, default=None,
-                        help="compute backend (numpy, torch, cupy); "
-                             "default resolves REPRO_BACKEND, then numpy")
     parser.add_argument("--precision", type=str, default="float64",
                         choices=("float64", "float32"))
     parser.add_argument("--out", type=str, default=None,
@@ -353,7 +345,7 @@ def main() -> int:
     args = parser.parse_args()
 
     result = measure(num_packets=args.packets, repeats=args.repeats,
-                     backend=args.backend, precision=args.precision)
+                     precision=args.precision)
     print(format_report(result))
 
     if args.out:

@@ -1,11 +1,11 @@
 """Kernel-tier benchmark: per-kernel micro timings, precision, tracking.
 
-Three layers of measurement, written together to ``BENCH_kernels.json`` at
-the repository root (committed, and uploaded as a CI artifact):
+Three layers of measurement, written together to
+``bench-artifacts/BENCH_kernels.json`` (gitignored; uploaded as a CI
+artifact):
 
-* **micro** — each :class:`repro.kernels.Backend` kernel timed on
-  pipeline-shaped inputs, per available backend (numpy always; torch/cupy
-  when installed) and per precision;
+* **micro** — each :data:`repro.kernels.kernels` kernel timed on
+  pipeline-shaped inputs, per precision;
 * **streaming** — the eigh-per-packet streaming path versus the
   :class:`~repro.aoa.subspace.SubspaceTracker`, packets per second and
   accuracy against ground truth on the same capture stream (gated: the
@@ -33,7 +33,7 @@ from conftest import print_report
 from repro.aoa import AoAEstimator, EstimatorConfig
 from repro.aoa.subspace import SubspaceTracker
 from repro.arrays.geometry import OctagonalArray
-from repro.kernels import available_backends, get_backend
+from repro.kernels import kernels
 from repro.testbed.environment import figure4_environment
 from repro.testbed.scenario import SimulatorConfig
 from repro.testbed.scenario import TestbedSimulator as Simulator
@@ -41,7 +41,8 @@ from repro.testbed.scenario import TestbedSimulator as Simulator
 SEED = 42
 STREAM_PACKETS = 120
 E2E_PACKETS = 48
-OUTPUT_PATH = Path(__file__).resolve().parents[1] / "BENCH_kernels.json"
+OUTPUT_PATH = (Path(__file__).resolve().parents[1] / "bench-artifacts"
+               / "BENCH_kernels.json")
 
 #: Acceptance gates (see ISSUE/ROADMAP): the tracker must beat the
 #: eigh-per-packet streaming path by this factor at matched accuracy.
@@ -97,28 +98,28 @@ def _micro_inputs(rng: np.random.Generator, dtype):
     }
 
 
-def _time_kernels(backend, inputs) -> dict:
+def _time_kernels(inputs) -> dict:
     timings = {}
     timings["correlation_stack_ms"] = _best_of(
-        lambda: backend.correlation_stack(inputs["samples"])) * 1e3
+        lambda: kernels.correlation_stack(inputs["samples"])) * 1e3
     timings["eigh_ms"] = _best_of(
-        lambda: backend.eigh(inputs["hermitian"])) * 1e3
+        lambda: kernels.eigh(inputs["hermitian"])) * 1e3
     timings["music_projection_ms"] = _best_of(
-        lambda: backend.music_projection_power(inputs["signal"],
+        lambda: kernels.music_projection_power(inputs["signal"],
                                                inputs["steering"])) * 1e3
     timings["beamscan_numerator_ms"] = _best_of(
-        lambda: backend.beamscan_numerator(inputs["hermitian"],
+        lambda: kernels.beamscan_numerator(inputs["hermitian"],
                                            inputs["steering"])) * 1e3
     timings["steering_stack_ms"] = _best_of(
-        lambda: backend.steering_stack(inputs["positions"],
+        lambda: kernels.steering_stack(inputs["positions"],
                                        np.linspace(-180, 180, 64),
                                        inputs["wavelength"])) * 1e3
     timings["fractional_delay_ms"] = _best_of(
-        lambda: backend.fractional_delay(inputs["waveforms"], inputs["delays"],
+        lambda: kernels.fractional_delay(inputs["waveforms"], inputs["delays"],
                                          inputs["out_shape"])) * 1e3
     timings["phase_walk_ms"] = _best_of(
-        lambda: backend.phase_walk(inputs["initials"], inputs["steps"])) * 1e3
-    timings["ifft_ms"] = _best_of(lambda: backend.ifft(inputs["spectra"])) * 1e3
+        lambda: kernels.phase_walk(inputs["initials"], inputs["steps"])) * 1e3
+    timings["ifft_ms"] = _best_of(lambda: kernels.ifft(inputs["spectra"])) * 1e3
     return {name: round(value, 3) for name, value in timings.items()}
 
 
@@ -130,7 +131,6 @@ def kernel_tier_results():
     results = {
         "benchmark": "kernel_tier",
         "seed": SEED,
-        "backends_available": available_backends(),
         "numpy": np.__version__,
     }
     with contextlib.suppress(TypeError):  # numpy < 1.25 without mode="dicts"
@@ -139,17 +139,11 @@ def kernel_tier_results():
         results["blas"] = {key: blas[key] for key in ("name", "version")
                            if key in blas}
 
-    # Micro kernels, per backend x precision.
-    micro = {}
-    for name, available in results["backends_available"].items():
-        if not available:
-            continue
-        backend = get_backend(name)
-        micro[name] = {
-            "float64": _time_kernels(backend, _micro_inputs(rng, np.complex128)),
-            "float32": _time_kernels(backend, _micro_inputs(rng, np.complex64)),
-        }
-    results["micro"] = micro
+    # Micro kernels, per precision.
+    results["micro"] = {
+        "float64": _time_kernels(_micro_inputs(rng, np.complex128)),
+        "float32": _time_kernels(_micro_inputs(rng, np.complex64)),
+    }
 
     # Streaming: eigh-per-packet vs subspace tracking on one capture stream.
     environment = figure4_environment()
@@ -220,11 +214,11 @@ def kernel_tier_results():
         },
     }
 
+    OUTPUT_PATH.parent.mkdir(exist_ok=True)
     OUTPUT_PATH.write_text(json.dumps(results, indent=2, sort_keys=True) + "\n")
     print_report(
         "kernel tier",
         "\n".join([
-            f"backends available:       {results['backends_available']}",
             f"streaming eigh/packet:    "
             f"{results['streaming']['packets_per_sec']['eigh_per_packet']:8.0f} pkt/s",
             f"streaming tracker:        "
@@ -237,21 +231,19 @@ def kernel_tier_results():
             f"float32 mean error:       "
             f"{results['precision']['mean_bearing_error_deg']['float32']:.2f} deg "
             f"(float64 {results['precision']['mean_bearing_error_deg']['float64']:.2f})",
-            f"wrote:                    {OUTPUT_PATH.name}",
+            f"wrote:                    bench-artifacts/{OUTPUT_PATH.name}",
         ]))
     return results
 
 
 # ---------------------------------------------------------------------- gates
-def test_bench_micro_kernels_cover_every_backend(kernel_tier_results):
+def test_bench_micro_kernels_cover_both_precisions(kernel_tier_results):
     micro = kernel_tier_results["micro"]
-    assert "numpy" in micro
-    for name, precisions in micro.items():
-        for precision in ("float64", "float32"):
-            timings = precisions[precision]
-            assert all(value >= 0 for value in timings.values()), (name, precision)
-            assert "correlation_stack_ms" in timings
-            assert "eigh_ms" in timings
+    for precision in ("float64", "float32"):
+        timings = micro[precision]
+        assert all(value >= 0 for value in timings.values()), precision
+        assert "correlation_stack_ms" in timings
+        assert "eigh_ms" in timings
 
 
 def test_bench_subspace_tracker_speedup_gate(kernel_tier_results):

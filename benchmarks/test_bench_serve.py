@@ -2,8 +2,8 @@
 
 Drives the live :mod:`repro.serve` pipeline — submit -> micro-batch ->
 ``run_batch`` -> backlog publish — for two tenants concurrently on one event
-loop, and records to ``BENCH_serve.json`` (committed at the repository root,
-regenerated and uploaded by CI's serve-smoke job):
+loop, and records to ``bench-artifacts/BENCH_serve.json`` (gitignored;
+uploaded by CI's serve-smoke job):
 
 * **sustained packets/second** across both tenants (wall-clock from the
   first submit to the last publish);
@@ -39,7 +39,8 @@ from repro.serve import (
 from repro.serve.smoke import canonical_event, seeded_requests
 
 PACKETS_PER_TENANT = 96
-OUTPUT_PATH = Path(__file__).resolve().parents[1] / "BENCH_serve.json"
+OUTPUT_PATH = (Path(__file__).resolve().parents[1] / "bench-artifacts"
+               / "BENCH_serve.json")
 
 #: The batcher must actually batch under saturation: with a saturating
 #: producer the mean micro-batch must exceed one packet.
@@ -121,6 +122,7 @@ def serve_bench_results():
         }
 
     document = {key: value for key, value in results.items() if key != "events"}
+    OUTPUT_PATH.parent.mkdir(exist_ok=True)
     OUTPUT_PATH.write_text(json.dumps(document, indent=2, sort_keys=True) + "\n")
     lines = [
         f"sustained throughput:     "
@@ -134,7 +136,7 @@ def serve_bench_results():
             f"{row['p50_decision_latency_ms']:7.2f} ms   p99 "
             f"{row['p99_decision_latency_ms']:7.2f} ms   "
             f"mean batch {row['mean_batch']:.1f}")
-    lines.append(f"wrote:                    {OUTPUT_PATH.name}")
+    lines.append(f"wrote:                    bench-artifacts/{OUTPUT_PATH.name}")
     print_report("serve - two-tenant sustained streaming", "\n".join(lines))
     return results
 

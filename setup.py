@@ -24,10 +24,5 @@ setup(
         "test": ["pytest>=7.0", "pytest-benchmark>=4.0", "pytest-cov>=4.0",
                  "hypothesis>=6.0"],
         "lint": ["ruff>=0.4", "mypy>=1.8"],
-        # Optional accelerator backends for the kernel tier (REPRO_BACKEND /
-        # EstimatorConfig.backend / SimulatorConfig.backend).  CuPy wheels are
-        # CUDA-version-specific; cupy-cuda12x (etc.) also satisfies the
-        # backend, so only torch is pulled in by default.
-        "gpu": ["torch>=2.0"],
     },
 )

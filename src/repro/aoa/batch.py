@@ -47,7 +47,7 @@ from repro.aoa.spectrum import (
 from repro.arrays.geometry import AntennaArray, UniformLinearArray
 from repro.calibration.table import CalibrationTable
 from repro.hardware.capture import Capture
-from repro.kernels.backend import complex_dtype, get_backend
+from repro.kernels.backend import complex_dtype, kernels
 from repro.phy.schmidl_cox import SchmidlCoxDetector
 
 
@@ -67,7 +67,6 @@ class BatchAoAEstimator:
         #: Scan arrays for spatially smoothed (shrunken) correlation matrices,
         #: keyed by subarray size, so their steering caches persist.
         self._scan_arrays: Dict[int, AntennaArray] = {}
-        self._backend = get_backend(self.config.backend)
         self._cdtype = complex_dtype(self.config.precision)
         #: Reduced-precision casts of the (cached, complex128) steering
         #: matrices, keyed by matrix size, so float32 runs cast once.
@@ -176,7 +175,7 @@ class BatchAoAEstimator:
 
         # One stacked eigendecomposition serves both source counting and the
         # MUSIC subspace split (eigenvalues ascending, per LAPACK convention).
-        eigenvalues, eigenvectors = self._backend.eigh(matrices)
+        eigenvalues, eigenvectors = kernels.eigh(matrices)
         counts = self._source_counts(eigenvalues, num_samples, n)
 
         scan_array = self._scan_array(n)
@@ -222,7 +221,7 @@ class BatchAoAEstimator:
                 raise ValueError("spatial smoothing requires a uniform linear array")
             matrices = self._smoothed_stack(samples_list, config.smoothing_subarray)
         else:
-            matrices = self._backend.correlation_stack(samples_list)
+            matrices = kernels.correlation_stack(samples_list)
             matrices = self._calibrate_matrices(matrices, corrections)
         if config.forward_backward and isinstance(self.array, UniformLinearArray):
             # J R* J flips a matrix along both axes; batched over the stack.
@@ -235,7 +234,7 @@ class BatchAoAEstimator:
     def _diagonal_loading(matrices: np.ndarray, loading_factor: float) -> np.ndarray:
         """Batched :func:`repro.aoa.covariance.diagonal_loading` over a stack."""
         n = matrices.shape[1]
-        # Batched trace (diagonal gather, not a GEMM): no backend kernel
+        # Batched trace (diagonal gather, not a GEMM): no shared kernel
         # applies, and the O(B*N) sum is negligible next to the eigh.
         power = np.einsum("bii->b", matrices).real / n  # repro-lint: disable=seam-bypass
         load = loading_factor * np.maximum(power, np.finfo(power.dtype).tiny)
@@ -266,9 +265,9 @@ class BatchAoAEstimator:
             for start in range(num_subarrays):
                 block = samples[start:start + subarray_size]
                 # Spatial smoothing accumulates tiny per-subarray outer
-                # products in place; a per-block backend round trip would
-                # cost more than the GEMM. The smoothed stack still hits the
-                # seam for its eigendecomposition.
+                # products in place; a per-block kernel call would cost
+                # more than the GEMM. The smoothed stack still goes through
+                # kernels.eigh for its eigendecomposition.
                 matrices[index] += block @ block.conj().T  # repro-lint: disable=seam-bypass
             matrices[index] /= samples.shape[1] * num_subarrays
         return matrices
@@ -315,12 +314,12 @@ class BatchAoAEstimator:
             # Capon applies its own, heavier diagonal loading before inversion
             # (matching the scalar capon_pseudospectrum default).
             loaded = self._diagonal_loading(matrices, 1e-3)
-            inverses = self._backend.inv(loaded)
-            denominator = self._backend.beamscan_numerator(inverses, steering)
+            inverses = kernels.inv(loaded)
+            denominator = kernels.beamscan_numerator(inverses, steering)
             values = 1.0 / np.maximum(denominator, 1e-15)
             metadata = [{"estimator": "capon"} for _ in range(batch_size)]
             return values, metadata
-        numerator = self._backend.beamscan_numerator(matrices, steering)
+        numerator = kernels.beamscan_numerator(matrices, steering)
         normaliser = np.sum(np.abs(steering) ** 2, axis=0)
         values = np.maximum(numerator / np.maximum(normaliser, 1e-15), 0.0)
         metadata = [{"estimator": "bartlett"} for _ in range(batch_size)]
@@ -345,7 +344,7 @@ class BatchAoAEstimator:
             # Ascending eigenvalue order: the signal subspace is the trailing
             # `order` eigenvectors.
             signal = eigenvectors[items, :, n - order:]
-            denominator[items] = total[None, :] - self._backend.music_projection_power(
+            denominator[items] = total[None, :] - kernels.music_projection_power(
                 signal, steering)
         return 1.0 / np.maximum(denominator, 1e-15)
 

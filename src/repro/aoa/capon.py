@@ -14,7 +14,7 @@ import numpy as np
 from repro.aoa.covariance import diagonal_loading
 from repro.aoa.spectrum import Pseudospectrum
 from repro.arrays.geometry import AntennaArray
-from repro.kernels.backend import get_backend
+from repro.kernels.backend import kernels
 
 
 def capon_pseudospectrum(correlation: np.ndarray, array: AntennaArray,
@@ -35,9 +35,9 @@ def capon_pseudospectrum(correlation: np.ndarray, array: AntennaArray,
         angles_deg = array.angle_grid()
     angles = np.asarray(angles_deg, dtype=float)
     loaded = diagonal_loading(correlation, loading_factor)
-    # Routed through the Backend seam so REPRO_BACKEND covers the scalar
-    # path too; the numpy backend is literally np.linalg.inv (bit-identical).
-    inverse = get_backend().inv(loaded)
+    # Routed through the kernel module so the ledger times the scalar path
+    # too; kernels.inv is literally np.linalg.inv (bit-identical).
+    inverse = kernels.inv(loaded)
     steering = array.steering_matrix(angles)
     denominator = np.real(np.einsum("na,nm,ma->a", steering.conj(), inverse, steering))
     values = 1.0 / np.maximum(denominator, 1e-15)

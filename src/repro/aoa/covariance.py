@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.kernels.backend import get_backend
+from repro.kernels.backend import kernels
 from repro.utils.validation import require_positive_int
 
 
@@ -108,9 +108,9 @@ def signal_noise_subspaces(matrix: np.ndarray, num_sources: int):
         raise ValueError(
             f"num_sources ({num_sources}) must be smaller than the number of "
             f"antennas ({num_antennas})")
-    # Routed through the Backend seam so REPRO_BACKEND covers the scalar
-    # path too; the numpy backend is literally np.linalg.eigh (bit-identical).
-    eigenvalues, eigenvectors = get_backend().eigh(matrix)
+    # Routed through the kernel module so the ledger times the scalar path
+    # too; kernels.eigh is literally np.linalg.eigh (bit-identical).
+    eigenvalues, eigenvectors = kernels.eigh(matrix)
     order = np.argsort(eigenvalues)[::-1]
     eigenvalues = eigenvalues[order]
     eigenvectors = eigenvectors[:, order]

@@ -71,10 +71,6 @@ class EstimatorConfig:
     #: Refuse to process captures whose per-chain phase offsets have not been
     #: calibrated out.  The calibration ablation sets this to False.
     require_calibrated: bool = True
-    #: Compute backend for the estimation kernels ("numpy", "torch", "cupy");
-    #: ``None`` resolves the ``REPRO_BACKEND`` environment variable and
-    #: defaults to numpy (the bit-exact reference).
-    backend: Optional[str] = None
     #: Estimation arithmetic precision: "float64" (bit-exact reference) or
     #: "float32" (complex64 covariance/eigh/steering — faster, approximate).
     precision: str = "float64"

@@ -46,7 +46,7 @@ from repro.aoa.spectrum import (
     grid_peak_params,
 )
 from repro.arrays.geometry import AntennaArray, UniformLinearArray
-from repro.kernels.backend import complex_dtype, get_backend
+from repro.kernels.backend import complex_dtype, kernels
 
 #: Default forgetting factor of the running correlation (survives ~10 packets).
 DEFAULT_FORGETTING = 0.9
@@ -94,7 +94,6 @@ class SubspaceTracker:
         self.warmup_packets = int(warmup_packets)
         self.resync_interval = int(resync_interval)
         self.max_correlation_samples = int(max_correlation_samples)
-        self._backend = get_backend(config.backend)
         self._cdtype = complex_dtype(config.precision)
         self._is_ula = isinstance(array, UniformLinearArray)
         # Scan-grid cache (the grid never changes for one tracker).
@@ -174,7 +173,7 @@ class SubspaceTracker:
         if num_samples > self.max_correlation_samples:
             stride = -(-num_samples // self.max_correlation_samples)
             samples = np.ascontiguousarray(samples[:, ::stride])
-        matrix = self._backend.correlation_stack([samples])[0]
+        matrix = kernels.correlation_stack([samples])[0]
         if correction is not None:
             factors = correction.astype(matrix.dtype, copy=False)
             matrix = factors[:, None] * matrix * factors.conj()[None, :]
@@ -191,7 +190,7 @@ class SubspaceTracker:
     # ---------------------------------------------------------------- subspace
     def _resync(self, num_samples: int) -> None:
         """Exact eigendecomposition: re-estimate model order, re-anchor basis."""
-        eigenvalues, eigenvectors = self._backend.eigh(self._corr[None])
+        eigenvalues, eigenvectors = kernels.eigh(self._corr[None])
         eigenvalues, eigenvectors = eigenvalues[0], eigenvectors[0]
         self._rank = self._model_order(eigenvalues, num_samples)
         # Ascending eigenvalue order: the signal subspace is the trailing rank.
@@ -235,7 +234,7 @@ class SubspaceTracker:
     # ---------------------------------------------------------------- spectrum
     def _estimate(self) -> AoAEstimate:
         """MUSIC spectrum from the tracked basis, batched-engine conventions."""
-        power = self._backend.music_projection_power(
+        power = kernels.music_projection_power(
             self._basis[None], self._steering)[0]
         denominator = self._steering_total - power
         values = 1.0 / np.maximum(denominator, 1e-15)

@@ -28,7 +28,7 @@ effects break this coherence in the real system and are modelled here:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Union
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -41,10 +41,8 @@ from repro.constants import (
 )
 from repro.kernels.backend import (
     DELAY_EPSILON_SAMPLES as _DELAY_EPSILON_SAMPLES,
-    Backend,
     complex_dtype,
-    delay_ramps as _delay_ramps,
-    get_backend,
+    kernels,
     real_dtype,
 )
 from repro.utils.decibels import dbm_to_watts
@@ -93,10 +91,6 @@ class ArrayChannel:
         Channel model parameters.
     rng:
         Seed or generator for the stochastic parts of the model.
-    backend:
-        Compute backend for the synthesis kernels (see
-        :func:`repro.kernels.get_backend`); ``None`` resolves the
-        ``REPRO_BACKEND`` environment variable and defaults to numpy.
     precision:
         ``"float64"`` (the bit-exact reference) or ``"float32"`` (complex64
         waveforms, float32 delay ramps and phase walks — faster, with a
@@ -105,7 +99,6 @@ class ArrayChannel:
 
     def __init__(self, array: AntennaArray, orientation_deg: float = 0.0,
                  config: Optional[ChannelConfig] = None, rng: RngLike = None,
-                 backend: Union[None, str, Backend] = None,
                  precision: str = "float64"):
         config = config if config is not None else ChannelConfig()
         self.array = array
@@ -113,7 +106,6 @@ class ArrayChannel:
         self.config = config
         self._rng = ensure_rng(rng)
         self.precision = precision
-        self._backend = get_backend(backend)
         self._cdtype = complex_dtype(precision)
         self._rdtype = real_dtype(precision)
 
@@ -264,8 +256,7 @@ class ArrayChannel:
                 delays[index, :count] = relative_delays
 
         if self.config.apply_path_delays:
-            modulated = fractional_delay_batch(waveform_matrix[:, None, :], delays,
-                                               backend=self._backend)
+            modulated = fractional_delay_batch(waveform_matrix[:, None, :], delays)
         else:
             modulated = np.broadcast_to(
                 waveform_matrix[:, None, :],
@@ -279,15 +270,14 @@ class ArrayChannel:
             for index, paths in enumerate(paths_batch):
                 walks[index, :len(paths)] = phase_random_walk_batch(
                     len(paths), num_samples, self.config.path_phase_walk_std_rad,
-                    generators[index], dtype=self._rdtype, backend=self._backend)
+                    generators[index], dtype=self._rdtype)
             modulated = modulated * walks
         # Coefficients folded into the steering stack; one (B, N, P) @
-        # (B, P, S) contraction sums the per-path outer products.  The
-        # backend's matmul runs the identical GEMM per batch item (np.matmul
-        # on the default backend), so this is bit-identical to the scalar
-        # path's per-packet matmul.
+        # (B, P, S) contraction sums the per-path outer products.
+        # kernels.matmul (np.matmul) runs the identical GEMM per batch item,
+        # so this is bit-identical to the scalar path's per-packet matmul.
         weighted = steering * coefficients[:, :, None]
-        return self._backend.matmul(weighted.transpose(0, 2, 1), modulated)
+        return kernels.matmul(weighted.transpose(0, 2, 1), modulated)
 
     # ---------------------------------------------------------------- internals
     def _relative_delays(self, paths: Sequence[PropagationPath]) -> np.ndarray:
@@ -303,7 +293,7 @@ class ArrayChannel:
         """Per-path steering vectors hoisted into one (P, N) matrix."""
         positions = self.array.element_positions
         angles = [path.aoa_deg - self.orientation_deg for path in paths]
-        stack = self._backend.steering_stack(positions, angles, lambda_m)
+        stack = kernels.steering_stack(positions, angles, lambda_m)
         return stack.astype(self._cdtype, copy=False)
 
     def _path_coefficients(self, paths: Sequence[PropagationPath],
@@ -337,8 +327,7 @@ class ArrayChannel:
                                                lambda_m)
         if self.config.apply_path_delays:
             delays = self._relative_delays(paths).astype(self._rdtype, copy=False)
-            modulated = fractional_delay_batch(waveform, delays,
-                                               backend=self._backend)
+            modulated = fractional_delay_batch(waveform, delays)
         else:
             modulated = np.broadcast_to(waveform, (len(paths), num_samples))
         if self.config.path_phase_walk_std_rad > 0:
@@ -346,15 +335,15 @@ class ArrayChannel:
             # in-place complex multiply, breaking batch/scalar bit-exactness.
             walks = phase_random_walk_batch(
                 len(paths), num_samples, self.config.path_phase_walk_std_rad,
-                generator, dtype=self._rdtype, backend=self._backend)
+                generator, dtype=self._rdtype)
             modulated = modulated * walks
         # Fold the per-path coefficients into the steering matrix (P*N values)
         # instead of scaling the (P, S) waveforms, then contract with one
         # (N, P) @ (P, S) GEMM.  The batch path runs the same GEMM per packet
-        # (the backend's matmul over a stack), so scalar and batched
+        # (kernels.matmul over a stack), so scalar and batched
         # propagation stay bit-identical.
         weighted = steering * coefficients[:, None]
-        return self._backend.matmul(weighted.T, modulated)
+        return kernels.matmul(weighted.T, modulated)
 
     def expected_local_bearing(self, global_bearing_deg: float) -> float:
         """Map a global bearing to the bearing the array's estimator reports.
@@ -386,8 +375,8 @@ def fractional_delay(waveform: np.ndarray, delay_samples: float) -> np.ndarray:
     if abs(delay_samples) < _DELAY_EPSILON_SAMPLES:
         return waveform.copy()
     n = waveform.size
-    # Scalar reference path, deliberately off the Backend seam: the batch
-    # path (fractional_delay_batch -> backend.fractional_delay) IS the seam
+    # Scalar reference path, deliberately off the kernel module: the batch
+    # path (fractional_delay_batch -> kernels.fractional_delay) is the timed
     # route, and the batch/scalar byte-identity suite pins this exact
     # numpy FFT rounding as the reference both must reproduce.
     spectrum = np.fft.fft(waveform)  # repro-lint: disable=seam-bypass
@@ -400,8 +389,7 @@ def fractional_delay(waveform: np.ndarray, delay_samples: float) -> np.ndarray:
 
 
 def fractional_delay_batch(waveforms: np.ndarray,
-                           delay_samples: np.ndarray,
-                           backend: Union[None, str, Backend] = None) -> np.ndarray:
+                           delay_samples: np.ndarray) -> np.ndarray:
     """Apply many fractional delays in one FFT round trip.
 
     ``waveforms`` is ``(..., S)`` and ``delay_samples`` broadcasts against its
@@ -433,7 +421,7 @@ def fractional_delay_batch(waveforms: np.ndarray,
     lead_shape = np.broadcast_shapes(waveforms.shape[:-1], delays.shape)
     out_shape = lead_shape + (n,)
     delays = np.broadcast_to(delays, lead_shape)
-    return get_backend(backend).fractional_delay(waveforms, delays, out_shape)
+    return kernels.fractional_delay(waveforms, delays, out_shape)
 
 
 def phase_random_walk(num_samples: int, step_std_rad: float,
@@ -459,8 +447,7 @@ def phase_random_walk(num_samples: int, step_std_rad: float,
 def phase_random_walk_batch(num_walks: int, num_samples: int,
                             step_std_rad: float,
                             rng: RngLike = None,
-                            dtype: np.dtype = float,
-                            backend: Union[None, str, Backend] = None) -> np.ndarray:
+                            dtype: np.dtype = float) -> np.ndarray:
     """Stack of ``num_walks`` independent random-walk phase processes.
 
     Returns a ``(num_walks, num_samples)`` complex matrix.  The random draws
@@ -468,7 +455,7 @@ def phase_random_walk_batch(num_walks: int, num_samples: int,
     :func:`phase_random_walk` on the same generator (one uniform initial
     phase, then the step sequence), so the result is bit-identical to the
     scalar loop — but the cumulative sum and complex exponential, the actual
-    compute, run once over the whole stack (through the compute backend).
+    compute, run once over the whole stack (through ``kernels.phase_walk``).
 
     ``dtype=np.float32`` is the reduced-precision mode: initial phases and
     steps are drawn as native float32 variates (roughly twice as fast), which
@@ -500,4 +487,4 @@ def phase_random_walk_batch(num_walks: int, num_samples: int,
             initials[walk] = generator.uniform(0.0, 2.0 * np.pi)
             steps[walk] = generator.normal(0.0, step_std_rad, size=num_samples)
     steps[:, 0] = 0.0
-    return get_backend(backend).phase_walk(initials, steps)
+    return kernels.phase_walk(initials, steps)

@@ -31,7 +31,7 @@ import numpy as np
 from repro.arrays.geometry import AntennaArray
 from repro.arrays.steering import steering_vector
 from repro.channel.path import PropagationPath
-from repro.kernels.backend import get_backend
+from repro.kernels.backend import kernels
 from repro.utils.validation import require_positive
 
 
@@ -56,9 +56,9 @@ def eigen_weights(uplink_covariance: np.ndarray) -> np.ndarray:
     covariance = np.asarray(uplink_covariance, dtype=complex)
     if covariance.ndim != 2 or covariance.shape[0] != covariance.shape[1]:
         raise ValueError(f"covariance must be square, got {covariance.shape}")
-    # Routed through the Backend seam so REPRO_BACKEND covers the scalar
-    # path too; the numpy backend is literally np.linalg.eigh (bit-identical).
-    eigenvalues, eigenvectors = get_backend().eigh(covariance)
+    # Routed through the kernel module so the ledger times the scalar path
+    # too; kernels.eigh is literally np.linalg.eigh (bit-identical).
+    eigenvalues, eigenvectors = kernels.eigh(covariance)
     principal = eigenvectors[:, int(np.argmax(eigenvalues))]
     weights = np.conj(principal)
     return weights / np.linalg.norm(weights)

@@ -1,40 +1,26 @@
-"""The raw-speed kernel tier: pluggable compute backends and precision modes.
+"""The raw-speed kernel tier: one numpy kernel module and precision modes.
 
-See :mod:`repro.kernels.backend` for the :class:`Backend` seam the hot
+See :mod:`repro.kernels.backend` for the :data:`kernels` instance the hot
 numerical kernels route through, and the ``precision`` helpers the
 reduced-precision (complex64/float32) mode is built on.
 """
 
 from repro.kernels.backend import (
-    BACKEND_NAMES,
-    Backend,
-    BackendUnavailableError,
-    CupyBackend,
     NumpyBackend,
     PRECISIONS,
-    TorchBackend,
-    available_backends,
-    backend_extra,
     complex_dtype,
     delay_ramps,
-    get_backend,
+    kernels,
     real_dtype,
     validate_precision,
 )
 
 __all__ = [
-    "BACKEND_NAMES",
-    "Backend",
-    "BackendUnavailableError",
-    "CupyBackend",
     "NumpyBackend",
     "PRECISIONS",
-    "TorchBackend",
-    "available_backends",
-    "backend_extra",
     "complex_dtype",
     "delay_ramps",
-    "get_backend",
+    "kernels",
     "real_dtype",
     "validate_precision",
 ]

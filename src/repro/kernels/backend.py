@@ -1,27 +1,20 @@
-"""Pluggable compute backends for the hot numerical kernels.
+"""The hot numerical kernels, in one numpy/BLAS implementation.
 
 The pipeline's inner loops — batched covariance accumulation, stacked
 eigendecompositions, steering-manifold evaluation, the MUSIC spectrum
 contraction, FFT-domain fractional delays, phase random walks, and the OFDM
-payload IFFT — all funnel through a small :class:`Backend` object instead of
-bare ``np.*`` calls.  The default :class:`NumpyBackend` implements every
-kernel with *literally the code the callers used to inline*, so the default
-path is bit-identical to the pre-seam pipeline (the batch/scalar and campaign
-bit-identity suites prove it).  :class:`TorchBackend` and :class:`CupyBackend`
-run the same kernels on an accelerator-capable array library; they convert at
-the kernel boundary (numpy in, numpy out), so callers never see foreign array
-types.
-
-Backends are selected by name: an explicit argument wins, then the
-``REPRO_BACKEND`` environment variable, then ``"numpy"``.  Missing optional
-packages raise :class:`BackendUnavailableError` naming the pip extra rather
-than leaking an ImportError traceback.
+payload IFFT — all call the module-level :data:`kernels` instance of
+:class:`NumpyBackend` instead of bare ``np.*`` calls.  Each kernel is
+*literally the code the callers used to inline*, so routing through it is
+bit-identical to the inline pipeline (the batch/scalar and campaign
+bit-identity suites prove it).  Keeping the kernels in one module gives the
+stage ledger one place to time them and the ``seam-bypass`` lint rule one
+place to allow them.
 """
 
 from __future__ import annotations
 
-import os
-from typing import Any, Dict, Optional, Sequence, Tuple, Union
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -34,21 +27,15 @@ except ImportError:  # pragma: no cover - scipy is a hard dependency
 from repro.arrays.steering import steering_vector
 
 __all__ = [
-    "Backend",
-    "BackendUnavailableError",
-    "BACKEND_NAMES",
-    "CupyBackend",
+    "DELAY_EPSILON_SAMPLES",
     "NumpyBackend",
-    "TorchBackend",
-    "available_backends",
+    "PRECISIONS",
     "complex_dtype",
-    "get_backend",
+    "delay_ramps",
+    "kernels",
     "real_dtype",
     "validate_precision",
 ]
-
-#: Names :func:`get_backend` accepts.
-BACKEND_NAMES = ("numpy", "torch", "cupy")
 
 #: Supported reduced-precision modes.
 PRECISIONS = ("float64", "float32")
@@ -57,13 +44,6 @@ PRECISIONS = ("float64", "float32")
 #: so the undelayed reference path is returned untouched rather than put
 #: through a lossless-but-rounding FFT round trip.
 DELAY_EPSILON_SAMPLES = 1e-12
-
-#: pip extras that provide each optional backend.
-_BACKEND_EXTRAS = {"torch": "repro[gpu]", "cupy": "repro[gpu]"}
-
-
-class BackendUnavailableError(ImportError):
-    """An optional compute backend's package is not installed."""
 
 
 def validate_precision(precision: str) -> str:
@@ -91,102 +71,26 @@ def _complex_for(real: np.dtype) -> np.dtype:
     return np.dtype(np.complex64 if np.dtype(real) == np.float32 else np.complex128)
 
 
-# ---------------------------------------------------------------------- base
-class Backend:
-    """One compute backend: numpy-in/numpy-out implementations of hot kernels.
-
-    Kernels are deliberately coarse-grained (one call per batched operation)
-    so accelerator backends pay a single host/device round trip per kernel,
-    not per element.  Every kernel accepts and returns numpy arrays; callers
-    never handle backend-native array types.
-    """
-
-    name = "abstract"
-
-    # -- array conversion ---------------------------------------------------
-    def as_xp(self, array: np.ndarray) -> Any:
-        """Convert a numpy array to this backend's native array type."""
-        raise NotImplementedError
-
-    def to_numpy(self, array: Any) -> np.ndarray:
-        """Convert a backend-native array back to numpy."""
-        raise NotImplementedError
-
-    # -- linear algebra -----------------------------------------------------
-    def eigh(self, matrices: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """Stacked Hermitian eigendecomposition (eigenvalues ascending)."""
-        raise NotImplementedError
-
-    def inv(self, matrices: np.ndarray) -> np.ndarray:
-        """Stacked matrix inverse."""
-        raise NotImplementedError
-
-    def matmul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Batched matrix product (``np.matmul`` semantics)."""
-        raise NotImplementedError
-
-    def correlation_stack(self, samples_list: Sequence[np.ndarray]) -> np.ndarray:
-        """Per-item ``X X^H / T`` into one (B, N, N) stack."""
-        raise NotImplementedError
-
-    # -- spectrum contractions ----------------------------------------------
-    def music_projection_power(self, signal: np.ndarray,
-                               steering: np.ndarray) -> np.ndarray:
-        """Signal-subspace power ``sum_k |v_k^H a(theta)|^2``, shape (B, A)."""
-        raise NotImplementedError
-
-    def beamscan_numerator(self, matrices: np.ndarray,
-                           steering: np.ndarray) -> np.ndarray:
-        """Quadratic form ``a(theta)^H M a(theta)`` per item, shape (B, A)."""
-        raise NotImplementedError
-
-    # -- manifold evaluation ------------------------------------------------
-    def steering_stack(self, positions: np.ndarray, angles_deg: Sequence[float],
-                       wavelength_m: float) -> np.ndarray:
-        """Steering vectors for several arrival angles, shape (P, N)."""
-        raise NotImplementedError
-
-    # -- synthesis kernels ---------------------------------------------------
-    def fractional_delay(self, waveforms: np.ndarray, delays: np.ndarray,
-                         out_shape: Tuple[int, ...]) -> np.ndarray:
-        """FFT-domain fractional delays; see ``fractional_delay_batch``."""
-        raise NotImplementedError
-
-    def phase_walk(self, initials: np.ndarray, steps: np.ndarray) -> np.ndarray:
-        """Unit-magnitude walks ``exp(1j*(initial + cumsum(steps)))``."""
-        raise NotImplementedError
-
-    def ifft(self, a: np.ndarray) -> np.ndarray:
-        """Inverse FFT along the last axis."""
-        raise NotImplementedError
-
-    def __repr__(self) -> str:
-        return f"{type(self).__name__}()"
-
-
 # --------------------------------------------------------------------- numpy
-class NumpyBackend(Backend):
-    """The default backend: the pipeline's original numpy/BLAS kernels.
+class NumpyBackend:
+    """The pipeline's numpy/BLAS kernels (use the shared :data:`kernels`).
 
     Each method body is the exact code the call sites used to inline, which
-    is what keeps the default path bit-identical to the pre-seam pipeline.
+    is what keeps the kernel path bit-identical to the inline pipeline.
+    Kernels are coarse-grained — one call per batched operation — and are
+    ordinary methods so a profiler can wrap them on the class.
     """
 
-    name = "numpy"
-
-    def as_xp(self, array: np.ndarray) -> np.ndarray:
-        return np.asarray(array)
-
-    def to_numpy(self, array: Any) -> np.ndarray:
-        return np.asarray(array)
-
     def eigh(self, matrices: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """Stacked Hermitian eigendecomposition (eigenvalues ascending)."""
         return np.linalg.eigh(matrices)
 
     def inv(self, matrices: np.ndarray) -> np.ndarray:
+        """Stacked matrix inverse."""
         return np.linalg.inv(matrices)
 
     def matmul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Batched matrix product (``np.matmul`` semantics)."""
         return np.matmul(a, b)
 
     def correlation_stack(self, samples_list: Sequence[np.ndarray]) -> np.ndarray:
@@ -219,15 +123,18 @@ class NumpyBackend(Backend):
 
     def music_projection_power(self, signal: np.ndarray,
                                steering: np.ndarray) -> np.ndarray:
+        """Signal-subspace power ``sum_k |v_k^H a(theta)|^2``, shape (B, A)."""
         projections = signal.conj().transpose(0, 2, 1) @ steering
         return np.sum(np.abs(projections) ** 2, axis=1)
 
     def beamscan_numerator(self, matrices: np.ndarray,
                            steering: np.ndarray) -> np.ndarray:
+        """Quadratic form ``a(theta)^H M a(theta)`` per item, shape (B, A)."""
         return np.sum((steering.conj() * (matrices @ steering)).real, axis=1)
 
     def steering_stack(self, positions: np.ndarray, angles_deg: Sequence[float],
                        wavelength_m: float) -> np.ndarray:
+        """Steering vectors for several arrival angles, shape (P, N)."""
         # One steering_vector call per angle, exactly like the channel's
         # original loop: the length-2 projection keeps its scalar GEMV
         # rounding, which the synthesis bit-identity suites pin.
@@ -238,6 +145,7 @@ class NumpyBackend(Backend):
 
     def fractional_delay(self, waveforms: np.ndarray, delays: np.ndarray,
                          out_shape: Tuple[int, ...]) -> np.ndarray:
+        """FFT-domain fractional delays; see ``fractional_delay_batch``."""
         spectra = np.fft.fft(waveforms, axis=-1)
         ramp = delay_ramps(delays, out_shape[-1])
         # The ramp is a named array, never an anonymous temporary: numpy would
@@ -252,6 +160,7 @@ class NumpyBackend(Backend):
         return delayed
 
     def phase_walk(self, initials: np.ndarray, steps: np.ndarray) -> np.ndarray:
+        """Unit-magnitude walks ``exp(1j*(initial + cumsum(steps)))``."""
         phases = initials[:, None] + np.cumsum(steps, axis=1)
         # cos + 1j*sin of the real phase is bit-identical to exp(1j*phase)
         # and roughly twice as fast (no complex-exp scalar loop).
@@ -261,6 +170,7 @@ class NumpyBackend(Backend):
         return walks
 
     def ifft(self, a: np.ndarray) -> np.ndarray:
+        """Inverse FFT along the last axis."""
         return np.fft.ifft(a, axis=-1)
 
 
@@ -300,258 +210,5 @@ def delay_ramps(delays: np.ndarray, n: int) -> np.ndarray:
     return gathered.reshape(delays.shape + (n,))
 
 
-# --------------------------------------------------------------------- torch
-class TorchBackend(Backend):
-    """PyTorch implementations of the kernels (CPU or CUDA).
-
-    Arrays cross the boundary per kernel call: numpy in, one device round
-    trip, numpy out.  Results match the numpy backend to floating-point
-    tolerance (not bit-exactly — different BLAS/FFT implementations), which
-    the skip-if-unavailable equivalence tests assert.
-    """
-
-    name = "torch"
-
-    def __init__(self, device: Optional[str] = None) -> None:
-        try:
-            import torch
-        except ImportError as error:
-            raise BackendUnavailableError(
-                "the 'torch' compute backend requires PyTorch, which is not "
-                "installed; install it with: pip install 'repro[gpu]' "
-                "(or pip install torch)") from error
-        self._torch = torch
-        if device is None:
-            device = os.environ.get(
-                "REPRO_TORCH_DEVICE",
-                "cuda" if torch.cuda.is_available() else "cpu")
-        self.device = torch.device(device)
-
-    def as_xp(self, array: np.ndarray) -> Any:
-        array = np.asarray(array)
-        if not array.flags.writeable or not array.flags.c_contiguous:
-            # torch.from_numpy refuses read-only buffers and broadcast views.
-            array = np.ascontiguousarray(array).copy()
-        return self._torch.from_numpy(array).to(self.device)
-
-    def to_numpy(self, array: Any) -> np.ndarray:
-        return array.detach().cpu().numpy()
-
-    def eigh(self, matrices: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        values, vectors = self._torch.linalg.eigh(self.as_xp(matrices))
-        return self.to_numpy(values), self.to_numpy(vectors)
-
-    def inv(self, matrices: np.ndarray) -> np.ndarray:
-        return self.to_numpy(self._torch.linalg.inv(self.as_xp(matrices)))
-
-    def matmul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        return self.to_numpy(self._torch.matmul(self.as_xp(a), self.as_xp(b)))
-
-    def correlation_stack(self, samples_list: Sequence[np.ndarray]) -> np.ndarray:
-        n = samples_list[0].shape[0]
-        dtype = np.result_type(*(samples.dtype for samples in samples_list))
-        matrices = np.empty((len(samples_list), n, n), dtype=dtype)
-        for index, samples in enumerate(samples_list):
-            x = self.as_xp(np.ascontiguousarray(samples, dtype=dtype))
-            product = self._torch.matmul(x, x.conj().mT) / samples.shape[1]
-            matrices[index] = self.to_numpy(product)
-        return matrices
-
-    def music_projection_power(self, signal: np.ndarray,
-                               steering: np.ndarray) -> np.ndarray:
-        projections = self._torch.matmul(
-            self.as_xp(signal).conj().mT, self.as_xp(steering))
-        return self.to_numpy(self._torch.sum(self._torch.abs(projections) ** 2,
-                                             dim=1))
-
-    def beamscan_numerator(self, matrices: np.ndarray,
-                           steering: np.ndarray) -> np.ndarray:
-        a = self.as_xp(steering)
-        quadratic = a.conj() * self._torch.matmul(self.as_xp(matrices), a)
-        return self.to_numpy(self._torch.sum(quadratic.real, dim=1))
-
-    def steering_stack(self, positions: np.ndarray, angles_deg: Sequence[float],
-                       wavelength_m: float) -> np.ndarray:
-        torch = self._torch
-        theta = torch.deg2rad(self.as_xp(
-            np.asarray(angles_deg, dtype=float).reshape(-1)))
-        directions = torch.stack([torch.cos(theta), torch.sin(theta)], dim=0)
-        projection = torch.matmul(self.as_xp(np.asarray(positions, dtype=float)),
-                                  directions)
-        phases = (-2.0 * np.pi / wavelength_m) * projection
-        return self.to_numpy(torch.exp(1j * phases).mT)
-
-    def fractional_delay(self, waveforms: np.ndarray, delays: np.ndarray,
-                         out_shape: Tuple[int, ...]) -> np.ndarray:
-        torch = self._torch
-        n = out_shape[-1]
-        spectra = torch.fft.fft(self.as_xp(waveforms), dim=-1)
-        frequencies = self.as_xp(np.fft.fftfreq(n).astype(delays.dtype))
-        phases = (-2.0 * np.pi) * frequencies * self.as_xp(delays)[..., None]
-        ramp = torch.exp(1j * phases)
-        delayed = torch.fft.ifft(spectra.broadcast_to(out_shape) * ramp, dim=-1)
-        delayed = self.to_numpy(delayed)
-        passthrough = np.abs(delays) < DELAY_EPSILON_SAMPLES
-        if np.any(passthrough):
-            delayed[passthrough] = np.broadcast_to(waveforms, out_shape)[passthrough]
-        return delayed
-
-    def phase_walk(self, initials: np.ndarray, steps: np.ndarray) -> np.ndarray:
-        torch = self._torch
-        phases = self.as_xp(initials)[:, None] + torch.cumsum(
-            self.as_xp(steps), dim=1)
-        return self.to_numpy(torch.exp(1j * phases)).astype(
-            _complex_for(steps.dtype), copy=False)
-
-    def ifft(self, a: np.ndarray) -> np.ndarray:
-        return self.to_numpy(self._torch.fft.ifft(self.as_xp(a), dim=-1))
-
-
-# ---------------------------------------------------------------------- cupy
-class CupyBackend(Backend):
-    """CuPy implementations of the kernels (CUDA GPUs).
-
-    Same boundary contract as :class:`TorchBackend`: numpy in, numpy out,
-    tolerance-level (not bit-exact) agreement with the numpy backend.
-    """
-
-    name = "cupy"
-
-    def __init__(self) -> None:
-        try:
-            import cupy
-        except ImportError as error:
-            raise BackendUnavailableError(
-                "the 'cupy' compute backend requires CuPy, which is not "
-                "installed; install it with: pip install 'repro[gpu]' "
-                "(or pip install cupy-cuda12x for your CUDA version)") from error
-        self._cupy = cupy
-
-    def as_xp(self, array: np.ndarray) -> Any:
-        return self._cupy.asarray(array)
-
-    def to_numpy(self, array: Any) -> np.ndarray:
-        return self._cupy.asnumpy(array)
-
-    def eigh(self, matrices: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        values, vectors = self._cupy.linalg.eigh(self.as_xp(matrices))
-        return self.to_numpy(values), self.to_numpy(vectors)
-
-    def inv(self, matrices: np.ndarray) -> np.ndarray:
-        return self.to_numpy(self._cupy.linalg.inv(self.as_xp(matrices)))
-
-    def matmul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        return self.to_numpy(self._cupy.matmul(self.as_xp(a), self.as_xp(b)))
-
-    def correlation_stack(self, samples_list: Sequence[np.ndarray]) -> np.ndarray:
-        cupy = self._cupy
-        n = samples_list[0].shape[0]
-        dtype = np.result_type(*(samples.dtype for samples in samples_list))
-        matrices = np.empty((len(samples_list), n, n), dtype=dtype)
-        for index, samples in enumerate(samples_list):
-            x = self.as_xp(np.ascontiguousarray(samples, dtype=dtype))
-            matrices[index] = self.to_numpy(
-                cupy.matmul(x, x.conj().T) / samples.shape[1])
-        return matrices
-
-    def music_projection_power(self, signal: np.ndarray,
-                               steering: np.ndarray) -> np.ndarray:
-        cupy = self._cupy
-        projections = cupy.matmul(self.as_xp(signal).conj().transpose(0, 2, 1),
-                                  self.as_xp(steering))
-        return self.to_numpy(cupy.sum(cupy.abs(projections) ** 2, axis=1))
-
-    def beamscan_numerator(self, matrices: np.ndarray,
-                           steering: np.ndarray) -> np.ndarray:
-        cupy = self._cupy
-        a = self.as_xp(steering)
-        quadratic = a.conj() * cupy.matmul(self.as_xp(matrices), a)
-        return self.to_numpy(cupy.sum(quadratic.real, axis=1))
-
-    def steering_stack(self, positions: np.ndarray, angles_deg: Sequence[float],
-                       wavelength_m: float) -> np.ndarray:
-        cupy = self._cupy
-        theta = cupy.deg2rad(self.as_xp(
-            np.asarray(angles_deg, dtype=float).reshape(-1)))
-        directions = cupy.stack([cupy.cos(theta), cupy.sin(theta)], axis=0)
-        projection = self.as_xp(np.asarray(positions, dtype=float)) @ directions
-        phases = (-2.0 * np.pi / wavelength_m) * projection
-        return self.to_numpy(cupy.exp(1j * phases).T)
-
-    def fractional_delay(self, waveforms: np.ndarray, delays: np.ndarray,
-                         out_shape: Tuple[int, ...]) -> np.ndarray:
-        cupy = self._cupy
-        n = out_shape[-1]
-        spectra = cupy.fft.fft(self.as_xp(waveforms), axis=-1)
-        frequencies = self.as_xp(np.fft.fftfreq(n).astype(delays.dtype))
-        phases = (-2.0 * np.pi) * frequencies * self.as_xp(delays)[..., None]
-        delayed = cupy.fft.ifft(
-            cupy.broadcast_to(spectra, out_shape) * cupy.exp(1j * phases), axis=-1)
-        delayed = self.to_numpy(delayed)
-        passthrough = np.abs(delays) < DELAY_EPSILON_SAMPLES
-        if np.any(passthrough):
-            delayed[passthrough] = np.broadcast_to(waveforms, out_shape)[passthrough]
-        return delayed
-
-    def phase_walk(self, initials: np.ndarray, steps: np.ndarray) -> np.ndarray:
-        cupy = self._cupy
-        phases = self.as_xp(initials)[:, None] + cupy.cumsum(self.as_xp(steps),
-                                                             axis=1)
-        return self.to_numpy(cupy.exp(1j * phases)).astype(
-            _complex_for(steps.dtype), copy=False)
-
-    def ifft(self, a: np.ndarray) -> np.ndarray:
-        return self.to_numpy(self._cupy.fft.ifft(self.as_xp(a), axis=-1))
-
-
-# ------------------------------------------------------------------ resolver
-_BACKEND_CACHE: Dict[str, Backend] = {}
-
-
-def get_backend(name: Union[None, str, Backend] = None) -> Backend:
-    """Resolve a compute backend by name.
-
-    Resolution order: the explicit ``name`` argument, then the
-    ``REPRO_BACKEND`` environment variable, then ``"numpy"``.  Backend
-    instances pass through unchanged, so resolved backends can be handed
-    around.  Unknown names raise ``ValueError``; known-but-missing optional
-    backends raise :class:`BackendUnavailableError` naming the pip extra.
-    """
-    if isinstance(name, Backend):
-        return name
-    if name is None:
-        name = os.environ.get("REPRO_BACKEND") or "numpy"
-    key = str(name).strip().lower()
-    cached = _BACKEND_CACHE.get(key)
-    if cached is not None:
-        return cached
-    if key == "numpy":
-        backend: Backend = NumpyBackend()
-    elif key == "torch":
-        backend = TorchBackend()
-    elif key == "cupy":
-        backend = CupyBackend()
-    else:
-        raise ValueError(
-            f"unknown compute backend {name!r}; known backends: "
-            + ", ".join(BACKEND_NAMES))
-    _BACKEND_CACHE[key] = backend
-    return backend
-
-
-def available_backends() -> Dict[str, bool]:
-    """Which backends can actually be constructed in this environment."""
-    availability = {"numpy": True}
-    for name in ("torch", "cupy"):
-        try:
-            get_backend(name)
-        except BackendUnavailableError:
-            availability[name] = False
-        else:
-            availability[name] = True
-    return availability
-
-
-def backend_extra(name: str) -> Optional[str]:
-    """The pip extra that provides an optional backend (None for numpy)."""
-    return _BACKEND_EXTRAS.get(str(name).strip().lower())
+#: The one kernel instance every call site uses.
+kernels = NumpyBackend()

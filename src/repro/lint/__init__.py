@@ -1,8 +1,8 @@
 """Project-specific static analysis: mechanical enforcement of repro's invariants.
 
 Six PRs of growth left the reproduction's correctness resting on conventions
-that no generic linter checks: hot numerics must go through the
-:mod:`repro.kernels` Backend seam (or ``REPRO_BACKEND=torch`` silently skips
+that no generic linter checks: hot numerics must go through the one
+:mod:`repro.kernels` module (or the stage ledger silently stops timing
 them), seeds must be derived via :func:`repro.utils.rng.derive_seed` (or
 campaign merges stop being bit-identical), campaign store writes must be
 atomic tmp + ``os.replace`` (or a crashed worker leaves torn records), and

@@ -108,14 +108,14 @@ def _in_file(context: FileContext, *suffixes: str) -> bool:
 #: The only module allowed to touch the raw kernels directly.
 _SEAM_MODULE = "repro/kernels/backend.py"
 
-#: Hot-path modules where even matmul must go through the Backend seam
-#: (these are the loops ``REPRO_BACKEND=torch`` is expected to cover).
+#: Hot-path modules where even matmul must go through the kernel module
+#: (the analysis loops whose kernel cost the stage ledger breaks out).
 _HOT_PATH_MODULES = ("repro/aoa/batch.py", "repro/aoa/subspace.py")
 
-#: ``np.linalg`` factorisations the Backend seam owns.
+#: ``np.linalg`` factorisations the kernel module owns.
 _SEAM_LINALG = ("linalg.eigh", "linalg.inv")
 
-#: FFT transforms the Backend seam owns (grid helpers like ``fft.fftfreq``
+#: FFT transforms the kernel module owns (grid helpers like ``fft.fftfreq``
 #: and ``fft.fftshift`` are pure index arithmetic and stay free).
 _SEAM_FFT = tuple(
     f"fft.{name}" for name in
@@ -129,8 +129,8 @@ _SEAM_MATMUL = ("matmul", "dot", "einsum")
 @rule(
     "seam-bypass",
     "hot numerics (np.linalg.eigh/inv, np.fft transforms, matmul on hot "
-    "paths) must go through the repro.kernels Backend seam so alternative "
-    "backends (REPRO_BACKEND=torch) cover them")
+    "paths) must go through repro.kernels: one module holds the hot kernels "
+    "that the ledger times")
 def check_seam_bypass(context: FileContext) -> Iterator[Violation]:
     if _in_file(context, _SEAM_MODULE):
         return
@@ -143,30 +143,30 @@ def check_seam_bypass(context: FileContext) -> Iterator[Violation]:
             if matched is not None:
                 yield context.violation(
                     "seam-bypass", node,
-                    f"direct {name}() bypasses the repro.kernels Backend "
-                    f"seam; route through get_backend().{matched.split('.')[-1]}()"
-                    " so REPRO_BACKEND covers this path")
+                    f"direct {name}() bypasses repro.kernels; route through "
+                    f"kernels.{matched.split('.')[-1]}() so the ledger times "
+                    "this path")
                 continue
             matched = _is_numpy_call(name, aliases, _SEAM_FFT)
             if matched is not None:
                 yield context.violation(
                     "seam-bypass", node,
-                    f"direct {name}() bypasses the repro.kernels Backend "
-                    "seam; use the backend FFT kernels (or document the "
-                    "exception) so accelerator backends cover this transform")
+                    f"direct {name}() bypasses repro.kernels; use the kernel "
+                    "FFTs (or document the exception) so the ledger times "
+                    "this transform")
                 continue
             if hot_path and _is_numpy_call(name, aliases, _SEAM_MATMUL):
                 yield context.violation(
                     "seam-bypass", node,
                     f"{name}() on a hot-path module must go through the "
-                    "Backend seam (backend.matmul) or carry a documented "
+                    "kernel module (kernels.matmul) or carry a documented "
                     "exception")
         elif hot_path and isinstance(node, ast.BinOp) and isinstance(
                 node.op, ast.MatMult):
             yield context.violation(
                 "seam-bypass", node,
                 "the @ operator on a hot-path module must go through the "
-                "Backend seam (backend.matmul) or carry a documented "
+                "kernel module (kernels.matmul) or carry a documented "
                 "exception")
 
 

@@ -15,7 +15,7 @@ from typing import List, Sequence
 import numpy as np
 
 from repro.constants import OFDM_CYCLIC_PREFIX, OFDM_FFT_SIZE
-from repro.kernels.backend import get_backend
+from repro.kernels.backend import kernels
 from repro.utils.rng import RngLike, ensure_rng
 from repro.utils.validation import require_positive_int
 
@@ -63,14 +63,12 @@ class OfdmConfig:
 class OfdmModulator:
     """Modulate frequency-domain subcarrier values into time-domain symbols.
 
-    ``backend`` selects the compute backend for the stacked payload IFFT
-    (see :func:`repro.kernels.get_backend`); the default numpy backend is
+    The stacked payload IFFT runs through ``kernels.ifft``, which is
     bit-identical to calling ``np.fft.ifft`` directly.
     """
 
-    def __init__(self, config: OfdmConfig = OfdmConfig(), backend=None):
+    def __init__(self, config: OfdmConfig = OfdmConfig()):
         self.config = config
-        self._backend = get_backend(backend)
 
     def modulate_symbol(self, subcarrier_values: np.ndarray,
                         include_cyclic_prefix: bool = True) -> np.ndarray:
@@ -90,7 +88,7 @@ class OfdmModulator:
         # The IFFT normalisation keeps the average sample power roughly equal
         # to the average subcarrier power.
         # Scalar reference path pinned by the stacked-IFFT equivalence test:
-        # modulate_payload_batch routes through backend.ifft; this single-
+        # modulate_payload_batch routes through kernels.ifft; this single-
         # symbol helper is the bit-exact numpy reference it must match.
         symbol = np.fft.ifft(spectrum) * np.sqrt(  # repro-lint: disable=seam-bypass
             self.config.fft_size / max(len(occupied), 1))
@@ -142,7 +140,7 @@ class OfdmModulator:
         spectra = np.zeros((total_symbols, self.config.fft_size), dtype=complex)
         spectra[:, bins] = qpsk
         scale = np.sqrt(self.config.fft_size / max(len(occupied), 1))
-        symbols = self._backend.ifft(spectra) * scale
+        symbols = kernels.ifft(spectra) * scale
         if self.config.cyclic_prefix > 0:
             symbols = np.concatenate(
                 [symbols[:, -self.config.cyclic_prefix:], symbols], axis=1)

@@ -57,8 +57,7 @@ class PhyPacket:
 def make_packet_waveform(frame: Optional[Dot11Frame] = None,
                          num_payload_symbols: int = 20,
                          config: OfdmConfig = OfdmConfig(),
-                         rng: RngLike = None,
-                         backend=None) -> PhyPacket:
+                         rng: RngLike = None) -> PhyPacket:
     """Build a normalised PHY packet: legacy preamble plus an OFDM payload.
 
     When a MAC ``frame`` is supplied, its serialised bits form the start of the
@@ -68,7 +67,7 @@ def make_packet_waveform(frame: Optional[Dot11Frame] = None,
     """
     num_payload_symbols = require_positive_int(num_payload_symbols, "num_payload_symbols")
     generator = ensure_rng(rng)
-    modulator = OfdmModulator(config, backend=backend)
+    modulator = OfdmModulator(config)
     bits = _packet_bits(frame, num_payload_symbols, config, generator)
     payload = modulator.modulate_payload(bits)
     # The cached preamble is read-only and shared; np.concatenate copies it
@@ -80,8 +79,7 @@ def make_packet_waveform(frame: Optional[Dot11Frame] = None,
 def make_packet_waveforms(frames: Sequence[Optional[Dot11Frame]],
                           num_payload_symbols: int = 20,
                           config: OfdmConfig = OfdmConfig(),
-                          rngs: Optional[Sequence[RngLike]] = None,
-                          backend=None) -> List[PhyPacket]:
+                          rngs: Optional[Sequence[RngLike]] = None) -> List[PhyPacket]:
     """Build a whole burst of PHY packets with one stacked payload IFFT.
 
     Bit-identical to calling :func:`make_packet_waveform` once per frame with
@@ -98,7 +96,7 @@ def make_packet_waveforms(frames: Sequence[Optional[Dot11Frame]],
         if len(generators) != len(frames):
             raise ValueError(
                 f"expected {len(frames)} rng substreams, got {len(generators)}")
-    modulator = OfdmModulator(config, backend=backend)
+    modulator = OfdmModulator(config)
     bits_batch = [
         _packet_bits(frame, num_payload_symbols, config, generator)
         for frame, generator in zip(frames, generators)

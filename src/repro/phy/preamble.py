@@ -51,7 +51,7 @@ def _sequence_to_spectrum(sequence: np.ndarray, fft_size: int) -> np.ndarray:
 def _short_training_field_cached(fft_size: int) -> np.ndarray:
     spectrum = _sequence_to_spectrum(_STF_SEQUENCE, fft_size)
     # One lru_cached IFFT per FFT size over the process lifetime — a pure
-    # constant-table build, not a hot path the accelerator seam could help.
+    # constant-table build, not a hot path the ledger times.
     base = np.fft.ifft(spectrum) * np.sqrt(fft_size / 12.0)  # repro-lint: disable=seam-bypass
     # The STF is periodic with period fft_size/4 = 16 samples; two and a half
     # base symbols give the standard 160-sample field.

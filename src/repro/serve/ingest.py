@@ -27,7 +27,7 @@ from repro.api.events import Packet, PacketEvent
 from repro.mac.address import MacAddress
 from repro.utils.serde import JsonSerializable
 
-__all__ = ["PacketRequest", "replay_events", "synthesize_packet"]
+__all__ = ["PacketRequest", "check_request", "replay_events", "synthesize_packet"]
 
 
 @dataclass(frozen=True)
@@ -53,6 +53,22 @@ class PacketRequest(JsonSerializable):
                 "a PacketRequest names exactly one of client_id or attacker")
         if self.attacker is not None and self.victim_client_id is None:
             raise ValueError("an attacker request needs victim_client_id")
+
+
+def check_request(deployment: Deployment, request: PacketRequest) -> None:
+    """Reject a request naming a client or attacker the scenario lacks.
+
+    Run at submission: :func:`synthesize_packet` runs later on the tenant
+    worker, where the lookup failure would stop the worker for good.
+    """
+    if request.attacker is not None and request.attacker not in deployment.attackers:
+        raise ValueError(f"unknown attacker {request.attacker!r}; "
+                         f"known: {sorted(deployment.attackers)}")
+    for field_name in ("client_id", "victim_client_id"):
+        client_id = getattr(request, field_name)
+        if client_id is not None and client_id not in deployment.clients:
+            raise ValueError(f"unknown {field_name} {client_id!r}; "
+                             f"known: {sorted(deployment.clients)}")
 
 
 def synthesize_packet(deployment: Deployment,

@@ -8,7 +8,8 @@ behaves identically whichever socket it arrived on:
   document (so a client can rebuild the deployment and verify the stream).
 * ``{"op": "submit", "tenant": t, "request": {...}}`` — ingest one
   :class:`~repro.serve.ingest.PacketRequest`; acked with its per-tenant
-  sequence number.  ``"requests": [...]`` submits a burst in order.
+  sequence number.  ``"requests": [...]`` submits a burst in order; a
+  burst naming a client or attacker the scenario lacks is rejected whole.
 * ``{"op": "subscribe", "tenant": t, "from_seq": n|null}`` — start
   streaming ``{"op": "event", ...}`` messages (decision, bearings, fence
   verdict) from the tenant's backlog; drop-oldest losses surface as
@@ -41,7 +42,7 @@ from typing import (
 )
 
 from repro.api.events import EVENT_SCHEMA_VERSION
-from repro.serve.ingest import PacketRequest
+from repro.serve.ingest import PacketRequest, check_request
 from repro.serve.tenants import Tenant
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -122,6 +123,10 @@ class JsonConnection:
             raise ValueError("submit needs 'request' or 'requests'")
         requests = [PacketRequest.from_dict(document)
                     for document in documents]
+        # Check the whole burst before any request takes a sequence number,
+        # so a bad burst is rejected whole.
+        for request in requests:
+            check_request(tenant.deployment, request)
         seqs = [await tenant.submit(request) for request in requests]
         await self._send({"op": "ack", "tenant": tenant.name, "seqs": seqs})
 

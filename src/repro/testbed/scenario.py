@@ -69,10 +69,6 @@ class SimulatorConfig:
     #: packet, which is a distinct cache key by design.  Bounded by
     #: ``path_cache_size`` entries (FIFO eviction).
     reuse_waveforms: bool = False
-    #: Compute backend for the synthesis kernels ("numpy", "torch", "cupy");
-    #: ``None`` resolves the ``REPRO_BACKEND`` environment variable and
-    #: defaults to numpy (the bit-exact reference).
-    backend: Optional[str] = None
     #: Synthesis arithmetic precision: "float64" (bit-exact reference) or
     #: "float32" (complex64 waveforms/captures — faster, its own rng layout).
     precision: str = "float64"
@@ -120,7 +116,6 @@ class TestbedSimulator:
         )
         self.channel = ArrayChannel(array, orientation_deg=orientation_deg,
                                     config=config.channel, rng=spawn_rng(self._rng, 11),
-                                    backend=config.backend,
                                     precision=config.precision)
         self.receiver = ArrayReceiver(array, config=config.receiver,
                                       rng=spawn_rng(self._rng, 12),
@@ -264,7 +259,7 @@ class TestbedSimulator:
                 packet.waveform for packet in make_packet_waveforms(
                     [request.frame for request in requests],
                     num_payload_symbols=self.config.payload_symbols,
-                    rngs=waveform_rngs, backend=self.config.backend)
+                    rngs=waveform_rngs)
             ]
         sample_rate_hz = self.config.channel.sample_rate_hz
         for index, (request, shaping_rng) in enumerate(zip(requests, shaping_rngs)):
@@ -447,14 +442,12 @@ class TestbedSimulator:
         """
         if not self.config.reuse_waveforms:
             return make_packet_waveform(
-                frame, num_payload_symbols=self.config.payload_symbols, rng=rng,
-                backend=self.config.backend)
+                frame, num_payload_symbols=self.config.payload_symbols, rng=rng)
         key = (frame, self.config.payload_symbols)
         packet = self._waveform_cache.get(key)
         if packet is None:
             packet = make_packet_waveform(
-                frame, num_payload_symbols=self.config.payload_symbols, rng=rng,
-                backend=self.config.backend)
+                frame, num_payload_symbols=self.config.payload_symbols, rng=rng)
             self._waveform_cache[key] = packet
             while len(self._waveform_cache) > self.config.path_cache_size:
                 self._waveform_cache.popitem(last=False)

@@ -83,6 +83,12 @@ class TestSpecValidation:
             ScenarioSpec.from_dict(bad)
         with pytest.raises(ValueError, match="unknown field"):
             ScenarioSpec.from_dict({"fence": {"margin": 5.0}})
+        # The removed compute-backend knob fails loudly in old documents.
+        for section in ("simulator", "estimator"):
+            stale = dict(good)
+            stale[section] = dict(good[section], backend="numpy")
+            with pytest.raises(ValueError, match="unknown field.*'backend'"):
+                ScenarioSpec.from_dict(stale)
 
 
 class TestSpecRoundTrip:

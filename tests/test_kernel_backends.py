@@ -1,88 +1,31 @@
-"""The kernel tier: backend resolution, numpy kernels, optional accelerators.
+"""The kernel tier: the numpy kernel module and the precision helpers.
 
-The numpy backend's kernels are the literal pre-seam inline code, so its
-tests assert byte-level agreement with the direct numpy expressions and with
-the pre-seam pipeline (``REPRO_BACKEND=numpy`` must be a no-op).  Torch and
-CuPy are optional: their construction errors must name the pip extra, and
-their kernel tests skip when the package is absent and assert tolerance-level
-agreement when it is present.
+The kernels are the literal inline numpy code the call sites used to carry,
+so these tests assert byte-level agreement with the direct numpy
+expressions.
 """
 
 import numpy as np
 import pytest
 
-from repro.aoa import AoAEstimator, EstimatorConfig
 from repro.arrays.geometry import UniformLinearArray
 from repro.arrays.steering import steering_vector
 from repro.kernels import (
-    BACKEND_NAMES,
-    Backend,
-    BackendUnavailableError,
-    NumpyBackend,
-    available_backends,
-    backend_extra,
     complex_dtype,
     delay_ramps,
-    get_backend,
+    kernels,
     real_dtype,
     validate_precision,
 )
 
 
-def _has(module: str) -> bool:
-    try:
-        __import__(module)
-    except ImportError:
-        return False
-    return True
-
-
 @pytest.fixture
 def numpy_backend():
-    return get_backend("numpy")
+    return kernels
 
 
-# ---------------------------------------------------------------- resolution
-class TestResolution:
-    def test_default_is_numpy(self, monkeypatch):
-        monkeypatch.delenv("REPRO_BACKEND", raising=False)
-        assert get_backend().name == "numpy"
-        assert get_backend(None).name == "numpy"
-
-    def test_explicit_name_and_cache(self):
-        assert get_backend("numpy") is get_backend("NumPy")  # normalised + cached
-        assert isinstance(get_backend("numpy"), NumpyBackend)
-
-    def test_environment_variable(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BACKEND", "numpy")
-        assert get_backend().name == "numpy"
-        monkeypatch.setenv("REPRO_BACKEND", "no-such-backend")
-        with pytest.raises(ValueError, match="unknown compute backend"):
-            get_backend()
-
-    def test_instances_pass_through(self, numpy_backend):
-        assert get_backend(numpy_backend) is numpy_backend
-
-    def test_unknown_name_lists_known(self):
-        with pytest.raises(ValueError) as excinfo:
-            get_backend("jax")
-        for name in BACKEND_NAMES:
-            assert name in str(excinfo.value)
-
-    @pytest.mark.parametrize("name", ["torch", "cupy"])
-    def test_missing_optional_backend_names_the_extra(self, name):
-        if _has(name):
-            pytest.skip(f"{name} is installed here")
-        with pytest.raises(BackendUnavailableError) as excinfo:
-            get_backend(name)
-        assert "repro[gpu]" in str(excinfo.value)
-        assert backend_extra(name) == "repro[gpu]"
-
-    def test_available_backends_reports_numpy(self):
-        availability = available_backends()
-        assert availability["numpy"] is True
-        assert set(availability) == set(BACKEND_NAMES)
-
+# ----------------------------------------------------------------- precision
+class TestPrecision:
     def test_precision_helpers(self):
         assert validate_precision("float64") == "float64"
         with pytest.raises(ValueError, match="unknown precision"):
@@ -184,116 +127,3 @@ class TestNumpyKernels:
         assert np.array_equal(ramps[0], ramps[1])
         ramps32 = delay_ramps(delays.astype(np.float32), 32)
         assert ramps32.dtype == np.complex64
-
-
-# -------------------------------------------------------------- env override
-class TestEnvByteIdentity:
-    def test_repro_backend_numpy_is_a_no_op(self, monkeypatch, linear_array,
-                                            rng):
-        steering = linear_array.steering_vector(25.0)
-        signal = np.exp(1j * 2 * np.pi * rng.random(300))
-        samples = steering[:, None] * signal[None, :] + 0.01 * (
-            rng.standard_normal((8, 300)) + 1j * rng.standard_normal((8, 300)))
-
-        monkeypatch.delenv("REPRO_BACKEND", raising=False)
-        default = AoAEstimator(linear_array, EstimatorConfig()).process_samples(
-            samples)
-        monkeypatch.setenv("REPRO_BACKEND", "numpy")
-        forced = AoAEstimator(linear_array, EstimatorConfig()).process_samples(
-            samples)
-        assert np.array_equal(
-            default.pseudospectrum.values.view(np.uint8),
-            forced.pseudospectrum.values.view(np.uint8))
-        assert default.bearing_deg == forced.bearing_deg
-
-
-# ------------------------------------------------------------ optional torch
-class TestTorchBackend:
-    """Tolerance-level agreement with numpy (skipped when torch is absent)."""
-
-    @pytest.fixture
-    def torch_backend(self):
-        pytest.importorskip("torch")
-        return get_backend("torch")
-
-    def test_is_a_backend(self, torch_backend):
-        assert isinstance(torch_backend, Backend)
-        assert torch_backend.name == "torch"
-
-    def test_linear_algebra_kernels(self, torch_backend, numpy_backend, rng):
-        x = rng.standard_normal((2, 6, 6)) + 1j * rng.standard_normal((2, 6, 6))
-        hermitian = x @ x.conj().transpose(0, 2, 1) + 6 * np.eye(6)
-        values, _ = torch_backend.eigh(hermitian)
-        ref_values, _ = numpy_backend.eigh(hermitian)
-        np.testing.assert_allclose(values, ref_values, rtol=1e-9, atol=1e-9)
-        np.testing.assert_allclose(torch_backend.inv(hermitian),
-                                   numpy_backend.inv(hermitian),
-                                   rtol=1e-8, atol=1e-10)
-        np.testing.assert_allclose(torch_backend.matmul(x, hermitian),
-                                   numpy_backend.matmul(x, hermitian),
-                                   rtol=1e-10, atol=1e-10)
-
-    def test_correlation_and_contractions(self, torch_backend, numpy_backend,
-                                          rng):
-        samples = [rng.standard_normal((4, 80)) + 1j * rng.standard_normal((4, 80))]
-        np.testing.assert_allclose(torch_backend.correlation_stack(samples),
-                                   numpy_backend.correlation_stack(samples),
-                                   rtol=1e-10, atol=1e-12)
-        steering = rng.standard_normal((4, 13)) + 1j * rng.standard_normal((4, 13))
-        signal = rng.standard_normal((1, 4, 2)) + 1j * rng.standard_normal((1, 4, 2))
-        np.testing.assert_allclose(
-            torch_backend.music_projection_power(signal, steering),
-            numpy_backend.music_projection_power(signal, steering),
-            rtol=1e-10, atol=1e-12)
-        matrices = rng.standard_normal((1, 4, 4)) + 1j * rng.standard_normal((1, 4, 4))
-        np.testing.assert_allclose(
-            torch_backend.beamscan_numerator(matrices, steering),
-            numpy_backend.beamscan_numerator(matrices, steering),
-            rtol=1e-10, atol=1e-12)
-
-    def test_synthesis_kernels(self, torch_backend, numpy_backend, rng):
-        array = UniformLinearArray(num_elements=4)
-        np.testing.assert_allclose(
-            torch_backend.steering_stack(array.element_positions, [10.0, -30.0],
-                                         array.wavelength),
-            numpy_backend.steering_stack(array.element_positions, [10.0, -30.0],
-                                         array.wavelength),
-            rtol=1e-12, atol=1e-12)
-        waveforms = rng.standard_normal((1, 1, 64)) + \
-            1j * rng.standard_normal((1, 1, 64))
-        delays = np.array([[0.0, 2.25]])
-        np.testing.assert_allclose(
-            torch_backend.fractional_delay(waveforms, delays, (1, 2, 64)),
-            numpy_backend.fractional_delay(waveforms, delays, (1, 2, 64)),
-            rtol=1e-9, atol=1e-11)
-        initials = rng.random(2) * 2 * np.pi
-        steps = rng.standard_normal((2, 32)) * 0.01
-        np.testing.assert_allclose(torch_backend.phase_walk(initials, steps),
-                                   numpy_backend.phase_walk(initials, steps),
-                                   rtol=1e-10, atol=1e-12)
-        spectra = rng.standard_normal((2, 64)) + 1j * rng.standard_normal((2, 64))
-        np.testing.assert_allclose(torch_backend.ifft(spectra),
-                                   numpy_backend.ifft(spectra),
-                                   rtol=1e-10, atol=1e-12)
-
-    def test_estimator_runs_end_to_end(self, torch_backend, linear_array, rng):
-        steering = linear_array.steering_vector(-35.0)
-        signal = np.exp(1j * 2 * np.pi * rng.random(200))
-        samples = steering[:, None] * signal[None, :] + 0.01 * (
-            rng.standard_normal((8, 200)) + 1j * rng.standard_normal((8, 200)))
-        estimate = AoAEstimator(
-            linear_array, EstimatorConfig(backend="torch")).process_samples(samples)
-        assert abs(estimate.bearing_deg - (-35.0)) < 2.0
-
-
-# ------------------------------------------------------------- optional cupy
-class TestCupyBackend:
-    def test_estimator_runs_end_to_end(self, linear_array, rng):
-        pytest.importorskip("cupy")
-        steering = linear_array.steering_vector(10.0)
-        signal = np.exp(1j * 2 * np.pi * rng.random(200))
-        samples = steering[:, None] * signal[None, :] + 0.01 * (
-            rng.standard_normal((8, 200)) + 1j * rng.standard_normal((8, 200)))
-        estimate = AoAEstimator(
-            linear_array, EstimatorConfig(backend="cupy")).process_samples(samples)
-        assert abs(estimate.bearing_deg - 10.0) < 2.0

@@ -164,17 +164,40 @@ class TestProtocolSurfaces:
                         json.dumps({"op": "submit", "tenant": "main",
                                     "request": {"client_id": 7,
                                                 "attacker": "both"}}),
-                        json.dumps({"op": "submit", "tenant": "main"})):
+                        json.dumps({"op": "submit", "tenant": "main"}),
+                        # Well-formed, but the scenario has no such attacker:
+                        # the whole burst is refused, its valid head included.
+                        json.dumps({"op": "submit", "tenant": "main",
+                                    "requests": [
+                                        {"client_id": 7},
+                                        {"attacker": "ghost",
+                                         "victim_client_id": 7}]})):
                     writer.write((payload + "\n").encode())
                     await writer.drain()
                     line = await client.reader.readline()
                     errors.append(json.loads(line))
-                return errors
+                # The tenant survives: a valid request afterwards takes the
+                # first sequence number and is published.
+                await client.send({"op": "subscribe", "tenant": "main",
+                                   "from_seq": 0})
+                await client.receive_op("subscribed")
+                await client.send({"op": "submit", "tenant": "main",
+                                   "request": {"client_id": 7}})
+                replies = {}
+
+                async def ack_and_event():
+                    while len(replies) < 2:
+                        message = await client.receive()
+                        if message["op"] in ("ack", "event"):
+                            replies[message["op"]] = message
+
+                await asyncio.wait_for(ack_and_event(), timeout=30.0)
+                return errors, replies["ack"], replies["event"]
             finally:
                 await close_client(writer)
                 await service.stop()
 
-        errors = asyncio.run(scenario())
+        errors, ack, event = asyncio.run(scenario())
         assert all(message["op"] == "error" for message in errors)
         assert "bad JSON line" in errors[0]["error"]
         assert "'op' key" in errors[1]["error"]
@@ -182,6 +205,9 @@ class TestProtocolSurfaces:
         assert "unknown tenant" in errors[3]["error"]
         assert "exactly one" in errors[4]["error"]
         assert "request" in errors[5]["error"]
+        assert "unknown attacker 'ghost'" in errors[6]["error"]
+        assert ack["seqs"] == [0]
+        assert event["event"]["index"] == 0
 
     def test_slow_subscriber_gets_lag_notice(self):
         config = tenant_config()
