@@ -5,23 +5,85 @@ so these tests assert byte-level agreement with the direct numpy
 expressions.
 """
 
+import importlib
+import inspect
+
 import numpy as np
 import pytest
 
+from repro.aoa.estimator import EstimatorConfig
 from repro.arrays.geometry import UniformLinearArray
 from repro.arrays.steering import steering_vector
+from repro.channel.channel import (
+    ArrayChannel,
+    fractional_delay_batch,
+    phase_random_walk_batch,
+)
 from repro.kernels import (
+    NumpyBackend,
     complex_dtype,
     delay_ramps,
     kernels,
     real_dtype,
     validate_precision,
 )
+from repro.phy.ofdm import OfdmModulator
+from repro.phy.packet import make_packet_waveform, make_packet_waveforms
+from repro.testbed.scenario import SimulatorConfig
+
+#: Modules whose hot loops call the shared kernel instance.
+KERNEL_CALL_SITES = (
+    "repro.aoa.batch",
+    "repro.aoa.subspace",
+    "repro.aoa.covariance",
+    "repro.aoa.capon",
+    "repro.core.beamforming",
+    "repro.channel.channel",
+    "repro.phy.ofdm",
+)
+
+#: Kernels the stage ledger wraps on the class (``vars(NumpyBackend)[name]``).
+LEDGER_KERNELS = (
+    "eigh",
+    "correlation_stack",
+    "music_projection_power",
+    "phase_walk",
+    "fractional_delay",
+    "matmul",
+    "ifft",
+)
 
 
 @pytest.fixture
 def numpy_backend():
     return kernels
+
+
+# ---------------------------------------------------------- one implementation
+class TestSingleImplementation:
+    """There is one kernel instance, and no knob selects another."""
+
+    @pytest.mark.parametrize("module_name", KERNEL_CALL_SITES)
+    def test_call_site_uses_the_module_instance(self, module_name):
+        module = importlib.import_module(module_name)
+        assert module.kernels is kernels
+        assert type(module.kernels) is NumpyBackend
+
+    @pytest.mark.parametrize("name", LEDGER_KERNELS)
+    def test_ledger_kernel_is_a_plain_instance_method(self, name):
+        # A wrapper installed on the class must reach every call site.
+        assert inspect.isfunction(vars(NumpyBackend)[name])
+        bound = getattr(kernels, name)
+        assert bound.__self__ is kernels
+        assert bound.__func__ is vars(NumpyBackend)[name]
+
+    @pytest.mark.parametrize("target", [
+        EstimatorConfig, SimulatorConfig, ArrayChannel, OfdmModulator,
+        make_packet_waveform, make_packet_waveforms, fractional_delay_batch,
+        phase_random_walk_batch,
+    ], ids=lambda target: target.__name__)
+    def test_no_compute_backend_knob(self, target):
+        assert "backend" not in inspect.signature(target).parameters
 
 
 # ----------------------------------------------------------------- precision
