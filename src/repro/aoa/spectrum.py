@@ -118,7 +118,10 @@ class Pseudospectrum:
         peak = float(np.max(self.values))
         if peak <= 0:
             raise ValueError("cannot normalise an all-zero pseudospectrum")
-        return Pseudospectrum(self.angles_deg.copy(), self.values / peak, dict(self.metadata))
+        # Dividing finite non-negative values by a positive peak keeps them
+        # valid, so the copy skips re-validation.
+        return Pseudospectrum.from_validated(self.angles_deg.copy(), self.values / peak,
+                                             dict(self.metadata))
 
     def resampled(self, angles_deg: np.ndarray) -> "Pseudospectrum":
         """Return a copy interpolated onto a different angle grid."""
@@ -128,6 +131,21 @@ class Pseudospectrum:
             query = (angles_deg - self.angles_deg[0]) % 360.0 + self.angles_deg[0]
         values = np.interp(query, self.angles_deg, self.values)
         return Pseudospectrum(angles_deg.copy(), values, dict(self.metadata))
+
+    def on_grid(self, angles_deg: np.ndarray) -> "Pseudospectrum":
+        """This spectrum on ``angles_deg``: itself when that is already its
+        grid, else :meth:`resampled`.
+
+        ``np.interp`` at its own knots returns the values unchanged, so
+        skipping the resample is exact.  A wrapping grid that does not start
+        at 0 shifts its query through ``% 360`` in floating point, so it still
+        interpolates.
+        """
+        own = self.angles_deg
+        same_grid = angles_deg is own or np.array_equal(angles_deg, own)
+        if same_grid and (own[0] == 0.0 or not self.wraps_around):
+            return self
+        return self.resampled(angles_deg)
 
     def with_metadata(self, **entries: Any) -> "Pseudospectrum":
         """Return a copy with extra metadata merged in."""
@@ -142,9 +160,11 @@ class Pseudospectrum:
 
         For the batched estimation engine, which evaluates many spectra on the
         same already-validated (cached) angle grid and produces values that are
-        finite and non-negative by construction.  The caller guarantees the
-        invariants ``__post_init__`` normally checks: 1-D float arrays of equal
-        length >= 2, strictly increasing angles, finite non-negative values.
+        finite and non-negative by construction, and for spectra derived from
+        already-validated ones (:meth:`normalized`, the signature blend).  The
+        caller guarantees the invariants ``__post_init__`` normally checks:
+        1-D float arrays of equal length >= 2, strictly increasing angles,
+        finite non-negative values.
         """
         spectrum = object.__new__(cls)
         object.__setattr__(spectrum, "angles_deg", angles_deg)

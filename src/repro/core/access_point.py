@@ -135,11 +135,14 @@ class SecureAngleAP:
         back into the certified signature (unless tracking is disabled).
         Every packet path — the AP's own, the controller's, and the
         deployment session's — runs exactly this step, so the check/track
-        sequence cannot diverge between them.
+        sequence cannot diverge between them.  The tracker reuses the
+        detector's similarity: both score the same stored signature against
+        the same observation.
         """
         check = self.detector.check(source, observation)
         if update_signature and check.verdict is SpoofingVerdict.MATCH:
-            self.tracker.observe(source, observation, timestamp_s)
+            self.tracker.observe(source, observation, timestamp_s,
+                                 similarity=check.similarity)
         return check
 
     def decide(self, source: MacAddress, observation: AoASignature,

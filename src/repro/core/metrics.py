@@ -15,7 +15,7 @@ that difference:
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -43,7 +43,7 @@ def spectral_correlation(a: AoASignature, b: AoASignature) -> float:
     path — still contribute to the comparison instead of being swamped by the
     dominant peak.
     """
-    spectrum_b = b.spectrum.resampled(a.spectrum.angles_deg)
+    spectrum_b = b.spectrum.on_grid(a.spectrum.angles_deg)
     a_db = a.spectrum.to_db(floor_db=-30.0)
     b_db = spectrum_b.to_db(floor_db=-30.0)
     # Shift so the floor maps to zero; correlation then emphasises peak shape.
@@ -78,7 +78,8 @@ def direct_path_distance_deg(a: AoASignature, b: AoASignature) -> float:
 
 
 def signature_similarity(a: AoASignature, b: AoASignature,
-                         direct_path_scale_deg: float = 10.0) -> float:
+                         direct_path_scale_deg: float = 10.0,
+                         direct_error_deg: Optional[float] = None) -> float:
     """Combined similarity score in [0, 1] used by the spoofing detector.
 
     The spectral correlation is multiplied by a factor that decays with the
@@ -86,11 +87,13 @@ def signature_similarity(a: AoASignature, b: AoASignature,
     signatures whose whole-spectrum shapes happen to correlate but whose
     direct paths point in different directions are *not* the same client,
     because the direct path is the stable, hard-to-forge component
-    (Section 3.1–3.2).
+    (Section 3.1–3.2).  A caller that already holds
+    ``direct_path_distance_deg(a, b)`` passes it as ``direct_error_deg``.
     """
     if direct_path_scale_deg <= 0:
         raise ValueError("direct_path_scale_deg must be positive")
     correlation = spectral_correlation(a, b)
-    direct_error = direct_path_distance_deg(a, b)
+    direct_error = (direct_path_distance_deg(a, b) if direct_error_deg is None
+                    else direct_error_deg)
     direct_factor = float(np.exp(-direct_error / direct_path_scale_deg))
     return float(np.clip(correlation * direct_factor, 0.0, 1.0))

@@ -93,10 +93,11 @@ class AoASignature:
         """
         if not 0.0 <= weight <= 1.0:
             raise ValueError("weight must be in [0, 1]")
-        other_resampled = other.spectrum.resampled(self.spectrum.angles_deg)
-        blended_values = (1.0 - weight) * self.spectrum.values + weight * other_resampled.values
-        blended = Pseudospectrum(self.spectrum.angles_deg.copy(), blended_values,
-                                 dict(self.spectrum.metadata))
+        other_values = other.spectrum.on_grid(self.spectrum.angles_deg).values
+        blended_values = (1.0 - weight) * self.spectrum.values + weight * other_values
+        # A convex blend of two valid spectra on a valid grid is valid.
+        blended = Pseudospectrum.from_validated(self.spectrum.angles_deg.copy(), blended_values,
+                                                dict(self.spectrum.metadata))
         return AoASignature.from_pseudospectrum(
             blended,
             captured_at_s=max(self.captured_at_s, other.captured_at_s),

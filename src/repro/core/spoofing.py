@@ -77,8 +77,9 @@ class SpoofingDetector:
         record = self.database.lookup(address)
         if record is None:
             return SpoofingCheck(SpoofingVerdict.UNKNOWN_ADDRESS, 0.0, 180.0)
-        similarity = signature_similarity(record.signature, observation)
         direct_error = direct_path_distance_deg(record.signature, observation)
+        similarity = signature_similarity(record.signature, observation,
+                                          direct_error_deg=direct_error)
         matches = (similarity >= self.config.similarity_threshold
                    and direct_error <= self.config.max_direct_path_error_deg)
         if matches:

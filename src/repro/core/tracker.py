@@ -56,17 +56,21 @@ class SignatureTracker:
         self.config = config if config is not None else TrackerConfig()
 
     def observe(self, address: MacAddress, observation: AoASignature,
-                timestamp_s: float) -> bool:
+                timestamp_s: float, similarity: Optional[float] = None) -> bool:
         """Offer a new observation for ``address``.
 
         Returns ``True`` when the observation was blended into the stored
         signature (it matched well enough), ``False`` otherwise.  Unknown
         addresses are never updated here — training is an explicit step.
+        ``similarity`` is the observation's score against the stored
+        signature when the caller already computed it (the spoofing check
+        does); without it the tracker scores the pair itself.
         """
         record = self.database.lookup(address)
         if record is None:
             return False
-        similarity = signature_similarity(record.signature, observation)
+        if similarity is None:
+            similarity = signature_similarity(record.signature, observation)
         if similarity < self.config.min_similarity_to_update:
             return False
         blended = record.signature.merged_with(observation, weight=self.config.update_weight)

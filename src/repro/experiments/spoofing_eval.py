@@ -159,11 +159,9 @@ def _train_and_track(deployment: Deployment, victim_address: MacAddress,
     ]
     probe_observations = ap.signatures_from_captures(probe_captures)
     for capture, observation in zip(probe_captures, probe_observations):
-        check = ap.detector.check(victim_address, observation)
+        check = ap.check_packet(victim_address, observation, capture.timestamp_s)
         if check.verdict is SpoofingVerdict.SPOOFED:
             false_alarms += 1
-        else:
-            ap.tracker.observe(victim_address, observation, capture.timestamp_s)
         if not rss_detector.matches(victim_address,
                                     RssSignalprint.from_capture_power([capture.power_dbm()])):
             rss_false_alarms += 1
