@@ -27,7 +27,9 @@ Every item of a batch is computed independently by the underlying BLAS/LAPACK
 loops, so ``process_batch([c])`` is bit-for-bit identical to processing ``c``
 inside any larger batch — and :class:`~repro.aoa.estimator.AoAEstimator` is a
 thin B=1 wrapper over this engine, so the scalar and batched paths cannot
-diverge.
+diverge.  Calibration is per item too (``C R C^H`` with each item's own
+``C``), so one batch may mix captures calibrated with different tables: the
+multi-AP controller stacks every AP's capture of a packet into one call.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.aoa.estimator import AoAEstimate, EstimatorConfig
+from repro.aoa.estimator import AoAEstimate, CalibrationArg, EstimatorConfig
 from repro.aoa.peaks import find_peaks_batch
 from repro.aoa.source_count import estimate_num_sources
 from repro.aoa.spectrum import (
@@ -49,6 +51,17 @@ from repro.calibration.table import CalibrationTable
 from repro.hardware.capture import Capture
 from repro.kernels.backend import complex_dtype, kernels
 from repro.phy.schmidl_cox import SchmidlCoxDetector
+
+
+def _per_capture_tables(calibration: CalibrationArg,
+                       num_captures: int) -> Sequence[Optional[CalibrationTable]]:
+    """Expand a batch's ``calibration`` argument to one entry per capture."""
+    if calibration is None or isinstance(calibration, CalibrationTable):
+        return [calibration] * num_captures
+    if len(calibration) != num_captures:
+        raise ValueError(
+            f"got {len(calibration)} calibration tables for {num_captures} captures")
+    return calibration
 
 
 class BatchAoAEstimator:
@@ -80,21 +93,25 @@ class BatchAoAEstimator:
         return self.process_batch([capture], calibration=calibration)[0]
 
     def process_batch(self, captures: Sequence[Capture],
-                      calibration: Optional[CalibrationTable] = None) -> List[AoAEstimate]:
+                      calibration: CalibrationArg = None) -> List[AoAEstimate]:
         """Process a batch of captures into one :class:`AoAEstimate` each.
 
-        Raw captures are calibrated on the fly when ``calibration`` is given;
+        Raw captures are calibrated on the fly when they have a table;
         otherwise every capture must already be calibrated (unless the
         configuration disables the check, as the calibration ablation does).
+        ``calibration`` is one table for the whole batch, or one table (or
+        ``None``) per capture.
         """
         captures = list(captures)
+        tables = _per_capture_tables(calibration, len(captures))
         if not captures:
             return []
-        factors = calibration.correction_factors() if calibration is not None else None
+        # Correction factors are computed once per distinct table.
+        factors: Dict[int, np.ndarray] = {}
         samples_list: List[np.ndarray] = []
         corrections: List[Optional[np.ndarray]] = []
-        for capture in captures:
-            samples, correction = self._validated_samples(capture, calibration, factors)
+        for capture, table in zip(captures, tables):
+            samples, correction = self._validated_samples(capture, table, factors)
             samples_list.append(samples)
             corrections.append(correction)
         packet_starts: List[Optional[int]] = [None] * len(captures)
@@ -126,7 +143,7 @@ class BatchAoAEstimator:
 
     # ------------------------------------------------------------- validation
     def _validated_samples(self, capture: Capture, calibration: Optional[CalibrationTable],
-                           factors: Optional[np.ndarray]
+                           factors: Dict[int, np.ndarray]
                            ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
         correction: Optional[np.ndarray] = None
         calibrated = capture.calibrated
@@ -135,7 +152,9 @@ class BatchAoAEstimator:
                 raise ValueError(
                     f"capture has {capture.num_antennas} antennas but the table "
                     f"covers {calibration.num_chains} chains")
-            correction = factors
+            correction = factors.get(id(calibration))
+            if correction is None:
+                correction = factors[id(calibration)] = calibration.correction_factors()
             calibrated = True
         if self.config.require_calibrated and not calibrated:
             raise ValueError(

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import difflib
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Union
 
 import numpy as np
 
@@ -26,6 +26,10 @@ from repro.calibration.table import CalibrationTable
 from repro.hardware.capture import Capture
 from repro.aoa.spectrum import Pseudospectrum
 from repro.kernels.backend import validate_precision
+
+#: Calibration for a batch: one table for every capture, or one table (or
+#: ``None``) per capture.
+CalibrationArg = Union[None, CalibrationTable, Sequence[Optional[CalibrationTable]]]
 
 #: Grid-scanning estimators the pipeline can run end to end (they produce the
 #: pseudospectra SecureAngle signatures are built from).
@@ -157,8 +161,12 @@ class AoAEstimator:
         return self._engine.process_batch([capture], calibration=calibration)[0]
 
     def process_batch(self, captures: Sequence[Capture],
-                      calibration: Optional[CalibrationTable] = None) -> List[AoAEstimate]:
-        """Process a batch of captures through the batched engine."""
+                      calibration: CalibrationArg = None) -> List[AoAEstimate]:
+        """Process a batch of captures through the batched engine.
+
+        ``calibration`` is one table for the whole batch, or one table (or
+        ``None``) per capture.
+        """
         return self._engine.process_batch(captures, calibration=calibration)
 
     def process_samples(self, samples: np.ndarray) -> AoAEstimate:

@@ -11,9 +11,10 @@ the full live stack — environment, per-AP testbed simulators, calibrated
   yields one structured :class:`PacketEvent` per packet — the
   accept/drop/flag decision, every AP's bearing, the triangulated location,
   the fence verdict, and the processing latency — either streaming
-  (``mode="stream"``, one analysis per packet) or batched (``mode="batch"``,
-  one stacked eigendecomposition per AP).  Scalar and batched paths share
-  the per-packet policy code, so they cannot diverge.
+  (``mode="stream"``, every AP's capture of a packet in one stacked
+  analysis) or batched (``mode="batch"``, the whole batch in one).  Scalar
+  and batched paths share the per-packet policy code, so they cannot
+  diverge.
 * :meth:`run` and :meth:`run_batch` are the v0 spellings of the two modes,
   kept as thin shims over :meth:`process` so existing runners and examples
   stay bit-identical.
@@ -29,7 +30,7 @@ from __future__ import annotations
 import copy
 import time
 from dataclasses import replace
-from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Mapping, Optional
 
 from repro.aoa.estimator import AoAEstimate
 from repro.api.components import ENVIRONMENTS
@@ -46,7 +47,6 @@ from repro.core.localization import (
     triangulate_bearings,
 )
 from repro.core.signature import AoASignature, signatures_from_pseudospectra
-from repro.hardware.capture import Capture
 from repro.mac.address import MacAddress
 from repro.mac.frames import Dot11Frame
 from repro.testbed.clients import SoekrisClient, make_clients
@@ -397,16 +397,20 @@ class Deployment:
 
         ``mode`` selects the execution strategy — never the outcome:
 
-        * ``"stream"`` — one analysis per packet, yielded lazily as packets
-          arrive; each event's :attr:`~PacketEvent.packet_latency_s` is that
-          packet's own measured analysis time
-          (:attr:`~PacketEvent.batch_latency_s` is ``None``).
-        * ``"batch"`` — the whole iterable is drained first and every AP
-          sees all of its captures in one ``analyze_batch`` call; each
-          event's :attr:`~PacketEvent.batch_latency_s` is the batch mean
-          (total wall-clock over the batch divided by its size;
+        * ``"stream"`` — one engine call per packet across all of its APs,
+          yielded lazily as packets arrive; each event's
+          :attr:`~PacketEvent.packet_latency_s` is that packet's own
+          measured analysis time (:attr:`~PacketEvent.batch_latency_s` is
+          ``None``).
+        * ``"batch"`` — the whole iterable is drained first and every
+          capture of the batch, across all APs, goes through one engine
+          call; each event's :attr:`~PacketEvent.batch_latency_s` is the
+          batch mean (total wall-clock over the batch divided by its size;
           :attr:`~PacketEvent.packet_latency_s` is ``None``).
 
+        APs whose estimators would not give bit-identical results are
+        analysed in separate calls (see
+        :meth:`~repro.core.controller.SecureAngleController.analyze_batch`).
         Per-packet policy runs in arrival order in both modes, and the
         scalar and batched AoA paths share their kernels, so decisions,
         bearings, locations, and fence verdicts are bit-identical between
@@ -449,10 +453,7 @@ class Deployment:
                         update_signatures: bool) -> Iterator[PacketEvent]:
         for index, packet in enumerate(packets):
             start = time.perf_counter()
-            estimates = {
-                name: self.ap(name).analyze(capture)
-                for name, capture in packet.captures.items()
-            }
+            estimates = self._analyze([packet])[0]
             primary = self._primary_name(packet, primary_ap)
             observation = signatures_from_pseudospectra(
                 [estimates[primary].pseudospectrum],
@@ -469,17 +470,7 @@ class Deployment:
         if not packets:
             return []
         start = time.perf_counter()
-        per_ap: Dict[str, List[Tuple[int, Capture]]] = {}
-        for index, packet in enumerate(packets):
-            for name, capture in packet.captures.items():
-                self.ap(name)  # validate the name early
-                per_ap.setdefault(name, []).append((index, capture))
-        estimates: List[Dict[str, AoAEstimate]] = [{} for _ in packets]
-        for name, entries in per_ap.items():
-            results = self.aps[name].analyze_batch(
-                [capture for _, capture in entries])
-            for (index, _), estimate in zip(entries, results):
-                estimates[index][name] = estimate
+        estimates = self._analyze(packets)
         primaries = [self._primary_name(packet, primary_ap) for packet in packets]
         observations = signatures_from_pseudospectra(
             [estimates[index][primary].pseudospectrum
@@ -496,6 +487,13 @@ class Deployment:
         return [replace(event, batch_latency_s=latency) for event in events]
 
     # ---------------------------------------------------------------- internals
+    def _analyze(self, packets: List[Packet]) -> List[Dict[str, AoAEstimate]]:
+        """Every capture's estimate, one engine call per analysis group."""
+        for packet in packets:
+            for name in packet.captures:
+                self.ap(name)  # unknown names raise with the known list
+        return self.controller.analyze_batch([packet.captures for packet in packets])
+
     def _primary_name(self, packet: Packet, primary_ap: Optional[str]) -> str:
         if primary_ap is not None:
             if primary_ap not in packet.captures:
@@ -525,11 +523,9 @@ class Deployment:
                 # AP out of triangulation, so mixed-array deployments stream.
                 bearings[name] = estimate.bearing_deg
                 continue
-            bearing = (estimate.bearing_deg + observer.orientation_deg) % 360.0
-            bearings[name] = bearing
-            triangulation.append(BearingObservation(
-                ap_position=observer.position, bearing_deg=bearing,
-                sigma_deg=observer.config.bearing_sigma_deg))
+            global_bearing = observer.bearing_observation_from(estimate)
+            bearings[name] = global_bearing.bearing_deg
+            triangulation.append(global_bearing)
 
         location: Optional[LocationEstimate] = None
         fence_check: Optional[FenceCheck] = None

@@ -219,18 +219,25 @@ class SecureAngleAP:
     def bearing_observations(self, captures: Sequence[Capture],
                              sigma_deg: Optional[float] = None) -> List[BearingObservation]:
         """Batched :meth:`bearing_observation` for several captures."""
+        self.require_unambiguous()
+        return [self.bearing_observation_from(estimate, sigma_deg=sigma_deg)
+                for estimate in self.analyze_batch(captures)]
+
+    def bearing_observation_from(self, estimate: AoAEstimate,
+                                 sigma_deg: Optional[float] = None) -> BearingObservation:
+        """The global bearing observation of an already computed estimate."""
+        self.require_unambiguous()
+        return BearingObservation(
+            ap_position=self.position,
+            bearing_deg=(estimate.bearing_deg + self.orientation_deg) % 360.0,
+            sigma_deg=self.config.bearing_sigma_deg if sigma_deg is None else sigma_deg,
+        )
+
+    def require_unambiguous(self) -> None:
+        """Raise unless the array gives full-circle bearings (footnote 1)."""
         if self.array.ambiguous:
             raise ValueError(
                 "virtual-fence localisation requires an unambiguous (circular) array")
-        sigma = self.config.bearing_sigma_deg if sigma_deg is None else sigma_deg
-        return [
-            BearingObservation(
-                ap_position=self.position,
-                bearing_deg=(estimate.bearing_deg + self.orientation_deg) % 360.0,
-                sigma_deg=sigma,
-            )
-            for estimate in self.analyze_batch(captures)
-        ]
 
     def __repr__(self) -> str:
         return (f"SecureAngleAP({self.name!r}, at ({self.position.x:.1f}, {self.position.y:.1f}), "

@@ -12,6 +12,9 @@ from __future__ import annotations
 
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
+import numpy as np
+
+from repro.aoa.estimator import AoAEstimate
 from repro.core.access_point import SecureAngleAP
 from repro.core.fence import FenceCheck, VirtualFence
 from repro.core.localization import BearingObservation, LocationEstimate, triangulate_bearings
@@ -19,6 +22,27 @@ from repro.core.policy import PacketDecision
 from repro.core.signature import AoASignature
 from repro.hardware.capture import Capture
 from repro.mac.frames import Dot11Frame
+
+
+def _shares_analysis(leader: SecureAngleAP, ap: SecureAngleAP) -> bool:
+    """Whether ``leader``'s engine gives bit-identical results for ``ap``'s captures.
+
+    The estimator configs must be equal and keep no per-engine state (the
+    subspace tracker, the lazily built packet detector), and the arrays must
+    share their class, carrier, angle grid, and steering matrix.
+    """
+    config = leader.estimator.config
+    if (ap.estimator.config != config or config.subspace_tracking
+            or config.detect_packet):
+        return False
+    first, second = leader.array, ap.array
+    if (type(first) is not type(second)
+            or first.carrier_frequency_hz != second.carrier_frequency_hz):
+        return False
+    resolution = config.resolution_deg
+    return (np.array_equal(first.angle_grid(resolution), second.angle_grid(resolution))
+            and np.array_equal(first.steering_matrix(resolution_deg=resolution),
+                               second.steering_matrix(resolution_deg=resolution)))
 
 
 class SecureAngleController:
@@ -32,6 +56,58 @@ class SecureAngleController:
             raise ValueError("access points must have unique names")
         self.aps: Dict[str, SecureAngleAP] = {ap.name: ap for ap in aps}
         self.fence = fence
+        #: AP name -> name of the AP whose engine analyses its captures: the
+        #: first AP of its analysis group (see :meth:`analyze_batch`).
+        self._analysts: Dict[str, str] = {}
+        leaders: List[SecureAngleAP] = []
+        for ap in aps:
+            leader = next((leader for leader in leaders
+                           if _shares_analysis(leader, ap)), None)
+            if leader is None:
+                leaders.append(ap)
+                leader = ap
+            self._analysts[ap.name] = leader.name
+
+    def _access_point(self, name: str) -> SecureAngleAP:
+        ap = self.aps.get(name)
+        if ap is None:
+            raise KeyError(f"unknown access point {name!r}")
+        return ap
+
+    # ----------------------------------------------------------------- analysis
+    def analyze_batch(self, packets: Sequence[Mapping[str, Capture]]
+                      ) -> List[Dict[str, AoAEstimate]]:
+        """AoA estimates for a batch of packets, one engine call per analysis group.
+
+        ``packets`` is one mapping of AP name to capture per packet; each
+        result maps the same names, in the same order, to their estimates.
+        APs whose estimators give bit-identical results form one analysis
+        group, and every capture of the group — across all APs and packets —
+        goes through one ``process_batch`` call, each corrected with its own
+        AP's calibration table.  Items of a batch are computed independently,
+        so the estimates equal per-AP :meth:`SecureAngleAP.analyze` bit for bit.
+        """
+        packets = list(packets)
+        per_group: Dict[str, List[Tuple[int, str, Capture]]] = {}
+        for index, captures in enumerate(packets):
+            for name, capture in captures.items():
+                if name not in self._analysts:
+                    raise KeyError(f"unknown access point {name!r}")
+                per_group.setdefault(self._analysts[name], []).append(
+                    (index, name, capture))
+        collected: List[Dict[str, AoAEstimate]] = [{} for _ in packets]
+        for leader, entries in per_group.items():
+            estimates = self.aps[leader].estimator.process_batch(
+                [capture for _, _, capture in entries],
+                calibration=[self.aps[name].calibration for _, name, _ in entries])
+            for (index, name, _), estimate in zip(entries, estimates):
+                collected[index][name] = estimate
+        if len(per_group) == 1:
+            return collected  # already in each packet's own AP order
+        return [
+            {name: collected[index][name] for name in captures}
+            for index, captures in enumerate(packets)
+        ]
 
     # ------------------------------------------------------------ localisation
     def collect_bearings(self, captures: Mapping[str, Capture]) -> List[BearingObservation]:
@@ -40,30 +116,29 @@ class SecureAngleController:
 
     def collect_bearings_batch(self, packets: Sequence[Mapping[str, Capture]]
                                ) -> List[List[BearingObservation]]:
-        """Bearing observations for a batch of packets, batched per AP.
+        """Bearing observations for a batch of packets.
 
-        ``packets`` is one mapping of AP name to capture per packet.  All
-        captures belonging to one AP — across every packet of the batch — are
-        fed to that AP's batched engine in a single call; the observations are
-        then regrouped per packet, in each packet's own AP order.
+        ``packets`` is one mapping of AP name to capture per packet.  Every
+        capture is estimated by :meth:`analyze_batch` — one engine call per
+        analysis group across the whole batch — and the observations come
+        back per packet, in each packet's own AP order.  Raises before any
+        analysis when an AP's array cannot give a global bearing.
         """
         packets = list(packets)
-        per_ap: Dict[str, List[Tuple[int, Capture]]] = {}
-        for index, captures in enumerate(packets):
-            for name, capture in captures.items():
-                if name not in self.aps:
-                    raise KeyError(f"unknown access point {name!r}")
-                per_ap.setdefault(name, []).append((index, capture))
-        collected: List[Dict[str, BearingObservation]] = [{} for _ in packets]
-        for name, entries in per_ap.items():
-            observations = self.aps[name].bearing_observations(
-                [capture for _, capture in entries])
-            for (index, _), observation in zip(entries, observations):
-                collected[index][name] = observation
-        return [
-            [collected[index][name] for name in captures]
-            for index, captures in enumerate(packets)
-        ]
+        self._require_bearings(packets)
+        return [self._bearing_observations(estimates)
+                for estimates in self.analyze_batch(packets)]
+
+    def _require_bearings(self, packets: Sequence[Mapping[str, Capture]]) -> None:
+        observers = {name: self._access_point(name)
+                     for captures in packets for name in captures}
+        for ap in observers.values():
+            ap.require_unambiguous()
+
+    def _bearing_observations(self, estimates: Mapping[str, AoAEstimate]
+                              ) -> List[BearingObservation]:
+        return [self.aps[name].bearing_observation_from(estimate)
+                for name, estimate in estimates.items()]
 
     def localize(self, captures: Mapping[str, Capture]) -> LocationEstimate:
         """Triangulate a client from per-AP captures of the same packet."""
@@ -72,7 +147,7 @@ class SecureAngleController:
 
     def localize_batch(self, packets: Sequence[Mapping[str, Capture]]
                        ) -> List[LocationEstimate]:
-        """Triangulate a batch of packets, running each AP's estimator once."""
+        """Triangulate a batch of packets, one engine call per analysis group."""
         return [triangulate_bearings(observations)
                 for observations in self.collect_bearings_batch(packets)]
 
@@ -103,31 +178,31 @@ class SecureAngleController:
         ``repro.api.deployment.Deployment._event`` gathers the same evidence
         from pre-computed estimates (tolerating ambiguous arrays by skipping
         them); both paths assemble the final decision through the shared
-        :meth:`SecureAngleAP.decide`.  Note that this convenience path
-        estimates the primary AP's spectrum twice when a fence applies (once
-        for the observation, once inside ``fence_check``); high-throughput
-        callers should prefer the deployment session, which computes every
-        estimate exactly once.
+        :meth:`SecureAngleAP.decide`.  Every capture the decision needs is
+        estimated once, in one :meth:`analyze_batch` call: the primary's
+        alone, or every capture when a fence applies.
         """
         if not captures:
             raise ValueError("at least one capture is required")
         if primary_ap is None:
             primary_ap = next(iter(captures))
-        ap = self.aps.get(primary_ap)
-        if ap is None:
-            raise KeyError(f"unknown access point {primary_ap!r}")
+        ap = self._access_point(primary_ap)
         if primary_ap not in captures:
             raise ValueError(f"no capture supplied for primary AP {primary_ap!r}")
 
-        estimate = ap.analyze(captures[primary_ap])
+        fenced = self.fence is not None and len(captures) >= 2
+        if fenced:
+            self._require_bearings([captures])
+        analysed = captures if fenced else {primary_ap: captures[primary_ap]}
+        estimates = self.analyze_batch([analysed])[0]
+        timestamp = captures[primary_ap].timestamp_s
         observation = AoASignature.from_pseudospectrum(
-            estimate.pseudospectrum, captured_at_s=captures[primary_ap].timestamp_s)
-        check = ap.check_packet(frame.source, observation,
-                                captures[primary_ap].timestamp_s)
+            estimates[primary_ap].pseudospectrum, captured_at_s=timestamp)
+        check = ap.check_packet(frame.source, observation, timestamp)
 
         fence_result = None
-        if self.fence is not None and len(captures) >= 2:
-            fence_result = self.fence_check(captures)
+        if fenced:
+            fence_result = self.fence.check_bearings(self._bearing_observations(estimates))
         return ap.decide(frame.source, observation, check,
                          fence=self.fence, fence_check=fence_result)
 
