@@ -10,7 +10,7 @@ bit-identical to it (asserted here on raw bytes, alongside the timing):
 * ``phase_random_walk_batch`` — one cumulative sum and one cos/sin pass over
   the walk stack versus one ``phase_random_walk`` per path;
 * ``OfdmModulator.modulate_payload_batch`` — one stacked IFFT over every
-  OFDM symbol of a burst versus one ``modulate_payload`` call per packet.
+  OFDM symbol of a burst versus one one-item call per packet.
 """
 
 import time
@@ -108,7 +108,7 @@ def test_modulate_payload_batch_speed_and_equivalence():
     bits_batch = [rng.integers(0, 2, size=20 * 104) for _ in range(BATCH)]
 
     def loop():
-        return [modulator.modulate_payload(bits) for bits in bits_batch]
+        return [modulator.modulate_payload_batch([bits])[0] for bits in bits_batch]
 
     def batched():
         return modulator.modulate_payload_batch(bits_batch)

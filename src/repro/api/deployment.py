@@ -30,7 +30,7 @@ from __future__ import annotations
 import copy
 import time
 from dataclasses import replace
-from typing import Dict, Iterable, Iterator, List, Mapping, Optional
+from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Tuple
 
 from repro.aoa.estimator import AoAEstimate
 from repro.api.components import ENVIRONMENTS
@@ -57,6 +57,9 @@ __all__ = ["EVENT_SCHEMA_VERSION", "Deployment", "Packet", "PacketEvent"]
 
 #: Fixed MAC address deployments answer to ("SA" = SecureAngle).
 DEPLOYMENT_AP_ADDRESS = MacAddress("02:53:41:00:00:01")
+
+#: One packet of a burst: its frame and the capture request that transmits it.
+BurstItem = Tuple[Dot11Frame, CaptureRequest]
 
 
 class Deployment:
@@ -246,45 +249,25 @@ class Deployment:
 
         ``source`` overrides the claimed source address of the frames —
         transmitting a client's traffic under a trained (victim) address is
-        the central spoofing-evaluation use case.
+        the central spoofing-evaluation use case.  Packets are synthesised
+        lazily, one per ``next()``, with the same bytes :meth:`traffic`
+        gives the whole burst.
         """
         if num_packets < 1:
             raise ValueError("num_packets must be at least 1")
-        client = self.clients[client_id]
-        for index in range(num_packets):
-            timestamp = start_s + index * inter_packet_gap_s
-            if source is None:
-                frame = client.make_frame(self.ap_address, payload=payload)
-            else:
-                frame = Dot11Frame(source=source, destination=self.ap_address,
-                                   sequence_number=index, payload=payload)
-            captures = {
-                name: simulator.capture_from_client(
-                    client_id, frame=frame, tx_power_dbm=client.tx_power_dbm,
-                    elapsed_s=timestamp, timestamp_s=timestamp)
-                for name, simulator in self.simulators.items()
-            }
-            yield Packet(frame=frame, captures=captures, timestamp_s=timestamp,
-                         metadata={"client_id": client_id})
+        metadata, burst = self._burst(client_id, None, None, num_packets,
+                                      inter_packet_gap_s, start_s, payload, source)
+        for item in burst:
+            yield from self._synthesize(metadata, [item])
 
     def attacker_packets(self, attacker_name: str, victim_address: MacAddress,
                          num_packets: int = 1, inter_packet_gap_s: float = 0.5,
                          start_s: float = 0.0) -> Iterator[Packet]:
-        """Generate spoofed packets from a named attacker of the spec."""
-        attacker = self.attackers[attacker_name]
-        attack = SpoofingAttack(attacker=attacker, victim_address=victim_address,
-                                ap_address=self.ap_address, num_frames=num_packets)
-        for index, frame in enumerate(attack.iter_frames()):
-            timestamp = start_s + index * inter_packet_gap_s
-            captures = {
-                name: simulator.capture_from_position(
-                    attacker.transmit_position(index), frame=frame,
-                    elapsed_s=timestamp, timestamp_s=timestamp,
-                    attacker=attacker, tx_power_dbm=attacker.tx_power_dbm)
-                for name, simulator in self.simulators.items()
-            }
-            yield Packet(frame=frame, captures=captures, timestamp_s=timestamp,
-                         metadata={"attacker": attacker.name})
+        """Generate spoofed packets from a named attacker of the spec, lazily."""
+        metadata, burst = self._burst(None, attacker_name, victim_address,
+                                      num_packets, inter_packet_gap_s, start_s)
+        for item in burst:
+            yield from self._synthesize(metadata, [item])
 
     def traffic(self, client_id: Optional[int] = None, *,
                 attacker: Optional[str] = None,
@@ -294,13 +277,13 @@ class Deployment:
                 source: Optional[MacAddress] = None) -> List[Packet]:
         """Synthesize a whole burst of packets through the batched engine.
 
-        The batched counterpart of :meth:`client_packets` /
+        The eager counterpart of :meth:`client_packets` /
         :meth:`attacker_packets`: every AP's captures for the burst are
         generated in one :meth:`TestbedSimulator.capture_batch` call (cached
         ray tracing, stacked channel/receiver arithmetic) instead of one
-        Python round trip per packet.  The per-packet rng substreams are
-        spawned in the scalar loop's order, so the returned packets are
-        bit-identical to draining the matching generator.
+        call per packet.  Captures do not depend on how requests are
+        batched, so the returned packets are byte-identical to draining the
+        matching generator.
 
         Pass ``client_id`` for legitimate uplink traffic, or ``attacker``
         (the spec attacker's name) plus ``victim_address`` for a spoofed
@@ -311,76 +294,97 @@ class Deployment:
             raise ValueError("provide exactly one of client_id or attacker")
         if num_packets < 1:
             raise ValueError("num_packets must be at least 1")
-        timestamps = [start_s + index * inter_packet_gap_s
-                      for index in range(num_packets)]
-        if client_id is not None:
-            client = self.clients[client_id]
-            position = self.environment.client_position(client_id)
-            frames: List[Dot11Frame] = []
+        if attacker is not None and victim_address is None:
+            raise ValueError("attacker traffic needs a victim_address")
+        metadata, burst = self._burst(client_id, attacker, victim_address,
+                                      num_packets, inter_packet_gap_s, start_s,
+                                      payload, source)
+        return self._synthesize(metadata, list(burst))
+
+    def train(self, address: MacAddress, client_id: int,
+              num_packets: Optional[int] = None, inter_packet_gap_s: float = 0.5,
+              start_s: float = 0.0, ap_name: Optional[str] = None) -> AoASignature:
+        """Train an AP's certified signature for ``address`` from client packets.
+
+        The training burst (frameless packets at the client's position) is
+        synthesised in one :meth:`TestbedSimulator.capture_batch` call.
+        """
+        ap = self.ap(ap_name)
+        simulator = self.simulator(ap_name)
+        if num_packets is None:
+            num_packets = ap.config.training_packets
+        position = self.environment.client_position(client_id)
+        requests = [
+            CaptureRequest(position=position,
+                           elapsed_s=start_s + index * inter_packet_gap_s,
+                           timestamp_s=start_s + index * inter_packet_gap_s,
+                           metadata={"client_id": client_id})
+            for index in range(num_packets)
+        ]
+        return ap.train_client(address, simulator.capture_batch(requests))
+
+    def _burst(self, client_id: Optional[int], attacker_name: Optional[str],
+               victim_address: Optional[MacAddress], num_packets: int,
+               inter_packet_gap_s: float, start_s: float,
+               payload: bytes = b"uplink", source: Optional[MacAddress] = None,
+               ) -> Tuple[Dict[str, object], Iterator[BurstItem]]:
+        """Packet metadata plus a lazy (frame, capture request) pair per packet.
+
+        A client burst when ``client_id`` is given, else a spoofed burst from
+        the named attacker.  Client frames are minted as the iterator
+        advances, so a generator abandoned early mints no further sequence
+        numbers.
+        """
+        def timestamp(index: int) -> float:
+            return start_s + index * inter_packet_gap_s
+
+        if client_id is None:
+            attacker = self.attackers[attacker_name]
+            attack = SpoofingAttack(attacker=attacker, victim_address=victim_address,
+                                    ap_address=self.ap_address, num_frames=num_packets)
+
+            def spoofed() -> Iterator[BurstItem]:
+                for index, frame in enumerate(attack.iter_frames()):
+                    yield frame, CaptureRequest(
+                        position=attacker.transmit_position(index), frame=frame,
+                        tx_power_dbm=attacker.tx_power_dbm,
+                        elapsed_s=timestamp(index), timestamp_s=timestamp(index),
+                        attacker=attacker)
+
+            return {"attacker": attacker.name}, spoofed()
+
+        client = self.clients[client_id]
+        position = self.environment.client_position(client_id)
+
+        def uplink() -> Iterator[BurstItem]:
             for index in range(num_packets):
                 if source is None:
-                    frames.append(client.make_frame(self.ap_address, payload=payload))
+                    frame = client.make_frame(self.ap_address, payload=payload)
                 else:
-                    frames.append(Dot11Frame(source=source,
-                                             destination=self.ap_address,
-                                             sequence_number=index,
-                                             payload=payload))
-            requests = [
-                CaptureRequest(position=position, frame=frame,
-                               tx_power_dbm=client.tx_power_dbm,
-                               elapsed_s=timestamp, timestamp_s=timestamp,
-                               metadata={"client_id": client_id})
-                for frame, timestamp in zip(frames, timestamps)
-            ]
-            packet_metadata = {"client_id": client_id}
-        else:
-            if victim_address is None:
-                raise ValueError("attacker traffic needs a victim_address")
-            attacker_obj = self.attackers[attacker]
-            attack = SpoofingAttack(attacker=attacker_obj,
-                                    victim_address=victim_address,
-                                    ap_address=self.ap_address,
-                                    num_frames=num_packets)
-            frames = list(attack.iter_frames())
-            requests = [
-                CaptureRequest(position=attacker_obj.transmit_position(index),
-                               frame=frame,
-                               tx_power_dbm=attacker_obj.tx_power_dbm,
-                               elapsed_s=timestamp, timestamp_s=timestamp,
-                               attacker=attacker_obj)
-                for index, (frame, timestamp) in enumerate(zip(frames, timestamps))
-            ]
-            packet_metadata = {"attacker": attacker_obj.name}
+                    frame = Dot11Frame(source=source, destination=self.ap_address,
+                                       sequence_number=index, payload=payload)
+                yield frame, CaptureRequest(
+                    position=position, frame=frame,
+                    tx_power_dbm=client.tx_power_dbm, elapsed_s=timestamp(index),
+                    timestamp_s=timestamp(index), metadata={"client_id": client_id})
+
+        return {"client_id": client_id}, uplink()
+
+    def _synthesize(self, metadata: Dict[str, object],
+                    burst: List[BurstItem]) -> List[Packet]:
+        """Every AP captures the burst in one ``capture_batch`` call."""
+        requests = [request for _, request in burst]
         captures_by_ap = {
             name: simulator.capture_batch(requests)
             for name, simulator in self.simulators.items()
         }
         return [
-            Packet(
-                frame=frames[index],
-                captures={name: captures_by_ap[name][index]
-                          for name in self.simulators},
-                timestamp_s=timestamps[index],
-                metadata=dict(packet_metadata),
-            )
-            for index in range(num_packets)
+            Packet(frame=frame,
+                   captures={name: captures[index]
+                             for name, captures in captures_by_ap.items()},
+                   timestamp_s=request.elapsed_s, metadata=dict(metadata))
+            for index, (frame, request) in enumerate(burst)
         ]
-
-    def train(self, address: MacAddress, client_id: int,
-              num_packets: Optional[int] = None, inter_packet_gap_s: float = 0.5,
-              start_s: float = 0.0, ap_name: Optional[str] = None) -> AoASignature:
-        """Train an AP's certified signature for ``address`` from client packets."""
-        ap = self.ap(ap_name)
-        simulator = self.simulator(ap_name)
-        if num_packets is None:
-            num_packets = ap.config.training_packets
-        captures = [
-            simulator.capture_from_client(
-                client_id, elapsed_s=start_s + index * inter_packet_gap_s,
-                timestamp_s=start_s + index * inter_packet_gap_s)
-            for index in range(num_packets)
-        ]
-        return ap.train_client(address, captures)
 
     # ------------------------------------------------------------------ running
     def process(self, packets: Iterable[Packet], *, mode: str = "stream",

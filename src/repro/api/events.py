@@ -13,22 +13,17 @@ events to network clients forces a real contract, so v1 pins one:
   lower every nested dataclass and enum to JSON primitives, and
   ``from_dict``/``from_json`` rebuild the full typed tree (decision,
   spoofing/fence verdicts, triangulated location).
-* **Unambiguous latency** — the v0 ``latency_s`` field meant *this packet's
-  own analysis time* under :meth:`Deployment.run` but *the batch mean* under
-  :meth:`Deployment.run_batch`.  v1 resolves the ambiguity into two explicit
-  fields: :attr:`PacketEvent.packet_latency_s` (individually measured;
-  ``None`` when the packet was decided inside a batch) and
+* **Unambiguous latency** — two explicit fields:
+  :attr:`PacketEvent.packet_latency_s` (individually measured; ``None`` when
+  the packet was decided inside a batch) and
   :attr:`PacketEvent.batch_latency_s` (the mean per-packet share of the
   enclosing batch's wall-clock; ``None`` when streamed alone).  Exactly one
-  is set by the deployment paths.  The old spelling survives as the
-  deprecated :attr:`PacketEvent.latency_s` property so v0 callers keep
-  working; new code wanting "the attributed latency whichever path ran"
-  reads :attr:`PacketEvent.decision_latency_s`.
+  is set by the deployment paths; code wanting "the attributed latency
+  whichever path ran" reads :attr:`PacketEvent.decision_latency_s`.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import Any, Dict, Mapping, Optional
 
@@ -120,20 +115,3 @@ class PacketEvent(JsonSerializable):
         if self.packet_latency_s is not None:
             return self.packet_latency_s
         return 0.0 if self.batch_latency_s is None else self.batch_latency_s
-
-    @property
-    def latency_s(self) -> float:
-        """Deprecated v0 spelling of :attr:`decision_latency_s`.
-
-        The v0 field silently switched meaning between the streaming and
-        batched paths; read :attr:`packet_latency_s` /
-        :attr:`batch_latency_s` explicitly, or :attr:`decision_latency_s`
-        for the old attributed value.
-        """
-        warnings.warn(
-            "PacketEvent.latency_s is deprecated: its meaning depended on "
-            "the run path (per-packet in run(), batch mean in run_batch()). "
-            "Use packet_latency_s / batch_latency_s, or decision_latency_s "
-            "for the attributed value.",
-            DeprecationWarning, stacklevel=2)
-        return self.decision_latency_s

@@ -116,6 +116,8 @@ class ArrayChannel:
                   rng: RngLike = None) -> np.ndarray:
         """Return the noiseless (num_antennas, num_samples) received signal.
 
+        The packet is propagated as a one-item :meth:`propagate_batch`.
+
         Parameters
         ----------
         waveform:
@@ -133,22 +135,13 @@ class ArrayChannel:
             Overrides the channel's generator for this packet (useful for
             per-packet reproducibility in experiments).
         """
-        waveform = np.asarray(waveform, dtype=self._cdtype)
+        waveform = np.asarray(waveform)
         if waveform.ndim != 1:
             raise ValueError(f"waveform must be 1-D, got shape {waveform.shape}")
-        if waveform.size == 0:
-            raise ValueError("waveform must not be empty")
-        paths = list(paths)
-        if not paths:
-            raise ValueError("at least one propagation path is required")
-        if path_fading is not None:
-            path_fading = np.asarray(path_fading, dtype=complex)
-            if path_fading.shape != (len(paths),):
-                raise ValueError(
-                    f"path_fading must have shape ({len(paths)},), got {path_fading.shape}")
-        generator = ensure_rng(rng) if rng is not None else self._rng
-        return self._propagate_one(waveform, paths, tx_power_dbm, path_fading,
-                                   generator)
+        return self.propagate_batch(
+            waveform[None, :], [paths], tx_power_dbm=tx_power_dbm,
+            path_fading=None if path_fading is None else [path_fading],
+            rngs=None if rng is None else [rng])[0]
 
     def propagate_batch(self, waveforms: Sequence[np.ndarray],
                         paths_batch: Sequence[Sequence[PropagationPath]],
@@ -158,12 +151,11 @@ class ArrayChannel:
         """Propagate a whole batch of packets in one vectorized pass.
 
         Returns the noiseless ``(B, num_antennas, num_samples)`` received
-        signals for ``B`` packets.  The output is bit-identical to calling
-        :meth:`propagate` once per packet, provided the same per-packet
-        generators are supplied: pass ``rngs`` as one generator per packet
-        (pinned rng substreams), or leave it ``None`` to consume the
-        channel's own generator packet by packet exactly as a scalar loop
-        would.
+        signals for ``B`` packets.  Packets are computed independently, so
+        any partition of a batch gives the same bytes, provided the same
+        per-packet generators are supplied: pass ``rngs`` as one generator
+        per packet (pinned rng substreams), or leave it ``None`` to consume
+        the channel's own generator packet by packet.
 
         Parameters
         ----------
@@ -240,7 +232,7 @@ class ArrayChannel:
                 cached = (
                     self._steering_stack(paths, lambda_m),
                     self._path_coefficients(paths, float(tx_powers[index]),
-                                            None, lambda_m),
+                                            lambda_m),
                     self._relative_delays(paths),
                 )
                 geometry_memo[memo_key] = cached
@@ -249,8 +241,7 @@ class ArrayChannel:
             if fading is None:
                 coefficients[index, :count] = dry_coefficients
             else:
-                # Same grouping as the scalar path: (amplitude * carrier
-                # phase), then * fading.
+                # (amplitude * carrier phase), then * fading.
                 coefficients[index, :count] = dry_coefficients * fading
             if self.config.apply_path_delays:
                 delays[index, :count] = relative_delays
@@ -272,10 +263,11 @@ class ArrayChannel:
                     len(paths), num_samples, self.config.path_phase_walk_std_rad,
                     generators[index], dtype=self._rdtype)
             modulated = modulated * walks
-        # Coefficients folded into the steering stack; one (B, N, P) @
-        # (B, P, S) contraction sums the per-path outer products.
-        # kernels.matmul (np.matmul) runs the identical GEMM per batch item,
-        # so this is bit-identical to the scalar path's per-packet matmul.
+        # Coefficients folded into the steering stack (P*N values instead of
+        # scaling the (P, S) waveforms); one (B, N, P) @ (B, P, S)
+        # contraction sums the per-path outer products.  kernels.matmul
+        # (np.matmul) runs the same GEMM per batch item, so a packet's bytes
+        # do not depend on the batch it was propagated in.
         weighted = steering * coefficients[:, :, None]
         return kernels.matmul(weighted.transpose(0, 2, 1), modulated)
 
@@ -297,53 +289,15 @@ class ArrayChannel:
         return stack.astype(self._cdtype, copy=False)
 
     def _path_coefficients(self, paths: Sequence[PropagationPath],
-                           tx_power_dbm: float,
-                           path_fading: Optional[np.ndarray],
-                           lambda_m: float) -> np.ndarray:
-        """Complex per-path amplitude * carrier-phase * fading coefficients.
-
-        The fading factors multiply the dry coefficients as one array
-        operation; the batch path applies fading to memoized dry coefficients
-        the same way, keeping both bit-identical.
-        """
+                           tx_power_dbm: float, lambda_m: float) -> np.ndarray:
+        """Complex per-path amplitude * carrier-phase coefficients (no fading)."""
         tx_amplitude = float(np.sqrt(dbm_to_watts(tx_power_dbm)))
         coefficients = np.empty(len(paths), dtype=complex)
         for index, path in enumerate(paths):
             carrier_phase = np.exp(-1j * path.carrier_phase_rad(lambda_m))
             amplitude = tx_amplitude * path.amplitude
             coefficients[index] = amplitude * carrier_phase
-        if path_fading is not None:
-            coefficients = coefficients * np.asarray(path_fading, dtype=complex)
         return coefficients.astype(self._cdtype, copy=False)
-
-    def _propagate_one(self, waveform: np.ndarray,
-                       paths: Sequence[PropagationPath], tx_power_dbm: float,
-                       path_fading: Optional[np.ndarray],
-                       generator: np.random.Generator) -> np.ndarray:
-        lambda_m = self.config.wavelength
-        num_samples = waveform.size
-        steering = self._steering_stack(paths, lambda_m)
-        coefficients = self._path_coefficients(paths, tx_power_dbm, path_fading,
-                                               lambda_m)
-        if self.config.apply_path_delays:
-            delays = self._relative_delays(paths).astype(self._rdtype, copy=False)
-            modulated = fractional_delay_batch(waveform, delays)
-        else:
-            modulated = np.broadcast_to(waveform, (len(paths), num_samples))
-        if self.config.path_phase_walk_std_rad > 0:
-            # Named walks: an anonymous temporary could be elided into an
-            # in-place complex multiply, breaking batch/scalar bit-exactness.
-            walks = phase_random_walk_batch(
-                len(paths), num_samples, self.config.path_phase_walk_std_rad,
-                generator, dtype=self._rdtype)
-            modulated = modulated * walks
-        # Fold the per-path coefficients into the steering matrix (P*N values)
-        # instead of scaling the (P, S) waveforms, then contract with one
-        # (N, P) @ (P, S) GEMM.  The batch path runs the same GEMM per packet
-        # (kernels.matmul over a stack), so scalar and batched
-        # propagation stay bit-identical.
-        weighted = steering * coefficients[:, None]
-        return kernels.matmul(weighted.T, modulated)
 
     def expected_local_bearing(self, global_bearing_deg: float) -> float:
         """Map a global bearing to the bearing the array's estimator reports.

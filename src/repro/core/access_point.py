@@ -35,7 +35,6 @@ from repro.hardware.receiver import ArrayReceiver
 from repro.hardware.reference import CalibrationSource
 from repro.mac.acl import AccessControlList
 from repro.mac.address import MacAddress
-from repro.mac.frames import Dot11Frame
 
 
 @dataclass(frozen=True)
@@ -101,10 +100,6 @@ class SecureAngleAP:
         """Run the batched AoA engine on a whole batch of captures."""
         return self.estimator.process_batch(captures, calibration=self.calibration)
 
-    def signature_from_capture(self, capture: Capture) -> AoASignature:
-        """Compute the AoA signature of a single capture."""
-        return self.signatures_from_captures([capture])[0]
-
     def signatures_from_captures(self, captures: Sequence[Capture]) -> List[AoASignature]:
         """Batched capture -> spectrum -> signature for a batch of captures."""
         captures = list(captures)
@@ -133,9 +128,8 @@ class SecureAngleAP:
 
         Consults the detector for ``source`` and folds a matching observation
         back into the certified signature (unless tracking is disabled).
-        Every packet path — the AP's own, the controller's, and the
-        deployment session's — runs exactly this step, so the check/track
-        sequence cannot diverge between them.  The tracker reuses the
+        :meth:`repro.api.deployment.Deployment.process` runs exactly this
+        step for every packet.  The tracker reuses the
         detector's similarity: both score the same stored signature against
         the same observation.
         """
@@ -150,10 +144,9 @@ class SecureAngleAP:
                fence_check=None) -> PacketDecision:
         """Assemble the final packet decision from the gathered evidence.
 
-        The single home of the ACL + spoofing + fence evidence combination:
-        the AP's own packet path, the multi-AP controller, and the deployment
-        session all call this, so a new evidence term cannot be added to one
-        front door and silently missed by the others.  ``fence_check`` is the
+        The single home of the ACL + spoofing + fence evidence combination,
+        called by :meth:`repro.api.deployment.Deployment.process` for every
+        packet.  ``fence_check`` is the
         (optional) evaluated :class:`~repro.core.fence.FenceCheck`; ``fence``
         supplies its fail-open rule.
         """
@@ -169,39 +162,6 @@ class SecureAngleAP:
             similarity=check.similarity,
             bearing_deg=observation.direct_path_bearing_deg,
         )
-
-    def process_packet(self, frame: Dot11Frame, capture: Capture,
-                       update_signature: bool = True) -> PacketDecision:
-        """Decide what to do with one received frame.
-
-        ``frame`` carries the claimed source address; ``capture`` carries the
-        raw samples of the same packet.  The signature check runs against the
-        certified signature for the claimed address; matching packets also
-        update the stored signature (tracking), unless disabled.
-        """
-        return self.process_packets([frame], [capture], update_signature=update_signature)[0]
-
-    def process_packets(self, frames: Sequence[Dot11Frame], captures: Sequence[Capture],
-                        update_signature: bool = True) -> List[PacketDecision]:
-        """Decide what to do with a batch of received frames.
-
-        The AoA estimation and signature construction run through the batched
-        engine; the per-packet policy (ACL, spoofing check, signature
-        tracking) then runs in arrival order, so tracking sees packets in the
-        same sequence the scalar path would.
-        """
-        frames = list(frames)
-        captures = list(captures)
-        if len(frames) != len(captures):
-            raise ValueError(
-                f"got {len(frames)} frames but {len(captures)} captures")
-        observations = self.signatures_from_captures(captures)
-        decisions: List[PacketDecision] = []
-        for frame, capture, observation in zip(frames, captures, observations):
-            check = self.check_packet(frame.source, observation, capture.timestamp_s,
-                                      update_signature=update_signature)
-            decisions.append(self.decide(frame.source, observation, check))
-        return decisions
 
     # ------------------------------------------------------------- localisation
     def bearing_observation(self, capture: Capture,

@@ -2,10 +2,11 @@
 
 The virtual-fence application needs bearings from "more than two access
 points ... computing this bearing information" (Section 2.3.1).  The
-controller owns the set of APs and the building boundary, collects each AP's
-direct-path bearing for a packet, triangulates the client, evaluates the
-fence, and merges the result with the primary AP's spoofing verdict into a
-final packet decision.
+controller owns the set of APs and the building boundary, analyses every
+AP's capture of a packet, collects each AP's direct-path bearing,
+triangulates the client, and evaluates the fence.
+:class:`repro.api.deployment.Deployment` merges that with the primary AP's
+spoofing verdict into the final packet decision.
 """
 
 from __future__ import annotations
@@ -18,10 +19,7 @@ from repro.aoa.estimator import AoAEstimate
 from repro.core.access_point import SecureAngleAP
 from repro.core.fence import FenceCheck, VirtualFence
 from repro.core.localization import BearingObservation, LocationEstimate, triangulate_bearings
-from repro.core.policy import PacketDecision
-from repro.core.signature import AoASignature
 from repro.hardware.capture import Capture
-from repro.mac.frames import Dot11Frame
 
 
 def _shares_analysis(leader: SecureAngleAP, ap: SecureAngleAP) -> bool:
@@ -145,66 +143,12 @@ class SecureAngleController:
         observations = self.collect_bearings(captures)
         return triangulate_bearings(observations)
 
-    def localize_batch(self, packets: Sequence[Mapping[str, Capture]]
-                       ) -> List[LocationEstimate]:
-        """Triangulate a batch of packets, one engine call per analysis group."""
-        return [triangulate_bearings(observations)
-                for observations in self.collect_bearings_batch(packets)]
-
     def fence_check(self, captures: Mapping[str, Capture]) -> FenceCheck:
         """Evaluate the virtual fence for a packet captured by several APs."""
         if self.fence is None:
             raise ValueError("no virtual fence configured on this controller")
         observations = self.collect_bearings(captures)
         return self.fence.check_bearings(observations)
-
-    def fence_check_batch(self, packets: Sequence[Mapping[str, Capture]]
-                          ) -> List[FenceCheck]:
-        """Evaluate the virtual fence for a batch of multi-AP packets."""
-        if self.fence is None:
-            raise ValueError("no virtual fence configured on this controller")
-        return [self.fence.check_bearings(observations)
-                for observations in self.collect_bearings_batch(packets)]
-
-    # ---------------------------------------------------------------- decisions
-    def process_packet(self, frame: Dot11Frame, captures: Mapping[str, Capture],
-                       primary_ap: Optional[str] = None) -> PacketDecision:
-        """Full multi-AP decision for one packet.
-
-        ``captures`` maps AP name to that AP's capture of the packet.  The
-        ``primary_ap`` (default: the first AP with a capture) runs the
-        ACL and spoofing checks; the fence uses every capture.
-
-        ``repro.api.deployment.Deployment._event`` gathers the same evidence
-        from pre-computed estimates (tolerating ambiguous arrays by skipping
-        them); both paths assemble the final decision through the shared
-        :meth:`SecureAngleAP.decide`.  Every capture the decision needs is
-        estimated once, in one :meth:`analyze_batch` call: the primary's
-        alone, or every capture when a fence applies.
-        """
-        if not captures:
-            raise ValueError("at least one capture is required")
-        if primary_ap is None:
-            primary_ap = next(iter(captures))
-        ap = self._access_point(primary_ap)
-        if primary_ap not in captures:
-            raise ValueError(f"no capture supplied for primary AP {primary_ap!r}")
-
-        fenced = self.fence is not None and len(captures) >= 2
-        if fenced:
-            self._require_bearings([captures])
-        analysed = captures if fenced else {primary_ap: captures[primary_ap]}
-        estimates = self.analyze_batch([analysed])[0]
-        timestamp = captures[primary_ap].timestamp_s
-        observation = AoASignature.from_pseudospectrum(
-            estimates[primary_ap].pseudospectrum, captured_at_s=timestamp)
-        check = ap.check_packet(frame.source, observation, timestamp)
-
-        fence_result = None
-        if fenced:
-            fence_result = self.fence.check_bearings(self._bearing_observations(estimates))
-        return ap.decide(frame.source, observation, check,
-                         fence=self.fence, fence_check=fence_result)
 
     def __len__(self) -> int:
         return len(self.aps)

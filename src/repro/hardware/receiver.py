@@ -100,15 +100,13 @@ class ArrayReceiver:
         """Receive over-the-air signals (switches in the antenna position).
 
         ``antenna_signals`` is the (num_antennas, num_samples) noiseless array
-        output of the channel model.
+        output of the channel model.  The packet is received as a one-item
+        :meth:`capture_batch`, so its samples are a read-only view too.
         """
-        antenna_signals = np.asarray(antenna_signals, dtype=self._cdtype)
-        if antenna_signals.ndim != 2 or antenna_signals.shape[0] != self.num_chains:
-            raise ValueError(
-                f"expected ({self.num_chains}, T) antenna signals, got {antenna_signals.shape}")
-        self.switch.set_all(SwitchPosition.ANTENNA)
-        return self._receive(antenna_signals, timestamp_s, metadata, add_noise, rng,
-                             calibrated=False)
+        return self.capture_batch(
+            np.asarray(antenna_signals)[None], timestamps_s=[timestamp_s],
+            metadata=[metadata], add_noise=add_noise,
+            rngs=None if rng is None else [rng])[0]
 
     def capture_batch(self, antenna_signals: np.ndarray,
                       timestamps_s: Optional[Sequence[float]] = None,
@@ -121,9 +119,10 @@ class ArrayReceiver:
         noiseless outputs of :meth:`ArrayChannel.propagate_batch`.  Gain and
         downconversion are applied as one broadcast multiply over the batch;
         thermal noise is drawn packet by packet from ``rngs`` (one pinned
-        generator per packet) with the same per-chain substreams as
-        :meth:`capture`, so each returned :class:`Capture` is bit-identical
-        to the scalar path given the same generators.
+        generator per packet, or the receiver's own generator when ``None``),
+        so each returned :class:`Capture` is the same whatever batch it was
+        received in.  The switches are not thrown here: they rest in the
+        antenna position, and only :meth:`capture_calibration` moves them.
         """
         signals = np.asarray(antenna_signals, dtype=self._cdtype)
         if signals.ndim != 3 or signals.shape[1] != self.num_chains:
@@ -157,18 +156,16 @@ class ArrayReceiver:
                 raise ValueError(
                     f"expected {batch_size} rng substreams, got {len(generators)}")
 
-        self.switch.set_all(SwitchPosition.ANTENNA)
         # One broadcast multiply applies every chain's gain and downconversion
-        # to the whole batch; the scalar path uses the same fused table, so
-        # both stay bit-identical.
+        # to the whole batch.
         frontend = self._frontend_table(num_samples)
         received = signals * frontend[None, :, :]
         if add_noise:
             noise = np.empty_like(received)
             for index, generator in enumerate(generators):
                 self._packet_noise(generator, num_samples, out=noise[index])
-            # In-place add: elementwise addition is correctly rounded, so the
-            # result is bit-identical to the scalar path's out-of-place sum.
+            # In-place add: elementwise addition is correctly rounded, so it
+            # gives the same bytes as an out-of-place sum.
             np.add(received, noise, out=received)
         # Capture samples are read-only views into one shared batch buffer:
         # skipping B copies keeps capture cheap, and freezing the buffer
@@ -197,20 +194,22 @@ class ArrayReceiver:
             raise ValueError(
                 f"calibration source has {source.num_outputs} outputs "
                 f"but the receiver has {self.num_chains} chains")
-        self.switch.set_all(SwitchPosition.CALIBRATION)
         signals = source.generate(num_samples, self.config.sample_rate_hz)
-        capture = self._receive(signals, timestamp_s, {"source": "calibration"},
-                                add_noise, rng, calibrated=False)
-        self.switch.set_all(SwitchPosition.ANTENNA)
-        return capture
+        self.switch.set_all(SwitchPosition.CALIBRATION)
+        try:
+            return self.capture_batch(
+                signals[None], timestamps_s=[timestamp_s],
+                metadata=[{"source": "calibration"}], add_noise=add_noise,
+                rngs=None if rng is None else [rng])[0]
+        finally:
+            self.switch.set_all(SwitchPosition.ANTENNA)
 
     # ---------------------------------------------------------------- internals
     def _frontend_table(self, num_samples: int) -> np.ndarray:
         """Fused per-chain ``gain * mixer_conjugate`` factors, shape (N, S).
 
-        The scalar and batched receive paths multiply signals by this same
-        table, which keeps them bit-identical while applying both front-end
-        effects in a single pass.
+        Multiplying by this one table applies both front-end effects in a
+        single pass.
         """
         if self._frontend_cache_key != num_samples:
             mixers = self.oscillators.mixer_table(num_samples,
@@ -228,9 +227,8 @@ class ArrayReceiver:
         """One packet's thermal noise for every chain, shape (N, S).
 
         Drawn as two block draws (all real parts, then all imaginary parts)
-        from the packet's generator.  numpy fills row-major, so the same
-        helper produces the same noise in the scalar and batched receive
-        paths — which is what keeps them bit-identical.
+        from the packet's generator, so a packet's noise depends only on its
+        own generator, never on the batch around it.
         """
         sigmas = [chain.noise_sigma for chain in self.chains]
         noise = out if out is not None else np.empty(
@@ -264,27 +262,6 @@ class ArrayReceiver:
             for index, sigma in enumerate(sigmas):
                 noise.imag[index] = generator.normal(0.0, sigma, num_samples)
         return noise
-
-    def _receive(self, signals: np.ndarray, timestamp_s: float,
-                 metadata: Optional[dict], add_noise: Optional[bool],
-                 rng: RngLike, calibrated: bool) -> Capture:
-        if add_noise is None:
-            add_noise = self.config.add_noise
-        generator = ensure_rng(rng) if rng is not None else self._rng
-        signals = np.asarray(signals, dtype=self._cdtype)
-        frontend = self._frontend_table(signals.shape[-1])
-        received = signals * frontend
-        if add_noise:
-            noise = self._packet_noise(generator, signals.shape[-1])
-            np.add(received, noise, out=received)
-        return Capture(
-            samples=received,
-            sample_rate_hz=self.config.sample_rate_hz,
-            carrier_frequency_hz=self.config.carrier_frequency_hz,
-            timestamp_s=float(timestamp_s),
-            calibrated=calibrated,
-            metadata=dict(metadata or {}),
-        )
 
     def __repr__(self) -> str:
         return (f"ArrayReceiver({self.num_chains} chains, "

@@ -197,7 +197,12 @@ def delay_ramps(delays: np.ndarray, n: int) -> np.ndarray:
         ramps.imag = np.sin(phases)
         return ramps.reshape(delays.shape + (n,))
     rows = delays.reshape(-1, delays.shape[-1])
-    unique, inverse = np.unique(rows, axis=0, return_inverse=True)
+    if rows.shape[0] == 1:
+        # A batch of one packet has nothing to deduplicate; np.unique would
+        # only add its sort to every scalar capture.
+        unique, inverse = rows, None
+    else:
+        unique, inverse = np.unique(rows, axis=0, return_inverse=True)
     phases = base * unique[..., None]
     ramps = np.empty(phases.shape, dtype=cdtype)
     ramps.real = np.cos(phases)

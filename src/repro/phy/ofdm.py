@@ -96,24 +96,16 @@ class OfdmModulator:
             symbol = np.concatenate([symbol[-self.config.cyclic_prefix:], symbol])
         return symbol
 
-    def modulate_payload(self, bits: np.ndarray) -> np.ndarray:
-        """QPSK-modulate ``bits`` onto as many OFDM symbols as needed.
-
-        Bits are padded with zeros to fill the final symbol.  Returns the
-        concatenated time-domain samples.  All symbols are synthesised in one
-        stacked IFFT (bit-identical to modulating them one at a time, since
-        the FFT processes rows independently).
-        """
-        return self.modulate_payload_batch([bits])[0]
-
     def modulate_payload_batch(self, bits_batch: Sequence[np.ndarray]
                                ) -> List[np.ndarray]:
-        """Modulate many payloads with one stacked IFFT over all symbols.
+        """QPSK-modulate each payload onto as many OFDM symbols as it needs.
 
-        Each entry is processed exactly like :meth:`modulate_payload`
-        (bit-identical — the IFFT treats rows independently), but the OFDM
-        symbols of the whole batch share a single FFT call, which is what
-        makes burst synthesis fast.
+        Each entry's bits are padded with zeros to fill its final symbol, and
+        its time-domain samples come back concatenated.  The OFDM symbols of
+        the whole batch share a single stacked IFFT, which is what makes
+        burst synthesis fast; the IFFT treats rows independently, so every
+        payload gets the same bytes in any batch (and the same bytes as
+        :meth:`modulate_symbol` applied symbol by symbol).
         """
         bits_per_symbol = 2 * self.config.num_occupied
         prepared: List[np.ndarray] = []
@@ -156,7 +148,7 @@ class OfdmModulator:
         num_symbols = require_positive_int(num_symbols, "num_symbols")
         generator = ensure_rng(rng)
         bits = generator.integers(0, 2, size=num_symbols * 2 * self.config.num_occupied)
-        return self.modulate_payload(bits)
+        return self.modulate_payload_batch([bits])[0]
 
 
 def _qpsk_map(bits: np.ndarray) -> np.ndarray:

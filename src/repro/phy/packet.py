@@ -64,16 +64,10 @@ def make_packet_waveform(frame: Optional[Dot11Frame] = None,
     payload (padded with random bits up to ``num_payload_symbols`` symbols);
     otherwise the payload is random data.  The waveform is normalised to unit
     average power so transmit power is applied consistently by the channel.
+    The packet is built as a one-item :func:`make_packet_waveforms`.
     """
-    num_payload_symbols = require_positive_int(num_payload_symbols, "num_payload_symbols")
-    generator = ensure_rng(rng)
-    modulator = OfdmModulator(config)
-    bits = _packet_bits(frame, num_payload_symbols, config, generator)
-    payload = modulator.modulate_payload(bits)
-    # The cached preamble is read-only and shared; np.concatenate copies it
-    # into the fresh packet buffer, so no caller can corrupt the cache.
-    waveform = np.concatenate([_legacy_preamble_cached(config.fft_size), payload])
-    return PhyPacket(waveform, frame, config).normalized()
+    return make_packet_waveforms([frame], num_payload_symbols=num_payload_symbols,
+                                 config=config, rngs=[rng])[0]
 
 
 def make_packet_waveforms(frames: Sequence[Optional[Dot11Frame]],
@@ -82,10 +76,10 @@ def make_packet_waveforms(frames: Sequence[Optional[Dot11Frame]],
                           rngs: Optional[Sequence[RngLike]] = None) -> List[PhyPacket]:
     """Build a whole burst of PHY packets with one stacked payload IFFT.
 
-    Bit-identical to calling :func:`make_packet_waveform` once per frame with
-    the matching generator (payload/padding bits are drawn frame by frame in
-    the same order; the stacked OFDM modulation treats symbols row-wise), but
-    the modulation cost is amortised across the burst.
+    Each frame's payload/padding bits are drawn from its own generator and
+    the stacked OFDM modulation treats symbols row-wise, so a packet's bytes
+    do not depend on the burst it was built in; the modulation cost is
+    amortised across the burst.
     """
     num_payload_symbols = require_positive_int(num_payload_symbols, "num_payload_symbols")
     frames = list(frames)
@@ -110,9 +104,8 @@ def make_packet_waveforms(frames: Sequence[Optional[Dot11Frame]],
             for frame, payload in zip(frames, payloads)
         ]
     # Uniform burst: assemble and normalise every packet in one matrix.  Each
-    # row sees the same elementwise operations as the scalar path (row-wise
-    # mean, correctly-rounded sqrt and division), so packets stay
-    # bit-identical to make_packet_waveform.
+    # row sees the same elementwise operations as PhyPacket.normalized
+    # (row-wise mean, correctly-rounded sqrt and division).
     matrix = np.empty((len(frames), preamble.size + payloads[0].size),
                       dtype=complex)
     matrix[:, :preamble.size] = preamble

@@ -62,8 +62,8 @@ class SimulatorConfig:
     #: Reuse one modulated waveform per (frame, payload length) instead of
     #: drawing fresh random payload/padding bits for every packet.  This is a
     #: throughput mode that *changes the rng semantics* (repeated packets
-    #: share payload bits), so it is off by default; batched and scalar
-    #: captures remain bit-identical to each other either way.  It only pays
+    #: share payload bits), so it is off by default; captures stay
+    #: independent of how requests are batched either way.  It only pays
     #: off for repeated identical frames (frameless probe bursts, a fixed
     #: training frame) — client uplink mints a fresh sequence number per
     #: packet, which is a distinct cache key by design.  Bounded by
@@ -151,6 +151,8 @@ class TestbedSimulator:
                               metadata: Optional[dict] = None) -> Capture:
         """Simulate one packet transmitted from ``position`` and captured by the AP.
 
+        The packet is simulated as a one-item :meth:`capture_batch`.
+
         Parameters
         ----------
         position:
@@ -171,44 +173,23 @@ class TestbedSimulator:
         metadata:
             Extra annotations to store on the capture.
         """
-        if tx_power_dbm is None:
-            tx_power_dbm = self.config.default_tx_power_dbm
-        paths = self._resolve_paths(position, elapsed_s, attacker)
-        packet = self._packet_waveform(frame, rng=spawn_rng(self._rng, 21))
-        fading = self.dynamics.fast_fading_jitter(
-            len(paths), decorrelation=1.0, rng=spawn_rng(self._rng, 22))
-        channel_rng = spawn_rng(self._rng, 23)
-        receiver_rng = spawn_rng(self._rng, 24)
-        waveform = packet.waveform
-        if attacker is not None and attacker.shapes_waveform:
-            # Waveform-shaping attackers (replay, CFO drift) get a dedicated
-            # per-packet substream, spawned *after* the legacy four so every
-            # non-shaping capture keeps the exact historical rng layout.
-            waveform = attacker.shape_waveform(
-                waveform, self.config.channel.sample_rate_hz, elapsed_s,
-                rng=spawn_rng(self._rng, 25))
-        signals = self.channel.propagate(waveform, paths,
-                                         tx_power_dbm=tx_power_dbm, path_fading=fading,
-                                         rng=channel_rng)
-        capture_metadata = self._capture_metadata(position, frame, attacker,
-                                                  paths, metadata)
-        return self.receiver.capture(
-            signals,
-            timestamp_s=elapsed_s if timestamp_s is None else timestamp_s,
-            metadata=capture_metadata,
-            rng=receiver_rng,
-        )
+        request = CaptureRequest(
+            position=position, frame=frame, tx_power_dbm=tx_power_dbm,
+            elapsed_s=elapsed_s, attacker=attacker, timestamp_s=timestamp_s,
+            metadata=metadata)
+        return self.capture_batch([request])[0]
 
     def capture_batch(self, requests: Sequence[CaptureRequest]) -> List[Capture]:
         """Simulate a whole batch of packets in one vectorized pass.
 
-        The per-packet random substreams (payload bits, fast fading, path
-        phase walks, receiver noise) are spawned from the simulator's master
-        generator in exactly the order the scalar loop spawns them, so the
-        returned captures are bit-identical to calling
-        :meth:`capture_from_position` once per request — but ray tracing hits
-        the path cache, waveforms are modulated with one stacked IFFT each,
-        and the channel and receiver arithmetic run batched.
+        This is the simulator's one synthesis implementation; every scalar
+        capture is a batch of one.  The per-packet random substreams (payload
+        bits, fast fading, path phase walks, receiver noise) are spawned from
+        the simulator's master generator packet by packet, in request order,
+        so any partition of a request sequence into batches gives the same
+        captures — while ray tracing hits the path cache, waveforms are
+        modulated with one stacked IFFT, and the channel and receiver
+        arithmetic run batched.  Captures are read-only views.
         """
         requests = list(requests)
         if not requests:
@@ -227,8 +208,8 @@ class TestbedSimulator:
                         if request.tx_power_dbm is None else request.tx_power_dbm)
             paths = self._resolve_paths(request.position, request.elapsed_s,
                                         request.attacker)
-            # Substreams are spawned per packet in the scalar loop's order
-            # (21 waveform, 22 fading, 23 channel, 24 receiver, plus 25 for
+            # Substreams are spawned per packet in a fixed order (21
+            # waveform, 22 fading, 23 channel, 24 receiver, plus 25 for
             # waveform-shaping attackers); the waveform generator is consumed
             # later, which changes nothing — a spawned child is independent
             # of when it is drawn from.
@@ -251,7 +232,7 @@ class TestbedSimulator:
                 request.metadata))
         if self.config.reuse_waveforms:
             waveforms = [
-                self._packet_waveform(request.frame, rng=generator).waveform
+                self._reused_waveform(request.frame, rng=generator).waveform
                 for request, generator in zip(requests, waveform_rngs)
             ]
         else:
@@ -303,33 +284,16 @@ class TestbedSimulator:
             metadata={"client_id": client_id})
         return capture
 
-    def capture_burst(self, client_id: int, num_packets: int,
-                      inter_packet_gap_s: float = 0.5,
-                      frame: Optional[Dot11Frame] = None) -> List[Capture]:
-        """Simulate a burst of packets from one client, spaced in time.
-
-        Used by the Figure 5 experiment (10 pseudospectra per client, each
-        from a different packet) and by signature training.
-        """
-        if num_packets < 1:
-            raise ValueError("num_packets must be at least 1")
-        if inter_packet_gap_s < 0:
-            raise ValueError("inter_packet_gap_s must be non-negative")
-        captures = []
-        for index in range(num_packets):
-            elapsed = index * inter_packet_gap_s
-            captures.append(self.capture_from_client(
-                client_id, frame=frame, elapsed_s=elapsed, timestamp_s=elapsed))
-        return captures
-
     def capture_burst_batch(self, client_id: int, num_packets: int,
                             inter_packet_gap_s: float = 0.5,
                             frame: Optional[Dot11Frame] = None) -> List[Capture]:
-        """Batched :meth:`capture_burst`: same captures, one vectorized pass.
+        """Simulate a burst of packets from one client, spaced in time.
 
-        Bit-identical to the scalar burst on the same simulator state (the
-        per-packet rng substreams are spawned in the same order); the
-        geometry is traced once and the synthesis arithmetic runs batched.
+        Used by the Figure 5 experiment (10 pseudospectra per client, each
+        from a different packet) and by signature training.  The burst is one
+        :meth:`capture_batch`: the same captures as one
+        :meth:`capture_from_client` call per packet, with the geometry traced
+        once and the synthesis arithmetic batched.
         """
         if num_packets < 1:
             raise ValueError("num_packets must be at least 1")
@@ -431,18 +395,14 @@ class TestbedSimulator:
         while len(self._path_cache) > self.config.path_cache_size:
             self._path_cache.popitem(last=False)
 
-    def _packet_waveform(self, frame: Optional[Dot11Frame],
+    def _reused_waveform(self, frame: Optional[Dot11Frame],
                          rng: RngLike) -> PhyPacket:
-        """Modulate one packet, optionally reusing cached waveforms.
+        """The ``reuse_waveforms`` mode: one modulated packet per (frame, length).
 
         The rng substream is always spawned by the caller (keeping the master
-        generator's state identical in both modes); with ``reuse_waveforms``
-        the cached modulated packet is returned for repeated (frame, length)
-        keys instead of drawing fresh payload bits.
+        generator's state identical in both modes); it is drawn from only
+        when the key is not cached yet.
         """
-        if not self.config.reuse_waveforms:
-            return make_packet_waveform(
-                frame, num_payload_symbols=self.config.payload_symbols, rng=rng)
         key = (frame, self.config.payload_symbols)
         packet = self._waveform_cache.get(key)
         if packet is None:

@@ -159,29 +159,6 @@ class TestStreaming:
         assert [event.decision.similarity for event in streamed] == \
             [event.decision.similarity for event in batched]
 
-    def test_session_decisions_match_controller_path(self):
-        # The session pipeline (Deployment._event) and the controller's
-        # process_packet are parallel implementations of the same policy;
-        # pin their agreement packet-by-packet with matched state evolution
-        # (two identical deployments so tracking updates stay in lockstep).
-        def build():
-            deployment = Deployment(fence_scenario())
-            address = deployment.clients[5].address
-            deployment.train(address, 5, num_packets=4)
-            return deployment, list(deployment.client_packets(
-                5, num_packets=3, start_s=30.0))
-
-        session, session_packets = build()
-        events = list(session.run(session_packets))
-        legacy, legacy_packets = build()
-        decisions = [legacy.controller.process_packet(packet.frame, packet.captures)
-                     for packet in legacy_packets]
-        for event, decision in zip(events, decisions):
-            assert event.decision.verdict == decision.verdict
-            assert event.decision.similarity == decision.similarity
-            assert event.decision.bearing_deg == decision.bearing_deg
-            assert event.decision.fence_decision == decision.fence_decision
-
     def test_client_packets_source_override(self, single_ap_deployment):
         deployment = single_ap_deployment
         victim = deployment.clients[9].address

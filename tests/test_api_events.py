@@ -94,12 +94,6 @@ class TestLatencyFields:
                                        batch_latency_s=None)
         assert streamed.decision_latency_s == 0.25
 
-    def test_latency_s_shim_warns_and_delegates(self, fenced_events):
-        event = fenced_events[0]
-        with pytest.deprecated_call(match="latency_s is deprecated"):
-            value = event.latency_s
-        assert value == event.decision_latency_s
-
     def test_explicit_fields_do_not_warn(self, fenced_events):
         with warnings.catch_warnings():
             warnings.simplefilter("error")

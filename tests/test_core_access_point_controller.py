@@ -30,6 +30,14 @@ def ap_setup(environment):
     return simulator, ap, victim
 
 
+def _decide(ap, frame, capture, fence=None, fence_check=None):
+    """One packet through the shared policy step: check_packet, then decide."""
+    observation = ap.signatures_from_captures([capture])[0]
+    check = ap.check_packet(frame.source, observation, capture.timestamp_s)
+    return ap.decide(frame.source, observation, check,
+                     fence=fence, fence_check=fence_check)
+
+
 # Fixtures from conftest are function/session scoped; redefine environment here
 # at module scope so ap_setup can be module-scoped too.
 @pytest.fixture(scope="module")
@@ -51,7 +59,7 @@ class TestSecureAngleAP:
         simulator, ap, victim = ap_setup
         frame = Dot11Frame(source=victim, destination=MacAddress("02:00:00:00:00:ff"))
         capture = simulator.capture_from_client(5, elapsed_s=30.0, timestamp_s=30.0)
-        decision = ap.process_packet(frame, capture)
+        decision = _decide(ap, frame, capture)
         assert decision.verdict is PacketVerdict.ACCEPT
         assert decision.spoofing_verdict is SpoofingVerdict.MATCH
 
@@ -59,7 +67,7 @@ class TestSecureAngleAP:
         simulator, ap, victim = ap_setup
         frame = Dot11Frame(source=victim, destination=MacAddress("02:00:00:00:00:ff"))
         capture = simulator.capture_from_client(9, elapsed_s=40.0, timestamp_s=40.0)
-        decision = ap.process_packet(frame, capture)
+        decision = _decide(ap, frame, capture)
         assert decision.verdict is PacketVerdict.DROP
         assert decision.spoofing_verdict is SpoofingVerdict.SPOOFED
 
@@ -68,7 +76,7 @@ class TestSecureAngleAP:
         stranger = MacAddress("02:00:00:00:00:99")
         frame = Dot11Frame(source=stranger, destination=MacAddress("02:00:00:00:00:ff"))
         capture = simulator.capture_from_client(3, elapsed_s=50.0)
-        decision = ap.process_packet(frame, capture)
+        decision = _decide(ap, frame, capture)
         assert decision.verdict is PacketVerdict.FLAG
 
     def test_acl_denial_overrides_everything(self, ap_setup, environment):
@@ -79,7 +87,7 @@ class TestSecureAngleAP:
         ap.set_calibration(simulator.calibration_table())
         frame = Dot11Frame(source=victim, destination=MacAddress("02:00:00:00:00:ff"))
         capture = simulator.capture_from_client(5, elapsed_s=60.0)
-        decision = ap.process_packet(frame, capture)
+        decision = _decide(ap, frame, capture)
         assert decision.verdict is PacketVerdict.DROP
 
     def test_training_requires_captures(self, ap_setup):
@@ -158,7 +166,7 @@ class TestSecureAngleController:
         assert indoor_votes.count("inside") >= 2
         assert outdoor_votes.count("outside") >= 2
 
-    def test_process_packet_combines_fence_and_signature(self, controller_setup, environment):
+    def test_policy_step_combines_fence_and_signature(self, controller_setup, environment):
         simulators, controller = controller_setup
         ap = controller.aps["ap-a"]
         victim = MacAddress("02:00:00:00:00:44")
@@ -169,16 +177,15 @@ class TestSecureAngleController:
         position = environment.client_position(4)
         captures = {name: sim.capture_from_position(position, elapsed_s=10.0)
                     for name, sim in simulators.items()}
-        decision = controller.process_packet(frame, captures, primary_ap="ap-a")
+        decision = _decide(ap, frame, captures["ap-a"], fence=controller.fence,
+                           fence_check=controller.fence_check(captures))
         assert decision.verdict is PacketVerdict.ACCEPT
+        assert decision.spoofing_verdict is SpoofingVerdict.MATCH
+        assert decision.fence_decision is not None
 
     def test_controller_validation(self, controller_setup):
         _, controller = controller_setup
         with pytest.raises(ValueError):
             SecureAngleController([])
-        with pytest.raises(ValueError):
-            controller.process_packet(
-                Dot11Frame(source=MacAddress("02:00:00:00:00:01"),
-                           destination=MacAddress("02:00:00:00:00:02")), {})
         with pytest.raises(KeyError):
             controller.collect_bearings({"nope": None})

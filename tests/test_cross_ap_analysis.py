@@ -3,8 +3,8 @@
 The controller groups APs whose estimators give bit-identical results and
 runs each group's captures through one ``process_batch`` call, each capture
 corrected with its own AP's calibration table.  These tests pin that the
-grouping changes nothing but the call count: events, estimates and
-decisions are byte-equal to analysing every AP on its own.
+grouping changes nothing but the call count: events and estimates are
+byte-equal to analysing every AP on its own.
 """
 
 from dataclasses import replace
@@ -23,9 +23,7 @@ from repro.arrays.geometry import (
 from repro.core.access_point import AccessPointConfig, SecureAngleAP
 from repro.core.controller import SecureAngleController
 from repro.core.fence import VirtualFence
-from repro.core.signature import AoASignature, signatures_from_pseudospectra
-from repro.mac.address import MacAddress
-from repro.mac.frames import Dot11Frame
+from repro.core.signature import signatures_from_pseudospectra
 from repro.testbed.environment import figure4_environment
 from repro.testbed.scenario import TestbedSimulator
 
@@ -108,40 +106,7 @@ class TestDeploymentEvents:
         assert engine_calls == [3 * len(fence_packets)]
 
 
-def _old_process_packet(controller, frame, captures):
-    """``SecureAngleController.process_packet`` before cross-AP analysis:
-    the primary capture is analysed for the observation, then every capture
-    (the primary again) for the fence."""
-    primary = next(iter(captures))
-    ap = controller.aps[primary]
-    timestamp = captures[primary].timestamp_s
-    observation = AoASignature.from_pseudospectrum(
-        ap.analyze(captures[primary]).pseudospectrum, captured_at_s=timestamp)
-    check = ap.check_packet(frame.source, observation, timestamp)
-    fence_check = controller.fence.check_bearings([
-        controller.aps[name].bearing_observation(capture)
-        for name, capture in captures.items()])
-    return ap.decide(frame.source, observation, check,
-                     fence=controller.fence, fence_check=fence_check)
-
-
-class TestControllerProcessPacket:
-    def test_decisions_match_the_two_pass_path(self, fence_packets):
-        current = _trained_fence().controller
-        reference = _trained_fence().controller
-        for packet in fence_packets:
-            decision = current.process_packet(packet.frame, packet.captures)
-            expected = _old_process_packet(reference, packet.frame,
-                                           packet.captures)
-            assert repr(decision) == repr(expected)
-
-    def test_each_capture_is_estimated_once(self, fence_packets, engine_calls):
-        controller = _trained_fence().controller
-        engine_calls.clear()
-        packet = fence_packets[0]
-        controller.process_packet(packet.frame, packet.captures)
-        assert engine_calls == [3]
-
+class TestControllerBearings:
     def test_ambiguous_array_raises_before_any_analysis(self, engine_calls):
         environment = figure4_environment()
         octagon, octagon_capture = _ap("a", OctagonalArray(), 1)
@@ -150,14 +115,8 @@ class TestControllerProcessPacket:
             [octagon, linear], fence=VirtualFence(environment.building_boundary))
         engine_calls.clear()
         with pytest.raises(ValueError, match="unambiguous"):
-            controller.process_packet(_frame(), {"a": octagon_capture,
-                                                 "b": linear_capture})
+            controller.fence_check({"a": octagon_capture, "b": linear_capture})
         assert engine_calls == []
-
-
-def _frame():
-    return Dot11Frame(source=MacAddress("02:00:00:00:00:05"),
-                      destination=MacAddress("02:53:41:00:00:01"))
 
 
 def _ap(name, array, seed, estimator=None):
@@ -331,7 +290,7 @@ class TestUnknownNames:
         calls = [
             lambda: controller.analyze_batch([captures]),
             lambda: controller.collect_bearings(captures),
-            lambda: controller.process_packet(packet.frame, captures),
+            lambda: controller.fence_check(captures),
         ]
         for call in calls:
             with pytest.raises(KeyError) as excinfo:

@@ -33,8 +33,8 @@ class TestOfdmModulator:
 
     def test_payload_length_scales_with_bits(self):
         modulator = OfdmModulator()
-        one_symbol = modulator.modulate_payload(np.zeros(104, dtype=int))
-        two_symbols = modulator.modulate_payload(np.zeros(105, dtype=int))
+        one_symbol, two_symbols = modulator.modulate_payload_batch(
+            [np.zeros(104, dtype=int), np.zeros(105, dtype=int)])
         assert one_symbol.size == 80
         assert two_symbols.size == 160
 
@@ -43,9 +43,9 @@ class TestOfdmModulator:
         with pytest.raises(ValueError):
             modulator.modulate_symbol(np.ones(10))
         with pytest.raises(ValueError):
-            modulator.modulate_payload(np.array([0, 2]))
+            modulator.modulate_payload_batch([np.array([0, 2])])
         with pytest.raises(ValueError):
-            modulator.modulate_payload(np.array([]))
+            modulator.modulate_payload_batch([np.zeros(104), np.array([])])
         with pytest.raises(ValueError):
             OfdmConfig(cyclic_prefix=100)
 

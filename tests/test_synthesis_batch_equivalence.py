@@ -99,17 +99,17 @@ class TestKernelEquivalence:
         bits_batch = [rng.integers(0, 2, size=n) for n in (208, 2080, 500, 2080)]
         batched = modulator.modulate_payload_batch(bits_batch)
         for bits, payload in zip(bits_batch, batched):
-            assert bits_equal(payload, modulator.modulate_payload(bits))
+            assert bits_equal(payload, modulator.modulate_payload_batch([bits])[0])
 
     def test_modulate_payload_matches_per_symbol_loop(self):
-        # Regression for the stacked-IFFT rewrite of modulate_payload.
+        # Regression for the stacked-IFFT payload modulation.
         modulator = OfdmModulator()
         bits = np.random.default_rng(5).integers(0, 2, size=3 * 104)
         per_symbol = np.concatenate([
             modulator.modulate_symbol(_qpsk_map(bits[start:start + 104]))
             for start in range(0, bits.size, 104)
         ])
-        assert bits_equal(modulator.modulate_payload(bits), per_symbol)
+        assert bits_equal(modulator.modulate_payload_batch([bits])[0], per_symbol)
 
     def test_make_packet_waveforms_matches_scalar(self):
         frames = [None] + [
@@ -260,11 +260,20 @@ class TestReceiverEquivalence:
 
 
 # --------------------------------------------------------------- simulator layer
+def _client_loop(simulator, client_id, num_packets, inter_packet_gap_s=0.5):
+    """A burst as one capture_from_client call per packet."""
+    return [
+        simulator.capture_from_client(client_id, elapsed_s=index * inter_packet_gap_s,
+                                      timestamp_s=index * inter_packet_gap_s)
+        for index in range(num_packets)
+    ]
+
+
 class TestSimulatorEquivalence:
     def test_capture_burst_batch_matches_scalar_burst(self, environment):
         scalar_sim = Simulator(environment, OctagonalArray(), rng=42)
         batch_sim = Simulator(environment, OctagonalArray(), rng=42)
-        scalar = scalar_sim.capture_burst(5, 12, inter_packet_gap_s=0.5)
+        scalar = _client_loop(scalar_sim, 5, 12, inter_packet_gap_s=0.5)
         batch = batch_sim.capture_burst_batch(5, 12, inter_packet_gap_s=0.5)
         assert all(captures_equal(a, b) for a, b in zip(scalar, batch))
 
@@ -315,7 +324,7 @@ class TestSimulatorEquivalence:
                                       config=config, rng=3)
         batch_sim = Simulator(environment, OctagonalArray(),
                                      config=config, rng=3)
-        scalar = scalar_sim.capture_burst(4, 5)
+        scalar = _client_loop(scalar_sim, 4, 5)
         batch = batch_sim.capture_burst_batch(4, 5)
         assert all(captures_equal(a, b) for a, b in zip(scalar, batch))
         assert batch_sim.path_cache_info()["size"] == 0
@@ -328,7 +337,7 @@ class TestSimulatorEquivalence:
                                       config=config, rng=11)
         batch_sim = Simulator(environment, OctagonalArray(),
                                      config=config, rng=11)
-        scalar = scalar_sim.capture_burst(1, 6)
+        scalar = _client_loop(scalar_sim, 1, 6)
         batch = batch_sim.capture_burst_batch(1, 6)
         assert all(captures_equal(a, b) for a, b in zip(scalar, batch))
         # And it must actually reuse: one cached waveform for the burst.
@@ -424,14 +433,3 @@ class TestDeploymentTraffic:
         assert len({event.batch_latency_s for event in batched}) == 1
         assert all(event.decision_latency_s > 0
                    for event in streaming + batched)
-
-    def test_latency_s_shim_is_deprecated_but_faithful(self):
-        # The v0 spelling still answers (runners and notebooks read it) but
-        # warns, and returns exactly the attributed value of either path.
-        spec = ScenarioSpec(name="latency-shim", seed=5)
-        dep = Deployment(spec)
-        streaming = list(dep.run(dep.client_packets(1, num_packets=2)))
-        batched = dep.run_batch(dep.traffic(1, num_packets=2, start_s=10.0))
-        for event in streaming + batched:
-            with pytest.warns(DeprecationWarning):
-                assert event.latency_s == event.decision_latency_s

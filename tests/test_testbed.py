@@ -93,7 +93,8 @@ class TestTestbedSimulator:
         assert circular_simulator.calibration_table() is circular_simulator.calibration_table()
 
     def test_capture_burst_spacing(self, circular_simulator):
-        captures = circular_simulator.capture_burst(4, num_packets=3, inter_packet_gap_s=0.25)
+        captures = circular_simulator.capture_burst_batch(4, num_packets=3,
+                                                          inter_packet_gap_s=0.25)
         assert len(captures) == 3
         assert captures[1].timestamp_s == pytest.approx(0.25)
 
@@ -128,7 +129,10 @@ class TestTestbedSimulator:
 
     def test_validation(self, circular_simulator):
         with pytest.raises(ValueError):
-            circular_simulator.capture_burst(1, num_packets=0)
+            circular_simulator.capture_burst_batch(1, num_packets=0)
+        with pytest.raises(ValueError):
+            circular_simulator.capture_burst_batch(1, num_packets=2,
+                                                   inter_packet_gap_s=-0.5)
         with pytest.raises(ValueError):
             SimulatorConfig(payload_symbols=0)
         with pytest.raises(KeyError):
