@@ -34,6 +34,7 @@ multi-AP controller stacks every AP's capture of a packet into one call.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -64,6 +65,15 @@ def _per_capture_tables(calibration: CalibrationArg,
     return calibration
 
 
+@lru_cache(maxsize=None)
+def _loading_terms(n: int, dtype: np.dtype) -> Tuple[np.ndarray, np.floating]:
+    """Diagonal loading's read-only (n, n) identity and its power floor (the
+    dtype's smallest normal number), built once per size and dtype."""
+    eye = np.eye(n, dtype=dtype)
+    eye.flags.writeable = False
+    return eye, np.finfo(dtype).tiny
+
+
 class BatchAoAEstimator:
     """Estimate angle-of-arrival pseudospectra for whole batches of captures.
 
@@ -84,6 +94,9 @@ class BatchAoAEstimator:
         #: Reduced-precision casts of the (cached, complex128) steering
         #: matrices, keyed by matrix size, so float32 runs cast once.
         self._steering_casts: Dict[int, np.ndarray] = {}
+        #: ``||a(theta)||^2`` per grid angle of each steering matrix in use,
+        #: keyed by matrix size and kept with the matrix it was computed from.
+        self._steering_powers: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
         self._tracker = None  # lazy SubspaceTracker (subspace_tracking only)
 
     # ------------------------------------------------------------------ public
@@ -210,7 +223,8 @@ class BatchAoAEstimator:
         values = values.astype(np.float64, copy=False)  # repro-lint: disable=precision-discipline
 
         # Vectorised peak extraction over the whole (B, A) stack, mirroring
-        # Pseudospectrum.peak_bearings' defaults.
+        # Pseudospectrum.peak_bearings' defaults.  Each spectrum carries its
+        # full index list, so signatures reuse this search.
         wrap, min_separation = grid_peak_params(grid)
         peak_indices = find_peaks_batch(values, wrap=wrap,
                                         min_relative_height=PEAK_MIN_RELATIVE_HEIGHT,
@@ -219,7 +233,8 @@ class BatchAoAEstimator:
         estimates: List[AoAEstimate] = []
         for index in range(batch_size):
             row = values[index]
-            spectrum = Pseudospectrum.from_validated(grid, row, metadata[index])
+            spectrum = Pseudospectrum.from_validated(
+                grid, row, metadata[index], peak_indices=tuple(peak_indices[index]))
             peaks = [float(grid[i]) for i in peak_indices[index][:config.max_sources]]
             bearing = peaks[0] if peaks else float(grid[int(np.argmax(row))])
             estimates.append(AoAEstimate(
@@ -256,8 +271,9 @@ class BatchAoAEstimator:
         # Batched trace (diagonal gather, not a GEMM): no shared kernel
         # applies, and the O(B*N) sum is negligible next to the eigh.
         power = np.einsum("bii->b", matrices).real / n  # repro-lint: disable=seam-bypass
-        load = loading_factor * np.maximum(power, np.finfo(power.dtype).tiny)
-        return matrices + load[:, None, None] * np.eye(n, dtype=power.dtype)
+        eye, tiny = _loading_terms(n, power.dtype)
+        load = loading_factor * np.maximum(power, tiny)
+        return matrices + load[:, None, None] * eye
 
     @staticmethod
     def _calibrate_matrices(matrices: np.ndarray,
@@ -339,7 +355,7 @@ class BatchAoAEstimator:
             metadata = [{"estimator": "capon"} for _ in range(batch_size)]
             return values, metadata
         numerator = kernels.beamscan_numerator(matrices, steering)
-        normaliser = np.sum(np.abs(steering) ** 2, axis=0)
+        normaliser = self._steering_power(steering)
         values = np.maximum(numerator / np.maximum(normaliser, 1e-15), 0.0)
         metadata = [{"estimator": "bartlett"} for _ in range(batch_size)]
         return values, metadata
@@ -355,7 +371,7 @@ class BatchAoAEstimator:
         batched matrix product.
         """
         counts = np.asarray(counts, dtype=int)
-        total = np.sum(np.abs(steering) ** 2, axis=0)  # ||a(theta)||^2, shape (A,)
+        total = self._steering_power(steering)  # ||a(theta)||^2, shape (A,)
         denominator = np.empty((counts.size, steering.shape[1]),
                                dtype=total.dtype)
         for order in np.unique(counts):
@@ -366,6 +382,15 @@ class BatchAoAEstimator:
             denominator[items] = total[None, :] - kernels.music_projection_power(
                 signal, steering)
         return 1.0 / np.maximum(denominator, 1e-15)
+
+    def _steering_power(self, steering: np.ndarray) -> np.ndarray:
+        """``||a(theta)||^2`` per grid angle, computed once per steering matrix."""
+        n = steering.shape[0]
+        cached = self._steering_powers.get(n)
+        if cached is None or cached[0] is not steering:
+            cached = (steering, np.sum(np.abs(steering) ** 2, axis=0))
+            self._steering_powers[n] = cached
+        return cached[1]
 
     def _cast_steering(self, steering: np.ndarray, n: int) -> np.ndarray:
         """The steering matrix in estimation precision (cast once, cached)."""

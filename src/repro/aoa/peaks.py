@@ -6,9 +6,17 @@ circular (for full-360-degree pseudospectra).  Returned indices are sorted by
 descending peak value so callers can take "the strongest peak" (the paper's
 bearing estimate) or "all significant peaks" (the multipath signature).
 
-Candidate detection is vectorised with numpy and shared between the scalar
-:func:`find_peaks` and the batched :func:`find_peaks_batch`, so the per-packet
-and per-batch paths cannot diverge.
+Candidate detection is vectorised with numpy over a (B, A) stack of rows.
+Each sample is compared with its neighbours as slices of one padded copy of
+the stack (the wrap-around neighbours sit in the padding), not through
+``np.roll``, whose wrapper costs more than the comparisons on a 360-point
+row.  :func:`find_peaks` is a batch of one over :func:`find_peaks_batch`, so
+the per-packet and per-batch paths cannot diverge.
+
+The AoA engine searches every spectrum it builds once and hands the full
+index list on with the spectrum, so the signature layer does not search the
+same row again; only spectra built elsewhere (a blended tracker signature,
+say) are searched when their signature is made.
 """
 
 from __future__ import annotations
@@ -31,9 +39,11 @@ def _candidate_masks(values: np.ndarray, wrap: bool,
     """
     maxima = np.max(values, axis=-1)
     thresholds = maxima * min_relative_height
-    left = np.roll(values, 1, axis=-1)
-    right = np.roll(values, -1, axis=-1)
-    mask = (values >= thresholds[:, None]) & (values >= left) & (values > right)
+    # Column j of the padded stack is sample j - 1 of the row, circularly, so
+    # its slices [:-2] and [2:] are the left and right neighbours.
+    padded = np.concatenate((values[:, -1:], values, values[:, :1]), axis=1)
+    mask = ((values >= thresholds[:, None]) & (values >= padded[:, :-2])
+            & (values > padded[:, 2:]))
     if not wrap:
         mask[:, 0] = (values[:, 0] >= thresholds) & (values[:, 0] > values[:, 1])
         mask[:, -1] = (values[:, -1] >= thresholds) & (values[:, -1] > values[:, -2])
@@ -42,31 +52,31 @@ def _candidate_masks(values: np.ndarray, wrap: bool,
     return mask
 
 
-def _select_separated(values: np.ndarray, candidates: np.ndarray, wrap: bool,
-                      min_separation: int) -> List[int]:
-    """Enforce minimum separation on candidate indices, keeping stronger peaks.
+def _select_separated(values: np.ndarray, masks: np.ndarray, wrap: bool,
+                      min_separation: int) -> List[List[int]]:
+    """Enforce minimum separation on every row's candidates, stronger first.
 
-    ``values`` is one row; ``candidates`` its candidate indices in ascending
-    order.  The stable descending-value sort keeps the original tie-breaking
-    (lower index wins on equal values).
+    ``values`` is the (B, A) stack and ``masks`` its candidate mask.  The
+    candidates of all rows are ordered at once: by row, then by descending
+    value, then by ascending index, which keeps the original tie-breaking
+    (lower index wins on equal values).  Each row then greedily keeps the
+    candidates at least ``min_separation`` samples from every kept one.
     """
-    if candidates.size == 0:
-        return []
-    n = values.size
-    order = np.argsort(-values[candidates], kind="stable")
-    selected: List[int] = []
-    for index in candidates[order]:
-        index = int(index)
-        too_close = False
-        for kept in selected:
+    n = values.shape[1]
+    positions = masks.ravel().nonzero()[0]  # row-major: row * n + index
+    order = np.lexsort((positions, -values.ravel()[positions], positions // n))
+    selected: List[List[int]] = [[] for _ in range(values.shape[0])]
+    for position in positions[order].tolist():
+        row, index = divmod(position, n)
+        kept_peaks = selected[row]
+        for kept in kept_peaks:
             distance = abs(index - kept)
             if wrap:
                 distance = min(distance, n - distance)
             if distance < min_separation:
-                too_close = True
                 break
-        if not too_close:
-            selected.append(index)
+        else:
+            kept_peaks.append(index)
     return selected
 
 
@@ -95,11 +105,9 @@ def find_peaks(values: np.ndarray, wrap: bool = False,
         only the stronger is kept.
     """
     values = np.asarray(values, dtype=float).ravel()
-    if values.size < 3:
-        return []
-    _validate(min_relative_height, min_separation)
-    mask = _candidate_masks(values[None, :], wrap, min_relative_height)[0]
-    return _select_separated(values, np.nonzero(mask)[0], wrap, min_separation)
+    return find_peaks_batch(values[None, :], wrap=wrap,
+                            min_relative_height=min_relative_height,
+                            min_separation=min_separation)[0]
 
 
 def find_peaks_batch(values: np.ndarray, wrap: bool = False,
@@ -107,19 +115,16 @@ def find_peaks_batch(values: np.ndarray, wrap: bool = False,
                      min_separation: int = 3) -> List[List[int]]:
     """Batched :func:`find_peaks` over a (B, A) stack of pseudospectrum rows.
 
-    Candidate detection runs vectorised over the whole stack; only the
-    separation enforcement (which operates on the handful of candidates per
-    row) remains per-row.  Each returned list matches what :func:`find_peaks`
-    returns for the corresponding row.
+    Candidate detection and the strength ordering run vectorised over the
+    whole stack; only the greedy separation walk over the handful of
+    candidates remains a Python loop.  Each returned list is the
+    :func:`find_peaks` result of the corresponding row.
     """
     values = np.asarray(values, dtype=float)
     if values.ndim != 2:
         raise ValueError(f"values must be a (batch, num_angles) array, got {values.shape}")
+    _validate(min_relative_height, min_separation)
     if values.shape[1] < 3:
         return [[] for _ in range(values.shape[0])]
-    _validate(min_relative_height, min_separation)
     masks = _candidate_masks(values, wrap, min_relative_height)
-    return [
-        _select_separated(row, np.nonzero(mask)[0], wrap, min_separation)
-        for row, mask in zip(values, masks)
-    ]
+    return _select_separated(values, masks, wrap, min_separation)

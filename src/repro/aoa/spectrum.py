@@ -10,7 +10,7 @@ normalisation / resampling operations the signature layer needs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -55,6 +55,14 @@ class Pseudospectrum:
     angles_deg: np.ndarray
     values: np.ndarray
     metadata: Dict[str, Any] = field(default_factory=dict)
+    #: The full peak search of ``values`` with the default parameters
+    #: (:data:`PEAK_MIN_RELATIVE_HEIGHT`, :func:`grid_peak_params`), strongest
+    #: first, when the builder already ran it (the AoA engine does), so the
+    #: signature layer need not search again; ``None`` when not searched.
+    #: Derived spectra start without it: dividing by the peak in
+    #: :meth:`normalized` can round two unequal values to equal.
+    peak_indices: Optional[Tuple[int, ...]] = field(
+        default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         angles = np.asarray(self.angles_deg, dtype=float).ravel()
@@ -106,7 +114,7 @@ class Pseudospectrum:
         This is the normalisation the paper's Figures 6 and 7 plot (peak at
         0 dB).
         """
-        peak = float(np.max(self.values))
+        peak = float(self.values.max())
         if peak <= 0:
             return np.full_like(self.values, floor_db)
         db = 10.0 * np.log10(np.maximum(self.values / peak, 10.0 ** (floor_db / 10.0)))
@@ -115,7 +123,7 @@ class Pseudospectrum:
     # ------------------------------------------------------------- transforms
     def normalized(self) -> "Pseudospectrum":
         """Return a copy scaled so the maximum value is 1."""
-        peak = float(np.max(self.values))
+        peak = float(self.values.max())
         if peak <= 0:
             raise ValueError("cannot normalise an all-zero pseudospectrum")
         # Dividing finite non-negative values by a positive peak keeps them
@@ -155,7 +163,9 @@ class Pseudospectrum:
 
     @classmethod
     def from_validated(cls, angles_deg: np.ndarray, values: np.ndarray,
-                       metadata: Dict[str, Any]) -> "Pseudospectrum":
+                       metadata: Dict[str, Any], *,
+                       peak_indices: Optional[Tuple[int, ...]] = None,
+                       ) -> "Pseudospectrum":
         """Construct without re-running the ``__post_init__`` validation.
 
         For the batched estimation engine, which evaluates many spectra on the
@@ -164,12 +174,14 @@ class Pseudospectrum:
         already-validated ones (:meth:`normalized`, the signature blend).  The
         caller guarantees the invariants ``__post_init__`` normally checks:
         1-D float arrays of equal length >= 2, strictly increasing angles,
-        finite non-negative values.
+        finite non-negative values.  ``peak_indices`` is the builder's own
+        default-parameter peak search of ``values``, if it ran one.
         """
         spectrum = object.__new__(cls)
         object.__setattr__(spectrum, "angles_deg", angles_deg)
         object.__setattr__(spectrum, "values", values)
         object.__setattr__(spectrum, "metadata", metadata)
+        object.__setattr__(spectrum, "peak_indices", peak_indices)
         return spectrum
 
     # -------------------------------------------------------------- internals

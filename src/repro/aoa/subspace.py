@@ -256,7 +256,8 @@ class SubspaceTracker:
             "subspace_tracking": True,
             "tracking": bool(self.tracking),
         }
-        spectrum = Pseudospectrum.from_validated(self._grid, values, metadata)
+        spectrum = Pseudospectrum.from_validated(self._grid, values, metadata,
+                                                 peak_indices=tuple(peak_indices))
         return AoAEstimate(
             pseudospectrum=spectrum,
             bearing_deg=bearing,

@@ -78,20 +78,16 @@ def triangulate_bearings(observations: Sequence[BearingObservation]) -> Location
 
     rows: List[List[float]] = []
     rhs: List[float] = []
-    weights: List[float] = []
     for obs in observations:
         dx, dy = obs.direction
         # The normal to the bearing direction; the line is n . (p - ap) = 0.
         nx, ny = -dy, dx
-        rows.append([nx, ny])
-        rhs.append(nx * obs.ap_position.x + ny * obs.ap_position.y)
-        weights.append(1.0 / obs.sigma_deg)
+        weight = 1.0 / obs.sigma_deg
+        rows.append([nx * weight, ny * weight])
+        rhs.append((nx * obs.ap_position.x + ny * obs.ap_position.y) * weight)
 
-    a = np.asarray(rows, dtype=float)
-    b = np.asarray(rhs, dtype=float)
-    w = np.asarray(weights, dtype=float)
-    aw = a * w[:, None]
-    bw = b * w
+    aw = np.asarray(rows, dtype=float)
+    bw = np.asarray(rhs, dtype=float)
     try:
         solution, residuals, rank, _ = np.linalg.lstsq(aw, bw, rcond=None)
     except np.linalg.LinAlgError as error:  # pragma: no cover - defensive

@@ -15,6 +15,7 @@ that difference:
 
 from __future__ import annotations
 
+import math
 from typing import Optional, Sequence
 
 import numpy as np
@@ -29,10 +30,12 @@ def cosine_similarity(a: np.ndarray, b: np.ndarray) -> float:
     b = np.asarray(b, dtype=float).ravel()
     if a.shape != b.shape:
         raise ValueError(f"vectors must have the same shape, got {a.shape} and {b.shape}")
-    norm = float(np.linalg.norm(a) * np.linalg.norm(b))
+    # sqrt(x . x) is exactly what np.linalg.norm computes for a real 1-D
+    # vector, without its per-call dispatch; the [0, 1] clamp is on floats.
+    norm = math.sqrt(a.dot(a)) * math.sqrt(b.dot(b))
     if norm == 0:
         return 0.0
-    return float(np.clip(np.dot(a, b) / norm, 0.0, 1.0))
+    return min(max(float(np.dot(a, b) / norm), 0.0), 1.0)
 
 
 def spectral_correlation(a: AoASignature, b: AoASignature) -> float:
@@ -96,4 +99,4 @@ def signature_similarity(a: AoASignature, b: AoASignature,
     direct_error = (direct_path_distance_deg(a, b) if direct_error_deg is None
                     else direct_error_deg)
     direct_factor = float(np.exp(-direct_error / direct_path_scale_deg))
-    return float(np.clip(correlation * direct_factor, 0.0, 1.0))
+    return min(max(correlation * direct_factor, 0.0), 1.0)

@@ -117,9 +117,10 @@ def signatures_from_pseudospectra(spectra: Sequence[Pseudospectrum],
     """Batched signature construction from a batch of pseudospectra.
 
     Equivalent to calling :meth:`AoASignature.from_pseudospectrum` per
-    spectrum, but when the spectra share one angle grid (the common case: one
-    batch from the batched estimation engine) the peak extraction runs
-    vectorised over the whole (B, A) value stack.
+    spectrum.  A spectrum from the batched estimation engine carries the
+    engine's peak search (:attr:`Pseudospectrum.peak_indices`), which is
+    reused; the others are searched here, vectorised over the whole (B, A)
+    value stack when they share one angle grid.
     """
     spectra = list(spectra)
     if captured_at_s is None:
@@ -127,23 +128,25 @@ def signatures_from_pseudospectra(spectra: Sequence[Pseudospectrum],
     timestamps = [float(t) for t in captured_at_s]
     if len(timestamps) != len(spectra):
         raise ValueError("captured_at_s must match the number of spectra")
-    if not spectra:
-        return []
-    grid = spectra[0].angles_deg
-    shared_grid = all(
-        s.angles_deg is grid or np.array_equal(s.angles_deg, grid) for s in spectra[1:])
-    if not shared_grid:
-        return [AoASignature.from_pseudospectrum(spectrum, captured_at_s=timestamp,
-                                                 max_peaks=max_peaks, num_packets=num_packets)
-                for spectrum, timestamp in zip(spectra, timestamps)]
-    values = np.stack([s.values for s in spectra])
-    wrap, min_separation = grid_peak_params(grid)
-    peak_indices = find_peaks_batch(values, wrap=wrap,
-                                    min_relative_height=PEAK_MIN_RELATIVE_HEIGHT,
-                                    min_separation=min_separation)
+    peak_indices = [spectrum.peak_indices for spectrum in spectra]
+    unsearched = [index for index, found in enumerate(peak_indices) if found is None]
+    if unsearched:
+        grid = spectra[unsearched[0]].angles_deg
+        shared_grid = all(spectra[index].angles_deg is grid
+                          or np.array_equal(spectra[index].angles_deg, grid)
+                          for index in unsearched[1:])
+        groups = [unsearched] if shared_grid else [[index] for index in unsearched]
+        for group in groups:
+            wrap, min_separation = grid_peak_params(spectra[group[0]].angles_deg)
+            values = np.stack([spectra[index].values for index in group])
+            found = find_peaks_batch(values, wrap=wrap,
+                                     min_relative_height=PEAK_MIN_RELATIVE_HEIGHT,
+                                     min_separation=min_separation)
+            for index, indices in zip(group, found):
+                peak_indices[index] = indices
     signatures: List[AoASignature] = []
     for spectrum, indices, timestamp in zip(spectra, peak_indices, timestamps):
-        peaks = [float(grid[i]) for i in indices[:max_peaks]]
+        peaks = [float(spectrum.angles_deg[i]) for i in indices[:max_peaks]]
         if not peaks:
             peaks = [spectrum.peak_bearing()]
         signatures.append(AoASignature(spectrum=spectrum, peaks_deg=peaks,

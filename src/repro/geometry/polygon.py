@@ -30,6 +30,10 @@ class Polygon:
         if len(deduped) < 3:
             raise ValueError("polygon vertices are degenerate")
         self._vertices: Tuple[Point, ...] = tuple(deduped)
+        # Built once: the fence tests every packet's location against them.
+        self._edges: Tuple[Segment, ...] = tuple(
+            Segment(deduped[i], deduped[(i + 1) % len(deduped)])
+            for i in range(len(deduped)))
 
     @property
     def vertices(self) -> Tuple[Point, ...]:
@@ -39,8 +43,7 @@ class Polygon:
     @property
     def edges(self) -> List[Segment]:
         """The polygon's edges as segments, in vertex order."""
-        verts = self._vertices
-        return [Segment(verts[i], verts[(i + 1) % len(verts)]) for i in range(len(verts))]
+        return list(self._edges)
 
     @property
     def area(self) -> float:
@@ -93,11 +96,11 @@ class Polygon:
 
     def on_boundary(self, point: Point, tolerance: float = 1e-9) -> bool:
         """True when ``point`` lies on the polygon's boundary."""
-        return any(edge.contains_point(point, tolerance) for edge in self.edges)
+        return any(edge.contains_point(point, tolerance) for edge in self._edges)
 
     def intersects_segment(self, segment: Segment) -> bool:
         """True when ``segment`` crosses any edge of the polygon."""
-        return any(edge.intersects(segment) for edge in self.edges)
+        return any(edge.intersects(segment) for edge in self._edges)
 
     def expanded(self, margin: float) -> "Polygon":
         """Return the polygon scaled outward from its centroid by ``margin`` metres.

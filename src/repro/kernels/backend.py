@@ -14,6 +14,7 @@ place to allow them.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Sequence, Tuple
 
 import numpy as np
@@ -71,6 +72,20 @@ def _complex_for(real: np.dtype) -> np.dtype:
     return np.dtype(np.complex64 if np.dtype(real) == np.float32 else np.complex128)
 
 
+@lru_cache(maxsize=None)
+def _triangle_masks(n: int) -> Tuple[np.ndarray, np.ndarray]:
+    """The (n, n) masks ``np.triu`` zeroes for ``k=0`` and ``k=1``.
+
+    Strictly below the diagonal, and on or below it; built once per matrix
+    size (read-only) instead of by every ``np.triu`` call.
+    """
+    below = np.tri(n, n, k=-1, dtype=bool)
+    on_or_below = np.tri(n, n, k=0, dtype=bool)
+    below.flags.writeable = False
+    on_or_below.flags.writeable = False
+    return below, on_or_below
+
+
 # --------------------------------------------------------------------- numpy
 class NumpyBackend:
     """The pipeline's numpy/BLAS kernels (use the shared :data:`kernels`).
@@ -103,6 +118,10 @@ class NumpyBackend:
         ``trans=2`` feeds the C-ordered samples as their Fortran-ordered
         transpose view, yielding ``(X^T)^H X^T = (X X^H)^T = conj(X X^H)`` —
         undone by the batched conjugate-fill of both triangles afterwards.
+        The triangles are ``np.triu``'s own ``where`` over cached masks, and
+        the fill stays conj-then-add: ``conj`` turns the diagonal's zero
+        imaginary part into -0.0 and adding the +0.0 of the transposed
+        strict triangle makes it +0.0 again.
         """
         n = samples_list[0].shape[0]
         dtype = np.result_type(*(samples.dtype for samples in samples_list))
@@ -112,8 +131,11 @@ class NumpyBackend:
         if herk is not None:
             for index, samples in enumerate(samples_list):
                 matrices[index] = herk(1.0, samples.T, trans=2, lower=0)
-            upper = np.triu(matrices)
-            matrices = upper.conj() + np.triu(matrices, 1).transpose(0, 2, 1)
+            below, on_or_below = _triangle_masks(n)
+            zero = np.zeros(1, dtype=dtype)
+            upper = np.where(below, zero, matrices)
+            strict_upper = np.where(on_or_below, zero, matrices)
+            matrices = upper.conj() + strict_upper.transpose(0, 2, 1)
         else:
             for index, samples in enumerate(samples_list):
                 np.matmul(samples, samples.conj().T, out=matrices[index])

@@ -12,7 +12,7 @@ from repro.aoa.covariance import (
     signal_noise_subspaces,
     spatial_smoothing,
 )
-from repro.aoa.peaks import find_peaks
+from repro.aoa.peaks import find_peaks, find_peaks_batch
 from repro.aoa.source_count import estimate_num_sources
 from repro.aoa.spectrum import Pseudospectrum
 from repro.arrays.geometry import UniformLinearArray
@@ -156,6 +156,19 @@ class TestPeakFinding:
     def test_endpoint_peaks_on_non_wrapping_grids(self):
         values = np.linspace(0.0, 1.0, 50)
         assert 49 in find_peaks(values, wrap=False)
+
+    @pytest.mark.parametrize("kwargs", [{"min_separation": 0},
+                                        {"min_relative_height": 1.5},
+                                        {"min_relative_height": -0.1}])
+    def test_rows_too_short_for_peaks_still_validate_arguments(self, kwargs):
+        with pytest.raises(ValueError):
+            find_peaks([1.0, 2.0], **kwargs)
+        with pytest.raises(ValueError):
+            find_peaks_batch(np.ones((3, 2)), **kwargs)
+
+    def test_rows_too_short_for_peaks_have_none(self):
+        assert find_peaks([1.0, 2.0]) == []
+        assert find_peaks_batch(np.ones((2, 2))) == [[], []]
 
     @given(st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=3, max_size=200))
     @settings(max_examples=50)
