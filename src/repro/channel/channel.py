@@ -49,6 +49,16 @@ from repro.utils.decibels import dbm_to_watts
 from repro.utils.rng import RngLike, ensure_rng
 from repro.utils.validation import require_positive
 
+#: Packets whose (packets, paths, samples) stacks ``propagate_batch`` builds
+#: at once.  For a whole 64-packet burst each such temporary would be about
+#: 14 MiB, with several alive together; heap blocks that large, freed and
+#: reallocated every burst, fragment the heap differently in each process
+#: (the layout follows the randomised addresses), so the peak resident set
+#: of identical runs would differ by a whole buffer.  Eight packets keep each
+#: stack near 2 MiB.  Packets are propagated independently, so the chunking
+#: changes no byte.
+PROPAGATION_CHUNK = 8
+
 
 @dataclass(frozen=True)
 class ChannelConfig:
@@ -148,7 +158,8 @@ class ArrayChannel:
                         tx_power_dbm: float = 15.0,
                         path_fading: Optional[Sequence[Optional[np.ndarray]]] = None,
                         rngs: Optional[Sequence[RngLike]] = None) -> np.ndarray:
-        """Propagate a whole batch of packets in one vectorized pass.
+        """Propagate a whole batch of packets, vectorized over chunks of
+        :data:`PROPAGATION_CHUNK` packets.
 
         Returns the noiseless ``(B, num_antennas, num_samples)`` received
         signals for ``B`` packets.  Packets are computed independently, so
@@ -246,30 +257,38 @@ class ArrayChannel:
             if self.config.apply_path_delays:
                 delays[index, :count] = relative_delays
 
-        if self.config.apply_path_delays:
-            modulated = fractional_delay_batch(waveform_matrix[:, None, :], delays)
-        else:
-            modulated = np.broadcast_to(
-                waveform_matrix[:, None, :],
-                (batch_size, max_paths, num_samples))
-        if self.config.path_phase_walk_std_rad > 0:
-            walks = np.empty((batch_size, max_paths, num_samples), dtype=self._cdtype)
-            if any(len(paths) != max_paths for paths in paths_batch):
-                # Padded rows multiply zero-coefficient paths; any finite
-                # value works, and 1.0 keeps them inert.
-                walks[:] = 1.0
-            for index, paths in enumerate(paths_batch):
-                walks[index, :len(paths)] = phase_random_walk_batch(
-                    len(paths), num_samples, self.config.path_phase_walk_std_rad,
-                    generators[index], dtype=self._rdtype)
-            modulated = modulated * walks
         # Coefficients folded into the steering stack (P*N values instead of
-        # scaling the (P, S) waveforms); one (B, N, P) @ (B, P, S)
-        # contraction sums the per-path outer products.  kernels.matmul
-        # (np.matmul) runs the same GEMM per batch item, so a packet's bytes
-        # do not depend on the batch it was propagated in.
-        weighted = steering * coefficients[:, :, None]
-        return kernels.matmul(weighted.transpose(0, 2, 1), modulated)
+        # scaling the (P, S) waveforms); one (b, N, P) @ (b, P, S)
+        # contraction per chunk sums the per-path outer products.
+        # kernels.matmul (np.matmul) runs the same GEMM per batch item, so a
+        # packet's bytes do not depend on the batch or chunk it is in.
+        weighted = (steering * coefficients[:, :, None]).transpose(0, 2, 1)
+        # Padded rows multiply zero-coefficient paths; any finite walk value
+        # works, and 1.0 keeps them inert.
+        padded = any(len(paths) != max_paths for paths in paths_batch)
+        signals = np.empty((batch_size, num_antennas, num_samples), dtype=self._cdtype)
+        for start in range(0, batch_size, PROPAGATION_CHUNK):
+            stop = min(start + PROPAGATION_CHUNK, batch_size)
+            if self.config.apply_path_delays:
+                modulated = fractional_delay_batch(
+                    waveform_matrix[start:stop, None, :], delays[start:stop])
+            else:
+                modulated = np.broadcast_to(
+                    waveform_matrix[start:stop, None, :],
+                    (stop - start, max_paths, num_samples))
+            if self.config.path_phase_walk_std_rad > 0:
+                walks = np.empty((stop - start, max_paths, num_samples),
+                                 dtype=self._cdtype)
+                if padded:
+                    walks[:] = 1.0
+                for row, index in enumerate(range(start, stop)):
+                    count = len(paths_batch[index])
+                    walks[row, :count] = phase_random_walk_batch(
+                        count, num_samples, self.config.path_phase_walk_std_rad,
+                        generators[index], dtype=self._rdtype)
+                modulated = modulated * walks
+            signals[start:stop] = kernels.matmul(weighted[start:stop], modulated)
+        return signals
 
     # ---------------------------------------------------------------- internals
     def _relative_delays(self, paths: Sequence[PropagationPath]) -> np.ndarray:

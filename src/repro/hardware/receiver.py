@@ -161,12 +161,14 @@ class ArrayReceiver:
         frontend = self._frontend_table(num_samples)
         received = signals * frontend[None, :, :]
         if add_noise:
-            noise = np.empty_like(received)
+            # One packet's noise at a time in a reused (N, S) scratch, not a
+            # second batch-sized buffer.  In-place add: elementwise addition
+            # is correctly rounded, so it gives the same bytes as an
+            # out-of-place sum.
+            noise = np.empty(received.shape[1:], dtype=received.dtype)
             for index, generator in enumerate(generators):
-                self._packet_noise(generator, num_samples, out=noise[index])
-            # In-place add: elementwise addition is correctly rounded, so it
-            # gives the same bytes as an out-of-place sum.
-            np.add(received, noise, out=received)
+                self._packet_noise(generator, num_samples, out=noise)
+                np.add(received[index], noise, out=received[index])
         # Capture samples are read-only views into one shared batch buffer:
         # skipping B copies keeps capture cheap, and freezing the buffer
         # guarantees no consumer can corrupt a sibling packet in place.

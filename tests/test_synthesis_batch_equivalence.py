@@ -16,7 +16,9 @@ from repro.api import ScenarioSpec
 from repro.api.deployment import Deployment
 from repro.api.spec import AttackerSpec
 from repro.arrays.geometry import OctagonalArray
+from repro.channel import channel as channel_module
 from repro.channel.channel import (
+    PROPAGATION_CHUNK,
     ArrayChannel,
     ChannelConfig,
     fractional_delay,
@@ -174,6 +176,30 @@ class TestChannelEquivalence:
         batch = channel.propagate_batch(waveforms, paths_batch, 12.0, fadings,
                                         rngs=rngs_b)
         assert bits_equal(scalar, batch)
+
+    @pytest.mark.parametrize("config", [
+        ChannelConfig(),
+        ChannelConfig(path_phase_walk_std_rad=0.0, apply_path_delays=False),
+    ], ids=["delays-and-walks", "plain"])
+    @pytest.mark.parametrize("chunk", [1, 3, None])
+    def test_propagate_batch_bytes_do_not_depend_on_chunking(
+            self, traced_paths, config, chunk, monkeypatch):
+        # 2.5 chunks of packets with varying path counts (zero-padded rows in
+        # every chunk); a chunk of None is the whole batch in one pass.
+        batch_size = 2 * PROPAGATION_CHUNK + PROPAGATION_CHUNK // 2
+        rng = np.random.default_rng(5)
+        waveforms = [rng.normal(size=700) + 1j * rng.normal(size=700)
+                     for _ in range(batch_size)]
+        paths_batch = [traced_paths[: 2 + index % 5] for index in range(batch_size)]
+
+        def propagate():
+            channel = ArrayChannel(OctagonalArray(), config=config, rng=6)
+            rngs = [np.random.default_rng(300 + i) for i in range(batch_size)]
+            return channel.propagate_batch(waveforms, paths_batch, 14.0, rngs=rngs)
+
+        default = propagate()
+        monkeypatch.setattr(channel_module, "PROPAGATION_CHUNK", chunk or batch_size)
+        assert bits_equal(propagate(), default)
 
     def test_propagate_batch_without_delays_or_walks(self, traced_paths):
         config = ChannelConfig(path_phase_walk_std_rad=0.0,
