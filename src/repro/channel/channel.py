@@ -41,6 +41,7 @@ from repro.constants import (
 )
 from repro.kernels.backend import (
     DELAY_EPSILON_SAMPLES as _DELAY_EPSILON_SAMPLES,
+    DelayRampStore,
     complex_dtype,
     kernels,
     real_dtype,
@@ -58,6 +59,16 @@ from repro.utils.validation import require_positive
 #: stack near 2 MiB.  Packets are propagated independently, so the chunking
 #: changes no byte.
 PROPAGATION_CHUNK = 8
+
+#: Path delay ramps each :class:`ArrayChannel` keeps (see
+#: :class:`~repro.kernels.backend.DelayRampStore`).  One slot holds one path's
+#: half-spectrum ramp, ``S//2 + 1`` complex values, so at the standard
+#: 1920-sample packet the block maps 192 x 961 x 16 B = 2.95 MB (1.48 MB in
+#: float32), resident only as far as rows are written: about 85 KB per stored
+#: row of 5-6 paths, 1.8 MB for the 20 clients and an attacker that one
+#: ``fence`` AP hears.  It holds the rows of about 30 transmitter positions of
+#: up to 7 paths (the direct path plus the default 6 reflections).
+DELAY_RAMP_SLOTS = 192
 
 
 @dataclass(frozen=True)
@@ -118,6 +129,8 @@ class ArrayChannel:
         self.precision = precision
         self._cdtype = complex_dtype(precision)
         self._rdtype = real_dtype(precision)
+        #: The delay ramps of the path geometries this link has carried.
+        self.ramp_store = DelayRampStore(DELAY_RAMP_SLOTS)
 
     # ------------------------------------------------------------------ public
     def propagate(self, waveform: np.ndarray, paths: Sequence[PropagationPath],
@@ -271,7 +284,8 @@ class ArrayChannel:
             stop = min(start + PROPAGATION_CHUNK, batch_size)
             if self.config.apply_path_delays:
                 modulated = fractional_delay_batch(
-                    waveform_matrix[start:stop, None, :], delays[start:stop])
+                    waveform_matrix[start:stop, None, :], delays[start:stop],
+                    store=self.ramp_store)
             else:
                 modulated = np.broadcast_to(
                     waveform_matrix[start:stop, None, :],
@@ -362,7 +376,8 @@ def fractional_delay(waveform: np.ndarray, delay_samples: float) -> np.ndarray:
 
 
 def fractional_delay_batch(waveforms: np.ndarray,
-                           delay_samples: np.ndarray) -> np.ndarray:
+                           delay_samples: np.ndarray,
+                           store: Optional[DelayRampStore] = None) -> np.ndarray:
     """Apply many fractional delays in one FFT round trip.
 
     ``waveforms`` is ``(..., S)`` and ``delay_samples`` broadcasts against its
@@ -380,7 +395,9 @@ def fractional_delay_batch(waveforms: np.ndarray,
     evaluated with the same operation order, and near-zero delays return the
     waveform untouched instead of an FFT round trip.  complex64 waveforms and
     float32 delays are honoured (the reduced-precision synthesis mode); all
-    other dtypes are promoted to complex128/float64 as before.
+    other dtypes are promoted to complex128/float64 as before.  ``store``
+    keeps the ramps of delay rows seen before, as each channel does for its
+    link.
     """
     waveforms = np.asarray(waveforms)
     if waveforms.dtype != np.complex64:
@@ -394,7 +411,7 @@ def fractional_delay_batch(waveforms: np.ndarray,
     lead_shape = np.broadcast_shapes(waveforms.shape[:-1], delays.shape)
     out_shape = lead_shape + (n,)
     delays = np.broadcast_to(delays, lead_shape)
-    return kernels.fractional_delay(waveforms, delays, out_shape)
+    return kernels.fractional_delay(waveforms, delays, out_shape, store)
 
 
 def phase_random_walk(num_samples: int, step_std_rad: float,

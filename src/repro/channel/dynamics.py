@@ -21,13 +21,14 @@ path set:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 import numpy as np
 
 from repro.channel.path import PathKind, PropagationPath
 from repro.utils.rng import RngLike, ensure_rng
+from repro.utils.validation import require_finite_non_negative
 
 
 @dataclass(frozen=True)
@@ -91,28 +92,35 @@ class EnvironmentDynamics:
     def paths_at(self, paths: Sequence[PropagationPath], elapsed_s: float
                  ) -> List[PropagationPath]:
         """Return the path set as it would look ``elapsed_s`` seconds later."""
-        if elapsed_s < 0:
-            raise ValueError(f"elapsed_s must be non-negative, got {elapsed_s!r}")
+        require_finite_non_negative(elapsed_s, "elapsed_s")
+        paths = list(paths)
         if elapsed_s == 0:
-            return list(paths)
+            return paths
         severity = self._drift_severity(elapsed_s)
         rng = np.random.default_rng(self._base_seed ^ _time_key(elapsed_s))
-        evolved: List[PropagationPath] = []
+        config = self.config
+        # Per path, the standard deviations of its angle and gain offsets, in
+        # draw order.  One standard_normal draw scaled as 0 + sigma * z is
+        # the stream and arithmetic of one scalar normal(0, sigma) per value.
+        scales = []
         for path in paths:
             if path.kind is PathKind.DIRECT:
-                drift_deg = self.config.max_direct_drift_deg
-                drift_db = self.config.max_direct_gain_drift_db
+                drift_deg, drift_db = (config.max_direct_drift_deg,
+                                       config.max_direct_gain_drift_db)
             else:
-                drift_deg = self.config.max_reflection_drift_deg
-                drift_db = self.config.max_reflection_gain_drift_db
-            angle_offset = float(rng.normal(0.0, severity * drift_deg / 2.0))
-            gain_offset = float(rng.normal(0.0, severity * drift_db / 2.0))
-            evolved.append(replace(
-                path,
-                aoa_deg=path.aoa_deg + angle_offset,
-                gain_db=path.gain_db + gain_offset,
-            ))
-        return evolved
+                drift_deg, drift_db = (config.max_reflection_drift_deg,
+                                       config.max_reflection_gain_drift_db)
+            scales.append(severity * drift_deg / 2.0)
+            scales.append(severity * drift_db / 2.0)
+        offsets = (0.0 + np.array(scales) * rng.standard_normal(len(scales))).tolist()
+        return [
+            PropagationPath(aoa_deg=path.aoa_deg + offsets[2 * index],
+                            length_m=path.length_m,
+                            gain_db=path.gain_db + offsets[2 * index + 1],
+                            kind=path.kind, reflector=path.reflector,
+                            points=path.points)
+            for index, path in enumerate(paths)
+        ]
 
     def decorrelation(self, inter_packet_gap_s: float) -> float:
         """Fraction (0..1) of fast-fading decorrelation between two packets.

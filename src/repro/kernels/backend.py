@@ -14,8 +14,10 @@ place to allow them.
 
 from __future__ import annotations
 
+import mmap
+from collections import OrderedDict
 from functools import lru_cache
-from typing import Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -25,10 +27,11 @@ except ImportError:  # pragma: no cover - scipy is a hard dependency
     _cherk = None
     _zherk = None
 
-from repro.arrays.steering import steering_vector
+from repro.arrays.steering import plane_wave_response, validated_positions
 
 __all__ = [
     "DELAY_EPSILON_SAMPLES",
+    "DelayRampStore",
     "NumpyBackend",
     "PRECISIONS",
     "complex_dtype",
@@ -157,19 +160,27 @@ class NumpyBackend:
     def steering_stack(self, positions: np.ndarray, angles_deg: Sequence[float],
                        wavelength_m: float) -> np.ndarray:
         """Steering vectors for several arrival angles, shape (P, N)."""
-        # One steering_vector call per angle, exactly like the channel's
-        # original loop: the length-2 projection keeps its scalar GEMV
-        # rounding, which the synthesis bit-identity suites pin.
+        # Each row is steering_vector's arithmetic for its angle, exactly
+        # like the channel's original loop: the length-2 projection keeps its
+        # scalar GEMV rounding, which the synthesis bit-identity suites pin.
+        # Only the argument checks are made once instead of per angle.
+        positions = validated_positions(positions, wavelength_m)
+        phase_per_metre = -1j * 2.0 * np.pi / wavelength_m
         return np.stack([
-            steering_vector(positions, float(angle), wavelength_m)
+            plane_wave_response(positions, angle, phase_per_metre)
             for angle in np.asarray(angles_deg, dtype=float).reshape(-1)
         ])
 
     def fractional_delay(self, waveforms: np.ndarray, delays: np.ndarray,
-                         out_shape: Tuple[int, ...]) -> np.ndarray:
-        """FFT-domain fractional delays; see ``fractional_delay_batch``."""
+                         out_shape: Tuple[int, ...],
+                         store: Optional[DelayRampStore] = None) -> np.ndarray:
+        """FFT-domain fractional delays; see ``fractional_delay_batch``.
+
+        ``store`` keeps the ramps of delay rows seen before (see
+        :func:`delay_ramps`).
+        """
         spectra = np.fft.fft(waveforms, axis=-1)
-        ramp = delay_ramps(delays, out_shape[-1])
+        ramp = delay_ramps(delays, out_shape[-1], store)
         # The ramp is a named array, never an anonymous temporary: numpy would
         # elide a >256 KB temporary into an in-place complex multiply, whose
         # rounding differs in the last ulp from the out-of-place loop and
@@ -196,7 +207,8 @@ class NumpyBackend:
         return np.fft.ifft(a, axis=-1)
 
 
-def delay_ramps(delays: np.ndarray, n: int) -> np.ndarray:
+def delay_ramps(delays: np.ndarray, n: int,
+                store: Optional["DelayRampStore"] = None) -> np.ndarray:
     """Linear-phase delay ramps ``exp(-2j*pi*f*d)`` for a stack of delays.
 
     A burst from a static client repeats the same per-path delays for every
@@ -207,34 +219,140 @@ def delay_ramps(delays: np.ndarray, n: int) -> np.ndarray:
     to ``exp`` of the equivalent purely imaginary argument, so every row
     matches the scalar helper exactly.  float32 delays yield float32 phases
     and complex64 ramps (the reduced-precision synthesis mode).
+
+    Only bins ``0..n//2`` are evaluated; the rest are their conjugate
+    mirror images, ``ramp[n-k] = conj(ramp[k])``.  That is exact:
+    ``fftfreq``'s negative bins are exact negations of the positive ones, the
+    phase is a product (so it negates exactly), and cosine and sine are even
+    and odd bitwise.  With a ``store``, each unique row's half-spectrum
+    ramps come from (or go into) that :class:`DelayRampStore`.
     """
-    frequencies = np.fft.fftfreq(n)
-    base = (-2.0 * np.pi * frequencies).astype(delays.dtype, copy=False)
-    cdtype = _complex_for(delays.dtype)
-    if delays.ndim <= 1:
-        unique = delays.reshape(1, -1) if delays.ndim else delays.reshape(1, 1)
-        phases = base * unique[..., None]
-        ramps = np.empty(phases.shape, dtype=cdtype)
-        ramps.real = np.cos(phases)
-        ramps.imag = np.sin(phases)
-        return ramps.reshape(delays.shape + (n,))
-    rows = delays.reshape(-1, delays.shape[-1])
+    rows = delays.reshape(-1, delays.shape[-1]) if delays.ndim > 1 else \
+        delays.reshape(1, -1)
     if rows.shape[0] == 1:
         # A batch of one packet has nothing to deduplicate; np.unique would
         # only add its sort to every scalar capture.
         unique, inverse = rows, None
     else:
         unique, inverse = np.unique(rows, axis=0, return_inverse=True)
-    phases = base * unique[..., None]
-    ramps = np.empty(phases.shape, dtype=cdtype)
-    ramps.real = np.cos(phases)
-    ramps.imag = np.sin(phases)
+    slopes = _half_phase_slopes(n, delays.dtype)
+    half = np.empty(unique.shape + slopes.shape, dtype=_complex_for(delays.dtype))
+    if store is None:
+        _half_ramps(unique, slopes, half)
+    else:
+        for row, out in zip(unique, half):
+            store.half_ramps(row, slopes, out)
+    ramps = np.empty(unique.shape + (n,), dtype=half.dtype)
+    ramps[..., :slopes.size] = half
+    np.conjugate(half[..., n - slopes.size:0:-1], out=ramps[..., slopes.size:])
+    if inverse is None:
+        return ramps.reshape(delays.shape + (n,))
     if unique.shape[0] == 1:
         # Static-client bursts repeat one delay row; broadcast a read-only
         # view instead of materialising B copies.
         return np.broadcast_to(ramps[0], delays.shape + (n,))
     gathered = ramps[inverse.reshape(-1)]
     return gathered.reshape(delays.shape + (n,))
+
+
+@lru_cache(maxsize=16)
+def _half_phase_slopes(n: int, dtype: np.dtype) -> np.ndarray:
+    """``-2*pi*f`` for the ``n//2 + 1`` non-mirrored FFT bins (read-only)."""
+    frequencies = np.fft.fftfreq(n)[:n // 2 + 1]
+    slopes = (-2.0 * np.pi * frequencies).astype(dtype, copy=False)
+    slopes.flags.writeable = False
+    return slopes
+
+
+def _half_ramps(rows: np.ndarray, slopes: np.ndarray, out: np.ndarray) -> None:
+    """Write the half-spectrum ramps of ``rows`` (..., P) into ``out``."""
+    phases = slopes * rows[..., None]
+    out.real = np.cos(phases)
+    out.imag = np.sin(phases)
+
+
+def _mapped_block(shape: Tuple[int, int], dtype: np.dtype) -> np.ndarray:
+    """A writable array over a fresh anonymous memory map (zero-filled)."""
+    mapping = mmap.mmap(-1, shape[0] * shape[1] * np.dtype(dtype).itemsize)
+    return np.frombuffer(mapping, dtype=dtype).reshape(shape)
+
+
+class DelayRampStore:
+    """Half-spectrum delay ramps of the delay rows one channel meets again.
+
+    A link's relative path delays are pure geometry — environment dynamics
+    move only angles and gains, attackers only gains — so one channel meets
+    the same few delay rows packet after packet, and their ramps (a cosine
+    and a sine per path and bin) are the costly part of a fractional delay.
+
+    A row's key is its exact bytes, dtype and length, so a changed geometry
+    simply misses.  A row takes slots the second time it is seen: one-off
+    geometries (a training burst, a moving transmitter) then cost no memory
+    and never displace the rows that recur.  The ramps live in one block of
+    ``slots`` path rows, allocated at the first stored row for its sample
+    count and dtype and afterwards only written in place; when it is full,
+    the least recently used rows are overwritten.  Rows of another sample
+    count or dtype, and rows with more paths than ``slots``, bypass it.
+
+    The block is an anonymous memory map, outside the malloc heap: a
+    long-lived block inside the heap would pin it, and every later
+    allocation of the synthesis temporaries would land elsewhere (measured
+    with ``perfbench/run.py --workload burst-1ap`` on a 2-vCPU VM: 13-15 MB
+    more peak resident memory and 5-10% fewer packets per second).  Its
+    pages become resident only as rows are written.
+    """
+
+    def __init__(self, slots: int):
+        if slots < 1:
+            raise ValueError("slots must be at least 1")
+        self.slots = slots
+        self._block: Optional[np.ndarray] = None
+        self._rows: "OrderedDict[Tuple[str, int, bytes], np.ndarray]" = OrderedDict()
+        self._free: List[int] = []
+        #: Keys seen once and not stored, oldest first (at most ``slots``).
+        self._seen: "OrderedDict[Tuple[str, int, bytes], None]" = OrderedDict()
+
+    def __len__(self) -> int:
+        """Number of delay rows held."""
+        return len(self._rows)
+
+    @property
+    def block(self) -> Optional[np.ndarray]:
+        """The ``(slots, n//2 + 1)`` block (``None`` until a row is stored)."""
+        return self._block
+
+    def half_ramps(self, row: np.ndarray, slopes: np.ndarray,
+                   out: np.ndarray) -> None:
+        """Write one delay row's half-spectrum ramps ``(P, n//2 + 1)`` to ``out``."""
+        block = self._block
+        if block is not None and (block.shape[1] != slopes.size
+                                  or block.dtype != out.dtype):
+            _half_ramps(row, slopes, out)
+            return
+        key = (row.dtype.str, row.size, row.tobytes())
+        slots = self._rows.get(key)
+        if block is not None and slots is not None:
+            self._rows.move_to_end(key)
+            out[...] = block[slots]
+            return
+        _half_ramps(row, slopes, out)
+        if key not in self._seen:
+            self._seen[key] = None
+            if len(self._seen) > self.slots:
+                self._seen.popitem(last=False)
+            return
+        del self._seen[key]
+        if row.size > self.slots:
+            return
+        if block is None:
+            block = self._block = _mapped_block((self.slots, slopes.size), out.dtype)
+            self._free = list(range(self.slots))
+        while len(self._free) < row.size:
+            self._free.extend(self._rows.popitem(last=False)[1].tolist())
+        slots = np.array(self._free[-row.size:], dtype=np.intp)
+        del self._free[-row.size:]
+        block[slots] = out
+        self._rows[key] = slots
 
 
 #: The one kernel instance every call site uses.

@@ -10,7 +10,8 @@ performed over a whole packet of wideband samples.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence
+from functools import lru_cache
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -107,7 +108,8 @@ class OfdmModulator:
         payload gets the same bytes in any batch (and the same bytes as
         :meth:`modulate_symbol` applied symbol by symbol).
         """
-        bits_per_symbol = 2 * self.config.num_occupied
+        occupied = tuple(self.config.occupied_subcarriers)
+        bits_per_symbol = 2 * len(occupied)
         prepared: List[np.ndarray] = []
         symbol_counts: List[int] = []
         for bits in bits_batch:
@@ -126,9 +128,8 @@ class OfdmModulator:
             return []
         total_symbols = sum(symbol_counts)
         qpsk = _qpsk_map(np.concatenate(prepared)).reshape(
-            total_symbols, self.config.num_occupied)
-        occupied = tuple(self.config.occupied_subcarriers)
-        bins = np.array([subcarrier % self.config.fft_size for subcarrier in occupied])
+            total_symbols, len(occupied))
+        bins = _subcarrier_bins(occupied, self.config.fft_size)
         spectra = np.zeros((total_symbols, self.config.fft_size), dtype=complex)
         spectra[:, bins] = qpsk
         scale = np.sqrt(self.config.fft_size / max(len(occupied), 1))
@@ -149,6 +150,14 @@ class OfdmModulator:
         generator = ensure_rng(rng)
         bits = generator.integers(0, 2, size=num_symbols * 2 * self.config.num_occupied)
         return self.modulate_payload_batch([bits])[0]
+
+
+@lru_cache(maxsize=8)
+def _subcarrier_bins(occupied: Tuple[int, ...], fft_size: int) -> np.ndarray:
+    """FFT bin index of each occupied subcarrier (read-only, built once)."""
+    bins = np.array([subcarrier % fft_size for subcarrier in occupied])
+    bins.flags.writeable = False
+    return bins
 
 
 def _qpsk_map(bits: np.ndarray) -> np.ndarray:

@@ -10,6 +10,7 @@ bound to) and the raw samples the estimator consumes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import List, Optional, Sequence
 
 import numpy as np
@@ -121,13 +122,22 @@ def make_packet_waveforms(frames: Sequence[Optional[Dot11Frame]],
     ]
 
 
+@lru_cache(maxsize=8)
+def _frame_bits(frame: Dot11Frame) -> np.ndarray:
+    """``frame.to_bits()``, read-only and serialised once for every AP that
+    captures the same frame."""
+    bits = frame.to_bits()
+    bits.flags.writeable = False
+    return bits
+
+
 def _packet_bits(frame: Optional[Dot11Frame], num_payload_symbols: int,
                  config: OfdmConfig, generator: np.random.Generator) -> np.ndarray:
     """The payload bits of one packet: frame bits plus random padding."""
     bits_per_symbol = 2 * config.num_occupied
     total_bits = num_payload_symbols * bits_per_symbol
     if frame is not None:
-        frame_bits = frame.to_bits()
+        frame_bits = _frame_bits(frame)
         if frame_bits.size > total_bits:
             # Keep the packet length fixed; long frames simply use more symbols.
             total_bits = int(np.ceil(frame_bits.size / bits_per_symbol)) * bits_per_symbol

@@ -26,6 +26,7 @@ from repro.api.deployment import Deployment
 from repro.api.events import Packet, PacketEvent
 from repro.mac.address import MacAddress
 from repro.utils.serde import JsonSerializable
+from repro.utils.validation import require_finite_non_negative
 
 __all__ = ["PacketRequest", "check_request", "replay_events", "synthesize_packet"]
 
@@ -39,6 +40,8 @@ class PacketRequest(JsonSerializable):
     An attacker request also names ``victim_client_id`` — the client whose
     trained address the attacker claims.  ``source`` optionally overrides a
     client frame's claimed source address (the client-side spoofing case).
+    ``timestamp_s`` must be finite and non-negative, so a bad request is
+    refused at submission instead of failing later on the tenant worker.
     """
 
     client_id: Optional[int] = None
@@ -53,6 +56,7 @@ class PacketRequest(JsonSerializable):
                 "a PacketRequest names exactly one of client_id or attacker")
         if self.attacker is not None and self.victim_client_id is None:
             raise ValueError("an attacker request needs victim_client_id")
+        require_finite_non_negative(self.timestamp_s, "timestamp_s")
 
 
 def check_request(deployment: Deployment, request: PacketRequest) -> None:

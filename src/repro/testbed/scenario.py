@@ -35,6 +35,7 @@ from repro.phy.packet import PhyPacket, make_packet_waveform, make_packet_wavefo
 from repro.kernels.backend import validate_precision
 from repro.testbed.environment import TestbedEnvironment
 from repro.utils.rng import RngLike, ensure_rng, skip_spawns, spawn_rng
+from repro.utils.validation import require_finite_non_negative
 
 
 @dataclass(frozen=True)
@@ -85,7 +86,12 @@ class SimulatorConfig:
 
 @dataclass(frozen=True)
 class CaptureRequest:
-    """One packet of a batched capture: who transmits, from where, and when."""
+    """One packet of a batched capture: who transmits, from where, and when.
+
+    ``elapsed_s`` and ``timestamp_s`` must be finite and non-negative: the
+    environment dynamics are keyed by the elapsed time, and epoch 0 is the
+    reference capture.
+    """
 
     position: Point
     frame: Optional[Dot11Frame] = None
@@ -94,6 +100,11 @@ class CaptureRequest:
     attacker: Optional[Attacker] = None
     timestamp_s: Optional[float] = None
     metadata: Optional[dict] = None
+
+    def __post_init__(self) -> None:
+        require_finite_non_negative(self.elapsed_s, "elapsed_s")
+        if self.timestamp_s is not None:
+            require_finite_non_negative(self.timestamp_s, "timestamp_s")
 
 
 class TestbedSimulator:

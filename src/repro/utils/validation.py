@@ -34,6 +34,14 @@ def require_finite(value: Number, name: str) -> float:
     return value
 
 
+def require_finite_non_negative(value: Number, name: str) -> float:
+    """Return ``value`` as a float after checking that it is finite and >= 0."""
+    value = float(value)
+    if not 0.0 <= value < math.inf:
+        raise ValueError(f"{name} must be finite and non-negative, got {value!r}")
+    return value
+
+
 def require_in_range(value: Number, name: str, low: Number, high: Number,
                      inclusive: bool = True) -> float:
     """Return ``value`` after checking ``low <= value <= high`` (or strict)."""
