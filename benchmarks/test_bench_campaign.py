@@ -1,8 +1,8 @@
 """E14 — Campaign engine: sharded multi-process Figure 5 sweep.
 
 Measures the campaign engine's end-to-end wall clock for a Figure 5 style
-sweep (one shard per client) on a two-worker process pool, and reports the
-single-worker wall clock next to it.  The merged results are asserted
+sweep (one shard per client) on the file queue with two forked local workers,
+and reports the single-worker wall clock next to it.  The merged results are asserted
 bit-identical to each other and to the serial experiment runner — the
 engine's core determinism contract.
 """
@@ -24,7 +24,7 @@ def _spec():
 
 
 def test_bench_campaign_workers(benchmark):
-    pooled = benchmark.pedantic(run_campaign, args=(_spec(),),
+    queued = benchmark.pedantic(run_campaign, args=(_spec(),),
                                 kwargs={"workers": 2}, iterations=1, rounds=1)
 
     start = time.perf_counter()
@@ -32,13 +32,13 @@ def test_bench_campaign_workers(benchmark):
     single_s = time.perf_counter() - start
 
     serial = run_figure5(num_packets=NUM_PACKETS, client_ids=CLIENT_IDS)
-    assert pooled.result.to_json() == single.result.to_json()
-    assert pooled.result.to_json() == serial.to_json()
+    assert queued.result.to_json() == single.result.to_json()
+    assert queued.result.to_json() == serial.to_json()
 
-    shard_times = sorted(record.elapsed_s for record in pooled.records)
+    shard_times = sorted(record.elapsed_s for record in queued.records)
     print_report(
-        "Campaign engine: 8-shard Figure 5 sweep, 2-worker pool",
-        f"shards: {len(pooled.records)} (one client each, "
+        "Campaign engine: 8-shard Figure 5 sweep, 2 local file-queue workers",
+        f"shards: {len(queued.records)} (one client each, "
         f"{NUM_PACKETS} packets per client)\n"
         f"single-worker wall clock: {single_s:.2f} s\n"
         f"shard wall clock (min/max): {shard_times[0]:.2f} / "

@@ -2,9 +2,9 @@
 """Campaign sweep: a sharded multi-process Monte-Carlo run in a few lines.
 
 The campaign engine turns an experiment's parameter grid into independent
-shards, executes them on a process pool (each worker compiles its own
-deployment and rides the batched engine), and merges the records back into
-the experiment's result dataclass:
+shards, executes them on forked local workers draining a file queue (each
+worker compiles its own deployment and rides the batched engine), and merges
+the records back into the experiment's result dataclass:
 
 1. ``snr_sweep_campaign`` declares the grid — one shard per transmit power,
 2. ``run_campaign(..., workers=2)`` fans the shards out; per-shard seeds were

@@ -2,12 +2,13 @@
 
 Describe a sweep declaratively with :class:`CampaignSpec` (experiment name,
 parameter axes, seed replicates), compile it into canonical
-:class:`ShardSpec` units, and execute them with :func:`run_campaign` on a
-pluggable executor backend — in-process (:class:`SerialBackend`), a local
-process pool (:class:`ProcessPoolBackend`), or file-queue workers on any
-hosts that share a filesystem (:class:`FileQueueBackend` plus
-``python -m repro worker``) — each worker builds its own deployment and runs
-the batched engine.  Per-shard seeds are fixed at compile time in canonical
+:class:`ShardSpec` units, and execute them with :func:`run_campaign` on one
+of two executor backends, picked by the worker count — in-process for one
+worker (:class:`SerialBackend`), otherwise a file queue
+(:class:`FileQueueBackend`) drained by ``N`` forked local workers and/or
+``python -m repro worker`` processes on any hosts that share the store's
+filesystem — each worker builds its own deployment and runs the batched
+engine.  Per-shard seeds are fixed at compile time in canonical
 order, so the merged result is bit-identical regardless of backend, worker
 count, or scheduling; a :class:`ResultStore` makes runs resumable (atomic
 durable per-shard records, skip-on-resume) and carries a ``progress.json``
@@ -17,7 +18,8 @@ Execution is fault-tolerant: failing shards are retried under a shared
 :class:`RetryPolicy` (exponential, deterministically jittered backoff) and
 parked in the store's quarantine with their tracebacks once the budget is
 exhausted; file-queue workers heartbeat their leases so the coordinator
-re-queues only dead workers' shards, never slow ones; and tail stragglers
+re-queues only dead workers' shards, never slow ones (and respawns dead
+local workers); and tail stragglers
 are speculatively re-dispatched (duplicate records are byte-identical, so
 whichever lands first wins).  Every recovery path is exercised
 deterministically by the chaos suite via :class:`FaultPlan`
@@ -35,13 +37,10 @@ line.
 
 from repro.campaign.adapters import CAMPAIGNS, CampaignAdapter, get_adapter
 from repro.campaign.backends import (
-    BACKENDS,
     ExecutorBackend,
     FileQueueBackend,
-    ProcessPoolBackend,
     SerialBackend,
     ShardFailure,
-    make_backend,
     quarantine_summary,
 )
 from repro.campaign.engine import CampaignRun, execute_shard, run_campaign
@@ -59,7 +58,6 @@ from repro.campaign.store import (
 from repro.campaign.worker import WorkerResult, run_worker
 
 __all__ = [
-    "BACKENDS",
     "CAMPAIGNS",
     "CampaignAdapter",
     "CampaignProgress",
@@ -71,7 +69,6 @@ __all__ = [
     "FaultPlan",
     "FaultSpec",
     "FileQueueBackend",
-    "ProcessPoolBackend",
     "QuarantineEntry",
     "ResultStore",
     "RetryPolicy",
@@ -83,7 +80,6 @@ __all__ = [
     "WorkerResult",
     "execute_shard",
     "get_adapter",
-    "make_backend",
     "quarantine_summary",
     "run_campaign",
     "run_worker",

@@ -1,39 +1,41 @@
-"""Pluggable campaign executor backends.
+"""Campaign executor backends.
 
 The engine plans a campaign (compile shards, load resumable records, merge);
-*how* the pending shards get executed is a backend decision:
+*how* the pending shards get executed is a backend decision, and the worker
+count makes it (``run_campaign(workers=N)`` / ``--workers N``):
 
-* :class:`SerialBackend` — in-process, in order.  No pickling, no
-  subprocesses: the backend to debug a shard under.
-* :class:`ProcessPoolBackend` — a local ``ProcessPoolExecutor``; completed
-  shards land (and persist) before the first failure propagates.
-* :class:`FileQueueBackend` — scatter/gather over any shared filesystem.
-  The coordinator enqueues one task file per pending shard under the result
-  store; independent worker processes (``python -m repro worker --queue DIR``,
-  on this host or any host that mounts the store) claim tasks via atomic
-  rename, execute them, and write records into the shared
-  :class:`~repro.campaign.store.ResultStore`.
+* :class:`SerialBackend` (``workers=1``) — in-process, in order.  No
+  pickling, no child processes: the backend to debug a shard under.
+* :class:`FileQueueBackend` (``workers=N`` for ``N >= 2``; ``0`` for external
+  workers only) — scatter/gather over a result store.  The coordinator
+  enqueues one task file per pending shard under the store; worker processes
+  claim tasks via atomic rename, execute them, and write records into the
+  shared :class:`~repro.campaign.store.ResultStore`.  Its ``N`` local workers
+  are forked processes running the same
+  :func:`~repro.campaign.worker.run_worker` loop as ``python -m repro worker
+  --queue DIR``, which any other host that mounts the store can add.  Without
+  a store, the local workers share a private temporary one.
 
-Fault tolerance is uniform across backends:
+Fault tolerance:
 
-* every backend applies the same :class:`~repro.campaign.retry.RetryPolicy`
-  — a failing shard is re-attempted with exponential, deterministically
-  jittered backoff, its attempt count persisted in the store's ``attempts/``
-  directory, and a shard that exhausts the budget is *parked* (handed to the
-  engine's ``park`` callback, which quarantines it) instead of failing the
-  whole campaign;
+* both backends judge a failed attempt with the same
+  :meth:`~repro.campaign.retry.RetryPolicy.after_failure` — a failing shard
+  is re-attempted with exponential, deterministically jittered backoff, its
+  attempt count persisted in the store's ``attempts/`` directory, and a shard
+  that exhausts the budget is *parked* (handed to the engine's ``park``
+  callback, which quarantines it) instead of failing the whole campaign;
 * file-queue workers heartbeat their leases (``leases/<task>.heartbeat``),
   so the coordinator re-queues a shard only when the *heartbeat* goes stale
   — a slow-but-alive worker keeps its lease for as long as it keeps
   beating, while a dead worker's shard returns to the queue after
-  ``lease_timeout_s``;
+  ``lease_timeout_s`` (and a crashed local worker is respawned);
 * near the campaign tail the file-queue coordinator re-dispatches
   stragglers: when few shards remain and one has been running far longer
   than the completed-shard median, its task is speculatively re-enqueued and
   whichever record lands first wins (records are bit-identical, so the
   duplicate is harmless).
 
-Every backend feeds the same ``land`` callback and the merge consumes
+Both backends feed the same ``land`` callback and the merge consumes
 JSON-canonicalised records in shard-index order, so the merged campaign
 result is bit-identical whichever backend (and however many workers,
 wherever they run, however many retries and re-dispatches it took) executed
@@ -44,37 +46,32 @@ from __future__ import annotations
 
 import abc
 import contextlib
+import multiprocessing
+import multiprocessing.connection
 import os
 import shutil
 import statistics
-import subprocess
 import sys
+import tempfile
 import time
-import traceback
-from concurrent.futures import ProcessPoolExecutor, as_completed
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Union
+from typing import Callable, Dict, List, Optional, Sequence, Set, Union
 
-from repro.api.registry import Registry
 from repro.campaign.retry import RetryPolicy
 from repro.campaign.spec import CampaignSpec, ShardSpec
 from repro.campaign.store import (
     QuarantineEntry,
     ResultStore,
-    ShardRecord,
     fsync_directory,
     write_atomic,
 )
 
 __all__ = [
-    "BACKENDS",
     "ExecutorBackend",
     "FileQueue",
     "FileQueueBackend",
-    "ProcessPoolBackend",
     "SerialBackend",
     "ShardFailure",
-    "make_backend",
     "quarantine_summary",
 ]
 
@@ -85,8 +82,7 @@ LandCallback = Callable[..., None]
 
 #: Parking callback: ``park(entry)`` registers a shard that exhausted its
 #: retry budget (``persisted=True`` when the entry is already quarantined in
-#: the store, as file-queue workers quarantine their own shards).  Backends
-#: invoked without one keep the historical fail-fast behaviour.
+#: the store, as file-queue workers quarantine their own shards).
 ParkCallback = Callable[..., None]
 
 
@@ -130,141 +126,48 @@ def _attempt_counter(store: Optional[ResultStore]) -> Callable[[int, str], int]:
     return bump
 
 
-def _run_with_retry(spec: CampaignSpec, shard: ShardSpec, retry: RetryPolicy,
-                    bump: Callable[[int, str], int],
-                    park: Optional[ParkCallback],
-                    worker: Optional[str] = None) -> Optional[ShardRecord]:
-    """Execute one shard in-process, retrying under ``retry``'s budget.
-
-    Returns the record, or ``None`` after parking the exhausted shard.  With
-    no ``park`` callback the exhausted failure propagates unchanged — the
-    historical fail-fast behaviour for direct backend callers.
-    """
-    from repro.campaign.engine import execute_shard
-
-    while True:
-        try:
-            return execute_shard(spec, shard)
-        except Exception:
-            trace = traceback.format_exc()
-            attempts = bump(shard.index, trace)
-            if retry.exhausted(attempts):
-                if park is None:
-                    raise
-                park(QuarantineEntry(index=shard.index, attempts=attempts,
-                                     error=trace, worker=worker,
-                                     shard=shard.to_dict()))
-                return None
-            time.sleep(retry.backoff_s(shard.seed, attempts))
-
-
 class ExecutorBackend(abc.ABC):
     """How a campaign's pending shards get executed."""
-
-    #: Registry name (also what ``--backend`` accepts on the CLI).
-    name: str = "abstract"
 
     @abc.abstractmethod
     def execute(self, spec: CampaignSpec, pending: Sequence[ShardSpec],
                 land: LandCallback, store: Optional[ResultStore],
-                park: Optional[ParkCallback] = None) -> None:
+                park: ParkCallback) -> None:
         """Execute ``pending`` shards, calling ``land`` for each record.
 
         ``land`` may be called in any completion order; the engine re-orders
-        records canonically before merging.  Implementations must land every
-        successful shard before propagating the first failure, so completed
-        work is never thrown away.  ``park`` receives shards that exhausted
-        the retry budget; when omitted, such shards fail fast instead.
+        records canonically before merging.  ``park`` receives each shard
+        that exhausted the retry budget; the engine decides whether that
+        fails the run.
         """
 
 
 class SerialBackend(ExecutorBackend):
     """Execute shards in-process, in canonical order (the debug backend)."""
 
-    name = "serial"
-
     def __init__(self, retry: Optional[RetryPolicy] = None) -> None:
         self.retry = retry
 
     def execute(self, spec: CampaignSpec, pending: Sequence[ShardSpec],
                 land: LandCallback, store: Optional[ResultStore],
-                park: Optional[ParkCallback] = None) -> None:
+                park: ParkCallback) -> None:
+        from repro.campaign.engine import execute_shard
+
         retry = self.retry if self.retry is not None else RetryPolicy()
         bump = _attempt_counter(store)
         for shard in pending:
-            record = _run_with_retry(spec, shard, retry, bump, park,
-                                     worker=self.name)
-            if record is not None:
-                land(record)
-
-
-class ProcessPoolBackend(ExecutorBackend):
-    """Execute shards on a local ``ProcessPoolExecutor``."""
-
-    name = "pool"
-
-    def __init__(self, workers: int = 2,
-                 retry: Optional[RetryPolicy] = None) -> None:
-        if workers < 1:
-            raise ValueError("workers must be at least 1")
-        self.workers = workers
-        self.retry = retry
-
-    def execute(self, spec: CampaignSpec, pending: Sequence[ShardSpec],
-                land: LandCallback, store: Optional[ResultStore],
-                park: Optional[ParkCallback] = None) -> None:
-        from repro.campaign.engine import _shard_task
-
-        retry = self.retry if self.retry is not None else RetryPolicy()
-        bump = _attempt_counter(store)
-        # One worker (or one shard) gains nothing from a pool; run in-process.
-        if self.workers == 1 or len(pending) <= 1:
-            for shard in pending:
-                record = _run_with_retry(spec, shard, retry, bump, park,
-                                         worker=self.name)
-                if record is not None:
+            while True:
+                try:
+                    record = execute_shard(spec, shard)
+                except Exception:
+                    verdict = retry.after_failure(shard, bump, "serial")
+                    if isinstance(verdict, QuarantineEntry):
+                        park(verdict)
+                        break
+                    time.sleep(verdict)
+                else:
                     land(record)
-            return
-        spec_data = spec.to_dict()
-        wave: List[ShardSpec] = list(pending)
-        with ProcessPoolExecutor(
-                max_workers=min(self.workers, len(pending))) as pool:
-            # Retry in waves: every shard of the current wave is submitted,
-            # every successful shard lands (persisting when a store is
-            # attached) before anything propagates, and the failures whose
-            # budget allows it form the next wave after their backoff.
-            while wave:
-                futures = {pool.submit(_shard_task, spec_data, shard.to_dict()):
-                           shard for shard in wave}
-                retries: List[ShardSpec] = []
-                backoff = 0.0
-                failure: Optional[BaseException] = None
-                for future in as_completed(futures):
-                    shard = futures[future]
-                    try:
-                        record = ShardRecord.from_dict(future.result())
-                    except BaseException as error:
-                        trace = "".join(traceback.format_exception(
-                            type(error), error, error.__traceback__))
-                        attempts = bump(shard.index, trace)
-                        if not retry.exhausted(attempts):
-                            retries.append(shard)
-                            backoff = max(backoff,
-                                          retry.backoff_s(shard.seed, attempts))
-                        elif park is not None:
-                            park(QuarantineEntry(
-                                index=shard.index, attempts=attempts,
-                                error=trace, worker=self.name,
-                                shard=shard.to_dict()))
-                        elif failure is None:
-                            failure = error
-                        continue
-                    land(record)
-                if failure is not None:
-                    raise failure
-                if retries and backoff > 0:
-                    time.sleep(backoff)
-                wave = retries
+                    break
 
 
 class FileQueue:
@@ -523,19 +426,43 @@ class FileQueue:
             os.unlink(path)
 
 
+def _local_worker(store_root: str, ordinal: int, poll_s: float,
+                  heartbeat_s: float) -> None:
+    """Body of a forked local worker: ``python -m repro worker
+    --exit-when-empty`` without the interpreter start-up.
+
+    Everything the worker prints goes to ``queue/worker-<ordinal>.log``; the
+    process exit code is :attr:`~repro.campaign.worker.WorkerResult.exit_code`.
+    """
+    from repro.campaign.worker import run_worker
+
+    log_path = FileQueue(store_root).root / f"worker-{ordinal}.log"
+    log = os.open(log_path, os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o644)
+    for stream in (1, 2):
+        os.dup2(log, stream)
+    os.close(log)
+    # The inherited Python streams may be wrappers of the parent's (a test
+    # runner's capture, say); rebind them to the log descriptors.
+    sys.stdout = os.fdopen(1, "w", buffering=1, closefd=False)
+    sys.stderr = os.fdopen(2, "w", buffering=1, closefd=False)
+    result = run_worker(store_root, poll_s=poll_s, exit_when_empty=True,
+                        heartbeat_s=heartbeat_s)
+    sys.exit(result.exit_code)
+
+
 class FileQueueBackend(ExecutorBackend):
     """Scatter shards to file-queue workers over a shared filesystem.
 
-    ``workers`` local worker processes are spawned for convenience (``0``
-    means the operator runs every worker externally — other terminals, other
-    hosts).  The coordinator itself executes nothing: it enqueues tasks,
+    ``workers`` local worker processes are forked for the run (``0`` means
+    the operator runs every worker externally — other terminals, other
+    hosts — which needs a store they can all see).  Without a store, the
+    local workers share a private temporary one that is removed however the
+    run ends.  The coordinator itself executes nothing: it enqueues tasks,
     polls the store for landed records and quarantined shards, re-queues
     leases whose heartbeat went stale, speculatively re-dispatches stragglers
-    near the tail, and keeps the spawned worker population alive until the
+    near the tail, and keeps the local worker population alive until the
     campaign drains.
     """
-
-    name = "file-queue"
 
     def __init__(self, workers: int = 0, lease_timeout_s: float = 60.0,
                  poll_s: float = 0.2, timeout_s: Optional[float] = None,
@@ -574,16 +501,13 @@ class FileQueueBackend(ExecutorBackend):
         self.speculate_min_records = speculate_min_records
 
     # ---------------------------------------------------------------- spawning
-    def _spawn_worker(self, store: ResultStore, ordinal: int) -> subprocess.Popen:
-        log_path = FileQueue(store.root).root / f"worker-{ordinal}.log"
-        log_path.parent.mkdir(parents=True, exist_ok=True)
-        command = [sys.executable, "-m", "repro", "worker",
-                   "--queue", str(store.root), "--exit-when-empty",
-                   "--poll", str(self.poll_s),
-                   "--heartbeat", str(self.heartbeat_s)]
-        with open(log_path, "ab") as log:
-            return subprocess.Popen(command, stdout=log, stderr=log,
-                                    stdin=subprocess.DEVNULL)
+    def _spawn_worker(self, store: ResultStore,
+                      ordinal: int) -> multiprocessing.Process:
+        process = multiprocessing.Process(
+            target=_local_worker, name=f"repro-worker-{ordinal}", daemon=True,
+            args=(str(store.root), ordinal, self.poll_s, self.heartbeat_s))
+        process.start()
+        return process
 
     # ------------------------------------------------------------- speculation
     def _respeculate(self, queue: FileQueue,
@@ -628,11 +552,26 @@ class FileQueueBackend(ExecutorBackend):
     # --------------------------------------------------------------- execution
     def execute(self, spec: CampaignSpec, pending: Sequence[ShardSpec],
                 land: LandCallback, store: Optional[ResultStore],
-                park: Optional[ParkCallback] = None) -> None:
-        if store is None:
+                park: ParkCallback) -> None:
+        if store is not None:
+            self._drain(pending, land, store, park)
+            return
+        if not self.workers:
             raise ValueError(
-                "the file-queue backend needs a result store: workers "
-                "communicate through it (pass store=/--out)")
+                "the file-queue backend needs a result store when every "
+                "worker is external: they communicate through it (pass "
+                "store=/--out)")
+        root = tempfile.mkdtemp(prefix="repro-campaign-")
+        try:
+            private = ResultStore(root)
+            private.save_spec(spec)  # workers read it via require_spec()
+            self._drain(pending, land, private, park)
+        finally:
+            shutil.rmtree(root, ignore_errors=True)
+
+    def _drain(self, pending: Sequence[ShardSpec], land: LandCallback,
+               store: ResultStore, park: ParkCallback) -> None:
+        """Enqueue ``pending`` and coordinate until every shard is settled."""
         retry = self.retry if self.retry is not None else RetryPolicy()
         queue = FileQueue(store.root)
         queue.build(pending, retry=retry)
@@ -642,7 +581,7 @@ class FileQueueBackend(ExecutorBackend):
         quarantined: Set[int] = set()
         speculated: Set[int] = set()
         elapsed: List[float] = []
-        procs: List[subprocess.Popen] = []
+        procs: List[multiprocessing.Process] = []
         spawned = 0
         deadline = (time.monotonic() + self.timeout_s
                     if self.timeout_s is not None else None)
@@ -664,9 +603,7 @@ class FileQueueBackend(ExecutorBackend):
                 # store's quarantine; stop waiting for those shards (the
                 # engine decides whether quarantine fails the run).
                 for index in sorted(set(store.quarantined_indices()) & missing):
-                    if park is not None:
-                        park(store.load_quarantine_entry(index),
-                             persisted=True)
+                    park(store.load_quarantine_entry(index), persisted=True)
                     missing.discard(index)
                     quarantined.add(index)
                     queue.retire(index)
@@ -676,13 +613,13 @@ class FileQueueBackend(ExecutorBackend):
                                       done=recorded | quarantined)
                 self._respeculate(queue, by_index, missing, elapsed, total,
                                   speculated)
-                # Keep the spawned population at strength while *unclaimed*
+                # Keep the local population at strength while *unclaimed*
                 # tasks exist (a crashed worker's requeued shards must never
-                # wait on an operator).  Leases alone spawn nothing: spawned
-                # workers exit-when-empty, so a worker started during the
-                # campaign tail would only churn interpreter startups.
+                # wait on an operator).  Leases alone spawn nothing: local
+                # workers exit-when-empty, so one started during the
+                # campaign tail would only churn.
                 if self.workers:
-                    procs = [proc for proc in procs if proc.poll() is None]
+                    procs = [proc for proc in procs if proc.is_alive()]
                     while len(procs) < self.workers and queue.has_pending_tasks:
                         procs.append(self._spawn_worker(store, spawned))
                         spawned += 1
@@ -691,44 +628,21 @@ class FileQueueBackend(ExecutorBackend):
                         f"file-queue campaign timed out with {len(missing)} "
                         f"shard(s) outstanding (no worker progress within "
                         f"{self.timeout_s:.0f}s?)")
-                time.sleep(self.poll_s)
+                # A local worker exits right after its last shard lands, so
+                # waking on its exit ends the campaign without a poll's lag.
+                if procs:
+                    multiprocessing.connection.wait(
+                        [proc.sentinel for proc in procs], timeout=self.poll_s)
+                else:
+                    time.sleep(self.poll_s)
         finally:
             for proc in procs:
-                if proc.poll() is None:
+                if proc.is_alive():
                     proc.terminate()
             for proc in procs:
-                try:
-                    proc.wait(timeout=5)
-                except subprocess.TimeoutExpired:
+                proc.join(timeout=5)
+                if proc.is_alive():
                     proc.kill()
-        if park is None and quarantined:
-            # Direct callers without a park callback keep fail-fast
-            # semantics; the queue survives for diagnosis.
-            entries = {index: store.load_quarantine_entry(index)
-                       for index in sorted(quarantined)}
-            raise ShardFailure(quarantine_summary(entries, store))
+                    proc.join()
         if not self.keep_queue:
             queue.destroy()
-
-
-#: Backend factories by CLI name (did-you-mean errors on miss).
-BACKENDS: Registry[Callable[..., ExecutorBackend]] = Registry("executor backend")
-BACKENDS.register("serial",
-                  lambda workers=1, retry=None, **_: SerialBackend(retry=retry))
-BACKENDS.register("pool",
-                  lambda workers=2, retry=None, **_:
-                      ProcessPoolBackend(workers=workers, retry=retry),
-                  aliases=("process-pool", "processpool"))
-BACKENDS.register(
-    "file-queue",
-    lambda workers=0, lease_timeout_s=60.0, poll_s=0.2, timeout_s=None,
-           retry=None, heartbeat_s=None, **_:
-        FileQueueBackend(workers=workers, lease_timeout_s=lease_timeout_s,
-                         poll_s=poll_s, timeout_s=timeout_s, retry=retry,
-                         heartbeat_s=heartbeat_s),
-    aliases=("filequeue", "fq"))
-
-
-def make_backend(name: str, **options: Any) -> ExecutorBackend:
-    """Build a backend by CLI name (``serial``/``pool``/``file-queue``)."""
-    return BACKENDS.get(name)(**options)

@@ -4,8 +4,9 @@ One entry point for the whole results pipeline:
 
 * ``run`` — execute one serial experiment runner and print its table;
 * ``campaign`` — run a sharded campaign (by experiment name or from a spec
-  JSON file) on an executor backend — in-process, a local process pool, or
-  file-queue workers — persisting to a result store;
+  JSON file) in-process (``--workers 1``) or on a file queue drained by
+  forked local workers (``--workers N``) and/or external workers
+  (``--workers 0``), persisting to a result store;
 * ``worker`` — a file-queue worker: claim shards from a campaign store on a
   shared filesystem, execute them, write records (run any number of these,
   on any host that mounts the store);
@@ -33,7 +34,11 @@ from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from repro.api import SCENARIOS
 from repro.campaign.adapters import CAMPAIGNS, get_adapter
-from repro.campaign.backends import ExecutorBackend, make_backend
+from repro.campaign.backends import (
+    ExecutorBackend,
+    FileQueueBackend,
+    SerialBackend,
+)
 from repro.campaign.engine import ProgressCallback, run_campaign
 from repro.campaign.progress import CampaignProgress
 from repro.campaign.retry import RetryPolicy
@@ -205,26 +210,32 @@ def _retry_policy(args: argparse.Namespace) -> Optional[RetryPolicy]:
         raise SystemExit(f"--max-attempts: {error}") from error
 
 
-def _build_backend(args: argparse.Namespace) -> Optional[ExecutorBackend]:
-    """The explicit --backend choice (None defers to the workers heuristic)."""
-    name = getattr(args, "backend", None)
-    if name is None:
-        return None
-    try:
-        return make_backend(name, workers=args.workers,
-                            lease_timeout_s=args.lease_timeout,
-                            retry=_retry_policy(args))
-    except KeyError as error:
-        raise SystemExit(
-            str(error.args[0]) if error.args else str(error)) from error
+def _backend(args: argparse.Namespace) -> ExecutorBackend:
+    """The executor ``--workers`` picks; bad execution flags exit here.
+
+    Called before the result store is touched, so a rejected flag leaves
+    nothing behind.
+    """
+    retry = _retry_policy(args)
+    if args.workers < 0:
+        raise SystemExit("--workers: must be non-negative")
+    if args.workers == 0 and not args.out:
+        raise SystemExit("--workers 0: external workers share the queue "
+                         "through the result store; pass --out DIR")
+    if args.lease_timeout <= 0:
+        raise SystemExit("--lease-timeout: must be positive")
+    if args.workers == 1:
+        return SerialBackend(retry=retry)
+    return FileQueueBackend(workers=args.workers,
+                            lease_timeout_s=args.lease_timeout, retry=retry)
 
 
 def _finish_campaign(spec: CampaignSpec, args: argparse.Namespace) -> int:
+    backend = _backend(args)
     store = ResultStore(args.out) if args.out else None
-    run = run_campaign(spec, workers=args.workers, store=store,
+    run = run_campaign(spec, store=store,
                        progress=_choose_progress(spec, args),
-                       backend=_build_backend(args),
-                       retry=_retry_policy(args),
+                       backend=backend,
                        strict=getattr(args, "strict", False))
     _print(f"campaign {spec.name!r} ({spec.experiment}): "
            f"{len(run.records)} shard(s), {run.executed} executed, "
@@ -324,6 +335,10 @@ def _cmd_worker(args: argparse.Namespace) -> int:
     from repro.campaign.faults import ENV_FAULT_PLAN
     from repro.campaign.worker import EXIT_STARTUP_TIMEOUT, run_worker
 
+    if args.poll <= 0:
+        raise SystemExit("--poll: must be positive")
+    if args.heartbeat <= 0:
+        raise SystemExit("--heartbeat: must be positive")
     if args.fault_plan:
         # The env var is the activation mechanism (inherited by everything
         # the worker runs); the flag is its CLI spelling.
@@ -397,13 +412,13 @@ def _cmd_report(args: argparse.Namespace) -> int:
 def _add_execution_options(parser: argparse.ArgumentParser) -> None:
     """Options shared by ``campaign`` and ``resume``."""
     parser.add_argument("--workers", type=int, default=1,
-                        help="worker count: pool processes, or spawned local "
-                             "file-queue workers (0 = external workers only)")
-    parser.add_argument("--backend", default=None, metavar="BACKEND",
-                        help="executor backend: serial, pool, or file-queue "
-                             "(default: serial for --workers 1, else pool)")
+                        help="1 runs in-process; N >= 2 forks N local "
+                             "workers draining a file queue (under --out, "
+                             "else a private temporary store); 0 queues for "
+                             "external 'python -m repro worker' processes "
+                             "only (needs --out)")
     parser.add_argument("--lease-timeout", type=float, default=60.0,
-                        help="file-queue: seconds a claim may go without a "
+                        help="file queue: seconds a claim may go without a "
                              "heartbeat before it is re-queued (default 60)")
     parser.add_argument("--max-attempts", type=int, default=None,
                         metavar="N",

@@ -1,10 +1,11 @@
-"""Sharded campaign execution over pluggable executor backends.
+"""Sharded campaign execution over two executor backends.
 
 ``run_campaign`` compiles a :class:`~repro.campaign.spec.CampaignSpec` into
 its canonical shard list, hands the pending shards to an
-:class:`~repro.campaign.backends.ExecutorBackend` — in-process serial, a
-local process pool, or file-queue workers scattered across hosts — and
-reduces the records into one merged experiment result per seed replicate.
+:class:`~repro.campaign.backends.ExecutorBackend` — in-process serial for one
+worker, otherwise a file queue drained by forked local workers and/or
+workers on other hosts — and reduces the records into one merged experiment
+result per seed replicate.
 
 Determinism contract: a shard is a pure function of ``(spec, shard)`` (its
 seed was fixed at compile time, in canonical order), every record is
@@ -30,7 +31,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 from repro.campaign.adapters import CampaignAdapter, get_adapter
 from repro.campaign.backends import (
     ExecutorBackend,
-    ProcessPoolBackend,
+    FileQueueBackend,
     SerialBackend,
     ShardFailure,
     quarantine_summary,
@@ -94,10 +95,10 @@ class CampaignRun:
 def execute_shard(spec: CampaignSpec, shard: ShardSpec) -> ShardRecord:
     """Run one shard and wrap its payload in a :class:`ShardRecord`.
 
-    This is the chaos seam shared by *every* backend: when a fault plan is
+    This is the chaos seam shared by both backends: when a fault plan is
     active (``$REPRO_FAULT_PLAN``), injected hangs and transient failures
-    fire here — before the adapter runs — so serial, pool, and file-queue
-    executions all exercise the same retry machinery.
+    fire here — before the adapter runs — so serial and file-queue
+    executions both exercise the same retry machinery.
     """
     injector = FaultInjector.from_env()
     if injector is not None:
@@ -117,23 +118,6 @@ def execute_shard(spec: CampaignSpec, shard: ShardSpec) -> ShardRecord:
     )
 
 
-def _shard_task(spec_data: Dict[str, Any], shard_data: Dict[str, Any]) -> Dict[str, Any]:
-    """Worker-side entry point (everything crosses as JSON primitives)."""
-    spec = CampaignSpec.from_dict(spec_data)
-    shard = ShardSpec.from_dict(shard_data)
-    return execute_shard(spec, shard).to_dict()
-
-
-def default_backend(workers: int,
-                    retry: Optional[RetryPolicy] = None) -> ExecutorBackend:
-    """The historical worker-count behaviour as a backend choice."""
-    if workers < 1:
-        raise ValueError("workers must be at least 1")
-    if workers == 1:
-        return SerialBackend(retry=retry)
-    return ProcessPoolBackend(workers, retry=retry)
-
-
 def run_campaign(spec: CampaignSpec, workers: int = 1,
                  store: Optional[ResultStore] = None,
                  progress: Optional[ProgressCallback] = None,
@@ -147,9 +131,13 @@ def run_campaign(spec: CampaignSpec, workers: int = 1,
     spec:
         The campaign to run.
     workers:
-        Process count when no explicit ``backend`` is given; ``1`` executes
-        in-process (:class:`~repro.campaign.backends.SerialBackend`), more
-        uses a local :class:`~repro.campaign.backends.ProcessPoolBackend`.
+        The executor when no explicit ``backend`` is given: ``1`` executes
+        in-process (:class:`~repro.campaign.backends.SerialBackend`); ``N >=
+        2`` forks ``N`` local workers draining a
+        :class:`~repro.campaign.backends.FileQueueBackend` (on a private
+        temporary store when ``store`` is omitted); ``0`` enqueues for
+        external ``python -m repro worker`` processes only, which needs a
+        ``store``.
     store:
         Optional on-disk store.  Completed shards are persisted atomically as
         they land; shards already persisted (from an earlier, possibly
@@ -172,7 +160,8 @@ def run_campaign(spec: CampaignSpec, workers: int = 1,
         cannot throw away a night of fleet work.
     """
     if backend is None:
-        backend = default_backend(workers, retry=retry)
+        backend = (SerialBackend(retry=retry) if workers == 1
+                   else FileQueueBackend(workers=workers, retry=retry))
     adapter = get_adapter(spec.experiment)
     # An axis the shard runner does not understand would silently multiply
     # shards and desynchronise the serial-slice arithmetic; fail instead.

@@ -3,7 +3,7 @@
 Every recovery path in the campaign machinery — lease re-queue after a crash,
 retry with backoff, quarantine after the budget, heartbeat staleness,
 straggler re-dispatch — exists because real fleets fail.  None of them can be
-trusted unless CI can *drive* them, with real subprocess workers, on every
+trusted unless CI can *drive* them, with real worker processes, on every
 push.  This module makes failure a first-class, reproducible input:
 
 * a :class:`FaultPlan` is a JSON document describing which faults to inject
@@ -36,10 +36,11 @@ Fault kinds:
     Write a torn, non-atomic partial record artifact and ``os._exit`` —
     the kill -9 that the tmp + ``os.replace`` idiom must make harmless.
 
-The crash kinds are honoured by the file-queue worker only (crashing a
-process-pool child would just break the pool); ``transient`` and ``hang``
-fire inside :func:`~repro.campaign.engine.execute_shard` and therefore cover
-every backend.
+The crash kinds are honoured by the file-queue worker loop, so they apply to
+every ``--workers N`` run with ``N >= 2`` (forked local workers) or ``0``
+(external workers); a serial run never crashes itself.  ``transient`` and
+``hang`` fire inside :func:`~repro.campaign.engine.execute_shard` and
+therefore cover both backends.
 """
 
 from __future__ import annotations

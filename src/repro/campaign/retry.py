@@ -1,9 +1,12 @@
 """Retry policy for campaign shard execution.
 
-One :class:`RetryPolicy` is shared by every executor backend: the pool and
-serial backends apply it in-process, and the file-queue coordinator persists
-it into the queue (``queue/retry.json``) so detached workers apply the exact
-same budget and backoff schedule.
+One :class:`RetryPolicy` is shared by both executor backends: the serial
+backend applies it in-process, and the file-queue coordinator persists it
+into the queue (``queue/retry.json``) so every worker — forked locally or
+detached on another host — applies the exact same budget and backoff
+schedule.  :meth:`RetryPolicy.after_failure` is the one place a failed
+attempt is counted and judged: the serial backend sleeps out the backoff it
+returns, a worker defers its task file by it.
 
 Backoff is exponential with *deterministic* jitter: the jitter draw is seeded
 from the shard's own seed and the attempt number via
@@ -16,8 +19,12 @@ is unaffected by how many attempts a shard needed.
 
 from __future__ import annotations
 
+import traceback
 from dataclasses import dataclass
+from typing import Callable, Optional, Union
 
+from repro.campaign.spec import ShardSpec
+from repro.campaign.store import QuarantineEntry
 from repro.utils.rng import spawn_rng
 from repro.utils.serde import JsonSerializable
 
@@ -74,3 +81,20 @@ class RetryPolicy(JsonSerializable):
     def exhausted(self, attempts: int) -> bool:
         """True once ``attempts`` failed executions used up the budget."""
         return attempts >= self.max_attempts
+
+    def after_failure(self, shard: ShardSpec, bump: Callable[[int, str], int],
+                      worker: Optional[str]) -> Union[QuarantineEntry, float]:
+        """Count the failure being handled; park the shard or back off.
+
+        Call from an ``except Exception`` block: the current traceback is
+        handed to ``bump`` (which persists the attempt and returns the new
+        count).  Returns the :class:`QuarantineEntry` to park once the budget
+        is exhausted, else the seconds to wait before the next attempt.
+        """
+        trace = traceback.format_exc()
+        attempts = bump(shard.index, trace)
+        if self.exhausted(attempts):
+            return QuarantineEntry(index=shard.index, attempts=attempts,
+                                   error=trace, worker=worker,
+                                   shard=shard.to_dict())
+        return self.backoff_s(shard.seed, attempts)

@@ -2,8 +2,10 @@
 
 ``python -m repro worker --queue DIR`` runs this loop against a campaign
 result store (``DIR`` is the same directory the coordinator was given via
-``--out``).  Any number of workers — on this host or any host that mounts the
-store's filesystem — drain the queue cooperatively:
+``--out``).  ``run_campaign(workers=N)`` / ``--workers N`` forks ``N`` local
+processes running this same loop; any number of further workers — on this
+host or any host that mounts the store's filesystem — drain the queue
+cooperatively:
 
 1. wait for the coordinator's ``ready`` marker (the queue may not exist yet);
 2. claim one task via atomic rename (``queue/tasks`` -> ``queue/leases``);
@@ -19,17 +21,20 @@ twice — a re-queued crash, or a speculative straggler re-dispatch — writes
 byte-compatible records and the merged result is unaffected.
 
 Shard *failures* are retried under the queue's persisted
-:class:`~repro.campaign.retry.RetryPolicy`: the worker bumps the shard's
-attempt count in the store, re-enqueues the task deferred by the policy's
-backoff, and — once the budget is exhausted — parks the shard in the store's
-``quarantine/`` directory with its traceback.  The coordinator decides
-whether quarantine fails the campaign; the worker just reports it in its
-exit code.
+:class:`~repro.campaign.retry.RetryPolicy`, judged by the same
+:meth:`~repro.campaign.retry.RetryPolicy.after_failure` the serial backend
+uses: the worker bumps the shard's attempt count in the store, re-enqueues
+the task deferred by the policy's backoff, and — once the budget is
+exhausted — parks the shard in the store's ``quarantine/`` directory with its
+traceback.  Only exceptions count as failures; an interrupt (Ctrl-C) stops
+the worker and leaves the shard's attempts untouched.  The coordinator
+decides whether quarantine fails the campaign; the worker just reports it in
+its exit code.
 
 Deterministic chaos: when ``$REPRO_FAULT_PLAN`` names a fault plan (see
 :mod:`repro.campaign.faults`), the worker injects the plan's crashes and
 heartbeat delays at the exact production seams — which is how the chaos
-suite proves every recovery path above against real subprocesses.
+suite proves every recovery path above against real worker processes.
 """
 
 from __future__ import annotations
@@ -38,7 +43,6 @@ import os
 import sys
 import threading
 import time
-import traceback
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Union
@@ -226,23 +230,22 @@ def run_worker(queue_dir: Union[str, Path], poll_s: float = 0.2,
         try:
             with _Heartbeat(queue, lease, heartbeat_s, delay_s=delay_s):
                 record = execute_shard(spec, shard)
-        except BaseException:
-            trace = traceback.format_exc()
-            attempts = store.bump_attempts(shard.index, trace)
-            if retry.exhausted(attempts):
-                store.save_quarantine(QuarantineEntry(
-                    index=shard.index, attempts=attempts, error=trace,
-                    worker=worker_id, shard=shard.to_dict()))
+        except Exception:
+            # Only a shard's own failure counts as an attempt: an interrupt
+            # (KeyboardInterrupt, SystemExit) propagates and leaves the lease
+            # for the coordinator to re-queue.
+            verdict = retry.after_failure(shard, store.bump_attempts,
+                                          worker_id)
+            if isinstance(verdict, QuarantineEntry):
+                store.save_quarantine(verdict)
                 queue.release(lease)
                 quarantined += 1
-                _log(f"shard {shard.index} quarantined after {attempts} "
-                     "attempt(s)", quiet)
+                _log(f"shard {shard.index} quarantined after "
+                     f"{verdict.attempts} attempt(s)", quiet)
             else:
-                backoff = retry.backoff_s(shard.seed, attempts)
-                queue.requeue_with_backoff(lease, backoff)
-                _log(f"shard {shard.index} failed (attempt {attempts}/"
-                     f"{retry.max_attempts}); re-queued with "
-                     f"{backoff:.2f}s backoff", quiet)
+                queue.requeue_with_backoff(lease, verdict)
+                _log(f"shard {shard.index} failed; re-queued with "
+                     f"{verdict:.2f}s backoff", quiet)
             continue
         crash = injector.crash_kind(shard.index) if injector else None
         if crash is not None:

@@ -2,14 +2,16 @@
 
 The campaign engine's core promise is that the merged result is a pure
 function of the spec — not of the backend, worker count, scheduling, or crash
-history.  These tests run one small campaign under every backend and require
-the *bytes* of ``merged.json`` to be identical, then attack the file-queue
-backend's recovery paths (orphaned leases, a worker killed mid-run).
+history.  These tests run one small campaign under every executor choice and
+require the *bytes* of ``merged.json`` to be identical, then attack the
+file-queue backend's recovery paths (orphaned leases, a worker killed
+mid-run, an interrupted worker).
 """
 
 import os
 import subprocess
 import sys
+import tempfile
 import threading
 import time
 from pathlib import Path
@@ -18,7 +20,6 @@ import pytest
 
 from repro.campaign import (
     FileQueueBackend,
-    ProcessPoolBackend,
     ResultStore,
     RetryPolicy,
     SerialBackend,
@@ -69,38 +70,89 @@ def reference_merged(tmp_path_factory):
     return store.merged_path.read_bytes()
 
 
-BACKENDS = [
-    ("serial", lambda: SerialBackend()),
-    ("pool-1", lambda: ProcessPoolBackend(1)),
-    ("pool-4", lambda: ProcessPoolBackend(4)),
-    ("file-queue-2", lambda: FileQueueBackend(workers=2, poll_s=0.05,
-                                              timeout_s=300.0)),
+def store_run(factory, tmp_path):
+    """Run the small campaign with an explicit backend into a store."""
+    store = ResultStore(tmp_path / "campaign")
+    run = run_campaign(small_spec(), store=store, backend=factory())
+    return run, store.merged_path.read_bytes()
+
+
+def workers_run(workers, with_store):
+    """Run the small campaign by worker count; merged.json bytes come from
+    the store, or (private queue) from the run's own persistable result."""
+    def execute(tmp_path):
+        if with_store:
+            store = ResultStore(tmp_path / "campaign")
+            run = run_campaign(small_spec(), workers=workers, store=store)
+            return run, store.merged_path.read_bytes()
+        run = run_campaign(small_spec(), workers=workers)
+        mirror = ResultStore(tmp_path / "mirror")
+        mirror.save_merged(run.campaign_result())
+        return run, mirror.merged_path.read_bytes()
+    return execute
+
+
+EXECUTORS = [
+    ("serial", lambda tmp_path: store_run(SerialBackend, tmp_path)),
+    ("workers-2-private", workers_run(2, with_store=False)),
+    ("workers-4-store", workers_run(4, with_store=True)),
+    ("file-queue-2", lambda tmp_path: store_run(
+        lambda: FileQueueBackend(workers=2, poll_s=0.05, timeout_s=300.0),
+        tmp_path)),
 ]
 
 
 class TestBackendBitIdentity:
-    @pytest.mark.parametrize("label,factory", BACKENDS,
-                             ids=[label for label, _ in BACKENDS])
+    @pytest.mark.parametrize("label,execute", EXECUTORS,
+                             ids=[label for label, _ in EXECUTORS])
     def test_merged_json_byte_identical_across_backends(
-            self, label, factory, tmp_path, reference_merged):
-        store = ResultStore(tmp_path / "campaign")
-        run = run_campaign(small_spec(), store=store, backend=factory())
+            self, label, execute, tmp_path, reference_merged):
+        run, merged = execute(tmp_path)
         assert run.executed == 4
-        assert store.merged_path.read_bytes() == reference_merged
+        assert merged == reference_merged
 
     def test_explicit_backend_overrides_workers_heuristic(self, tmp_path):
-        # workers=7 would mean a pool; the explicit serial backend wins.
+        # workers=7 would mean the file queue; the explicit serial backend
+        # wins.
         store = ResultStore(tmp_path / "campaign")
         run = run_campaign(small_spec(), workers=7, store=store,
                            backend=SerialBackend())
         assert run.executed == 4
 
 
+class TestPrivateQueue:
+    def private_dirs(self, root):
+        return sorted(path.name for path in Path(root).iterdir())
+
+    def test_private_store_is_removed_after_a_clean_run(self, tmp_path,
+                                                        monkeypatch):
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        seen = []
+        run = run_campaign(
+            small_spec(), workers=2,
+            progress=lambda *_: seen.append(self.private_dirs(tmp_path)))
+        assert run.complete
+        # The workers really ran on a private store under the temp root ...
+        assert seen and all(len(listing) == 1 for listing in seen)
+        # ... and nothing of it survives the run.
+        assert self.private_dirs(tmp_path) == []
+
+    def test_private_store_is_removed_after_a_strict_failure(
+            self, tmp_path, monkeypatch):
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        spec = get_adapter("figure5").default_spec(client_ids=(1, 999),
+                                                   num_packets=1)
+        with pytest.raises(ShardFailure, match="unknown client id 999"):
+            run_campaign(spec, workers=2, strict=True,
+                         retry=RetryPolicy(max_attempts=1))
+        assert self.private_dirs(tmp_path) == []
+
+
 class TestFileQueueProtocol:
     def test_requires_a_store(self):
         with pytest.raises(ValueError, match="result store"):
             run_campaign(small_spec(),
-                         backend=FileQueueBackend(workers=1, timeout_s=60.0))
+                         backend=FileQueueBackend(workers=0, timeout_s=60.0))
 
     def test_claim_is_exclusive_and_release_clears(self, tmp_path):
         shards = small_spec().compile()
@@ -195,6 +247,44 @@ class TestWorkerLoop:
                             exit_when_empty=True)
         assert result.executed == 1
         assert len(store.completed_indices()) == 1
+
+    def test_interrupt_propagates_without_counting_an_attempt(
+            self, tmp_path, monkeypatch):
+        # Ctrl-C mid-shard stops the worker: the healthy shard is neither
+        # charged an attempt nor quarantined (even with a one-attempt
+        # budget), and the worker does not go on to the next shard.
+        spec = small_spec()
+        store = ResultStore(tmp_path / "campaign")
+        store.save_spec(spec)
+        queue = FileQueue(store.root)
+        queue.build(spec.compile(), retry=RetryPolicy(max_attempts=1))
+
+        def interrupted(spec, shard):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr("repro.campaign.worker.execute_shard", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            run_worker(store.root, poll_s=0.05, exit_when_empty=True)
+        assert store.attempt_counts() == {}
+        assert store.quarantined_indices() == ()
+        assert store.completed_indices() == ()
+        # The interrupted shard's lease stays for the coordinator to
+        # re-queue; the other shards were never claimed.
+        assert len(queue.leases()) == 1
+        assert len(queue._entries(queue.tasks_dir)) == 3
+
+    def test_interrupt_propagates_from_the_serial_backend(
+            self, tmp_path, monkeypatch):
+        def interrupted(spec, shard):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr("repro.campaign.engine.execute_shard", interrupted)
+        store = ResultStore(tmp_path / "campaign")
+        with pytest.raises(KeyboardInterrupt):
+            run_campaign(small_spec(), workers=1, store=store,
+                         retry=RetryPolicy(max_attempts=1))
+        assert store.attempt_counts() == {}
+        assert store.quarantined_indices() == ()
 
 
 class TestCrashRecovery:

@@ -102,16 +102,38 @@ class TestBackendsAndProgress:
         heartbeat = ResultStore(tmp_path / "campaign").load_progress()
         assert heartbeat["done"] is True
 
-    def test_file_queue_backend_matches_pool_through_the_cli(self, tmp_path):
+    def test_file_queue_matches_serial_through_the_cli(self, tmp_path):
         common = ("figure5", "--axis", "client_id=1,2",
                   "--param", "num_packets=1", "--quiet")
+        assert run_cli("campaign", *common, "--workers", "1",
+                       "--out", str(tmp_path / "serial")) == 0
         assert run_cli("campaign", *common, "--workers", "2",
-                       "--out", str(tmp_path / "pool")) == 0
-        assert run_cli("campaign", *common, "--backend", "file-queue",
-                       "--workers", "1", "--lease-timeout", "60",
+                       "--lease-timeout", "60",
                        "--out", str(tmp_path / "fq")) == 0
-        assert ((tmp_path / "pool" / "merged.json").read_bytes()
+        assert ((tmp_path / "serial" / "merged.json").read_bytes()
                 == (tmp_path / "fq" / "merged.json").read_bytes())
+
+    @pytest.mark.parametrize("argv,flag", [
+        (("campaign", "figure5", "--workers", "0"), "--workers 0"),
+        (("campaign", "figure5", "--workers", "-1", "--out", "{out}"),
+         "--workers"),
+        (("campaign", "figure5", "--workers", "2", "--lease-timeout", "0",
+          "--out", "{out}"), "--lease-timeout"),
+        (("campaign", "figure5", "--max-attempts", "0", "--out", "{out}"),
+         "--max-attempts"),
+        (("worker", "--queue", "{out}", "--poll", "0"), "--poll"),
+        (("worker", "--queue", "{out}", "--heartbeat", "0"), "--heartbeat"),
+    ], ids=["workers-0-no-out", "workers-negative", "lease-timeout-0",
+            "max-attempts-0", "poll-0", "heartbeat-0"])
+    def test_bad_execution_options_exit_naming_the_flag(self, tmp_path,
+                                                        argv, flag):
+        out = tmp_path / "campaign"
+        with pytest.raises(SystemExit) as exit_info:
+            run_cli(*(arg.format(out=out) for arg in argv))
+        message = str(exit_info.value.code)
+        assert message.startswith(flag)
+        assert "\n" not in message
+        assert not out.exists()  # rejected before the store was touched
 
     def test_worker_subcommand_drains_a_prebuilt_queue(self, tmp_path):
         from repro.campaign import get_adapter
