@@ -422,7 +422,9 @@ class BatchAoAEstimator:
         estimates = []
         for samples, correction, start in zip(samples_list, corrections, packet_starts):
             estimate = self._tracker.update(samples, correction)
-            estimates.append(replace(estimate, packet_start=start))
+            # Tracker estimates carry packet_start=None already.
+            estimates.append(estimate if start is None
+                             else replace(estimate, packet_start=start))
         return estimates
 
     # ------------------------------------------------------------ scan arrays

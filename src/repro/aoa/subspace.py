@@ -33,6 +33,7 @@ is pinned by ``tests/test_subspace_tracker.py``.
 
 from __future__ import annotations
 
+import math
 from typing import List, Optional
 
 import numpy as np
@@ -46,7 +47,7 @@ from repro.aoa.spectrum import (
     grid_peak_params,
 )
 from repro.arrays.geometry import AntennaArray, UniformLinearArray
-from repro.kernels.backend import complex_dtype, kernels
+from repro.kernels.backend import complex_dtype, kernels, real_dtype
 
 #: Default forgetting factor of the running correlation (survives ~10 packets).
 DEFAULT_FORGETTING = 0.9
@@ -104,6 +105,9 @@ class SubspaceTracker:
         self._steering_total = np.sum(np.abs(self._steering) ** 2, axis=0)
         self._wrap, self._min_separation = grid_peak_params(self._grid)
         self._num_elements = n
+        self._identity = np.eye(n, dtype=real_dtype(config.precision))
+        #: Relative column norm below which Gram-Schmidt forces a resync.
+        self._degenerate_norm = float(np.sqrt(np.finfo(self._cdtype).eps))
         self.reset()
 
     # ------------------------------------------------------------------ state
@@ -183,8 +187,7 @@ class SubspaceTracker:
             power = np.trace(matrix).real / matrix.shape[0]
             load = self.config.loading_factor * max(
                 power, float(np.finfo(matrix.real.dtype).tiny))
-            matrix = matrix + load * np.eye(matrix.shape[0],
-                                            dtype=matrix.real.dtype)
+            matrix = matrix + load * self._identity
         return matrix
 
     # ---------------------------------------------------------------- subspace
@@ -215,18 +218,16 @@ class SubspaceTracker:
                                     max_sources=max_sources)
 
     def _orthonormalized(self, basis: np.ndarray) -> Optional[np.ndarray]:
-        """Modified Gram-Schmidt; None when a column degenerates."""
-        basis = np.array(basis, copy=True)
-        threshold = float(np.sqrt(np.finfo(basis.real.dtype).eps))
-        scale = float(np.linalg.norm(basis[:, -1]))
-        if not np.isfinite(scale) or scale <= 0.0:
+        """Modified Gram-Schmidt in place; None when a column degenerates."""
+        scale = _norm(basis[:, -1])
+        if not math.isfinite(scale) or scale <= 0.0:
             return None
         for k in range(basis.shape[1]):
             column = basis[:, k]
             for j in range(k):
                 column -= basis[:, j] * np.vdot(basis[:, j], column)
-            norm = float(np.linalg.norm(column))
-            if not np.isfinite(norm) or norm < threshold * scale:
+            norm = _norm(column)
+            if not math.isfinite(norm) or norm < self._degenerate_norm * scale:
                 return None
             basis[:, k] = column / norm
         return basis
@@ -265,3 +266,10 @@ class SubspaceTracker:
             num_sources=int(self._rank),
             packet_start=None,
         )
+
+
+def _norm(vector: np.ndarray) -> float:
+    """``np.linalg.norm`` of a complex vector (same arithmetic), minus its
+    per-call dispatch overhead — the tracker takes two or three per packet."""
+    flat = vector.ravel()
+    return float(np.sqrt(flat.real.dot(flat.real) + flat.imag.dot(flat.imag)))

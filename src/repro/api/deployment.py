@@ -22,12 +22,13 @@ the full live stack — environment, per-AP testbed simulators, calibrated
 Randomness: the scenario seed drives one master generator; AP simulators
 draw from it exactly as the hand-wired experiments used to (directly for a
 lone AP, via numbered child streams otherwise), so a spec-built deployment
-reproduces the legacy experiment wiring bit-for-bit.
+reproduces the legacy experiment wiring bit-for-bit.  Each simulator keys its
+captures by capture ordinal, so later draws from the master (attacker
+addresses) never perturb a capture.
 """
 
 from __future__ import annotations
 
-import copy
 import time
 from dataclasses import replace
 from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Tuple
@@ -71,22 +72,6 @@ class Deployment:
         self._rng = ensure_rng(spec.seed if rng is None else rng)
         self.environment = ENVIRONMENTS.get(spec.environment)()
         self._ap_specs = spec.resolved_access_points()
-        # A lone AP with no pinned stream/seed consumes the master generator
-        # directly (the hand-wired single-AP experiment convention).  Attacker
-        # addresses must then stay entirely off the master — draws come from a
-        # snapshot of its state taken here, before the simulators consume any
-        # of it — so the addresses still follow the caller's generator while
-        # declaring or touching attackers can never perturb the capture
-        # stream.  With per-AP streams the address draw uses the master
-        # lazily instead, matching the legacy experiments' interleaved spawn
-        # order.
-        lone_spec = self._ap_specs[0]
-        self._master_is_sim_rng = (len(self._ap_specs) == 1
-                                   and lone_spec.seed is None
-                                   and lone_spec.rng_stream is None)
-        self._attacker_rng_base = (copy.deepcopy(self._rng)
-                                   if self._master_is_sim_rng and spec.attackers
-                                   else None)
 
         self.simulators: Dict[str, TestbedSimulator] = {}
         self.aps: Dict[str, SecureAngleAP] = {}
@@ -209,24 +194,15 @@ class Deployment:
         """The spec's attackers (built lazily).
 
         Addresses not pinned by the spec are drawn from the master generator's
-        attacker stream — via a construction-time snapshot of its state when a
-        lone AP owns the master, so captures stay unperturbed.
+        attacker stream.  Captures are keyed by their ordinals, so building
+        the attackers never perturbs them.
         """
         if self._attackers is None:
             attackers: Dict[str, Attacker] = {}
             if self.spec.attackers:
                 ap_positions = {ap.name: ap.position for ap in self.aps.values()}
-                if self._attacker_rng_base is not None:
-                    # The lone AP's simulator owns the master generator;
-                    # draw from the construction-time snapshot of its state
-                    # instead, keeping captures invariant to attacker
-                    # declarations and access order while the addresses
-                    # still track the caller's generator.
-                    address_rng = spawn_rng(self._attacker_rng_base,
-                                            self.spec.attacker_address_stream)
-                else:
-                    address_rng = spawn_rng(self._rng,
-                                            self.spec.attacker_address_stream)
+                address_rng = spawn_rng(self._rng,
+                                        self.spec.attacker_address_stream)
                 for attacker_spec in self.spec.attackers:
                     # Name collisions were rejected by ScenarioSpec validation.
                     attacker = attacker_spec.build(self.environment, ap_positions,

@@ -32,6 +32,7 @@ from repro.testbed.environment import TestbedEnvironment
 from repro.testbed.scenario import SimulatorConfig
 from repro.utils.rng import RngLike, ensure_rng
 from repro.utils.serde import JsonSerializable
+from repro.utils.validation import require_non_negative_int
 
 __all__ = [
     "AccessPointSpec",
@@ -161,6 +162,10 @@ class AccessPointSpec(JsonSerializable):
             raise ValueError("access points need a non-empty name")
         if self.rng_stream is not None and self.seed is not None:
             raise ValueError(f"AP {self.name!r}: set rng_stream or seed, not both")
+        for field_name in ("rng_stream", "seed"):
+            if getattr(self, field_name) is not None:
+                require_non_negative_int(getattr(self, field_name),
+                                         f"AP {self.name!r} {field_name}")
         _coerce_xy(self, "position")
 
     def resolve_position(self, environment: TestbedEnvironment) -> Point:
@@ -397,6 +402,9 @@ class ScenarioSpec(JsonSerializable):
     attacker_address_stream: int = 4
 
     def __post_init__(self) -> None:
+        for field_name in ("seed", "client_address_seed",
+                           "attacker_address_stream"):
+            require_non_negative_int(getattr(self, field_name), field_name)
         ENVIRONMENTS.canonical(self.environment)
         object.__setattr__(self, "access_points", tuple(self.access_points))
         object.__setattr__(self, "attackers", tuple(self.attackers))

@@ -50,8 +50,6 @@ class Attacker:
       propagation paths (directional beams, tuned reflections);
     * :meth:`shape_waveform` — the transmit chain: distort the modulated
       baseband waveform (replayed recordings, carrier-frequency offset);
-      classes that override it must also set :attr:`shapes_waveform` so the
-      simulator spawns the extra per-packet rng substream;
     * :meth:`transmit_position` — the geometry: attackers made of several
       transmitters (coordinated swarms) pick a member per packet.
     """
@@ -65,12 +63,6 @@ class Attacker:
     #: accepts.  The spec validates declared knobs against this at
     #: construction and forwards them to the constructor in ``build``.
     spec_knobs: ClassVar[Tuple[str, ...]] = ()
-
-    #: True when :meth:`shape_waveform` does anything.  The simulator spawns
-    #: the per-packet waveform-shaping substream (stream 25) only for shaping
-    #: attackers, keeping the legacy four-substream capture layout — and the
-    #: campaign shards' capture-skip arithmetic — intact for everyone else.
-    shapes_waveform: ClassVar[bool] = False
 
     def shape_paths(self, paths: List[PropagationPath]) -> List[PropagationPath]:
         """Apply the attacker's antenna pattern to ray-traced paths.

@@ -76,7 +76,6 @@ class ReplayAttacker(Attacker):
 
     spec_knobs: ClassVar[Tuple[str, ...]] = (
         "recording_snr_db", "playback_gain_db")
-    shapes_waveform: ClassVar[bool] = True
 
     def __post_init__(self) -> None:
         _require_finite(self.recording_snr_db, "recording_snr_db")
@@ -224,7 +223,6 @@ class CfoDriftAttacker(Attacker):
 
     spec_knobs: ClassVar[Tuple[str, ...]] = (
         "cfo_start_hz", "cfo_drift_hz_per_s")
-    shapes_waveform: ClassVar[bool] = True
 
     def __post_init__(self) -> None:
         _require_finite(self.cfo_start_hz, "cfo_start_hz")
@@ -236,8 +234,8 @@ class CfoDriftAttacker(Attacker):
 
     def shape_waveform(self, waveform: np.ndarray, sample_rate_hz: float,
                        elapsed_s: float, rng: RngLike = None) -> np.ndarray:
-        # Deterministic: the shaping substream is spawned (shapes_waveform
-        # contract) but intentionally unused — drift is a function of time.
+        # Deterministic: the shaping substream goes unused — drift is a
+        # function of time.
         cfo_hz = self.cfo_at(elapsed_s)
         sample_times = np.arange(waveform.size) / float(sample_rate_hz)
         ramp = np.exp(2j * np.pi * cfo_hz * sample_times)

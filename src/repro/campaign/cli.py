@@ -44,6 +44,7 @@ from repro.campaign.progress import CampaignProgress
 from repro.campaign.retry import RetryPolicy
 from repro.campaign.spec import CampaignSpec
 from repro.campaign.store import ResultStore, ShardRecord
+from repro.utils.validation import require_non_negative_int
 
 __all__ = ["main", "serial_runners"]
 
@@ -141,7 +142,11 @@ def _load_or_build_spec(args: argparse.Namespace) -> CampaignSpec:
     if args.axis:
         overrides["axes"] = _parse_axes(args.axis)
     if args.seeds is not None:
-        overrides["seeds"] = tuple(int(seed) for seed in args.seeds.split(","))
+        try:
+            overrides["seeds"] = tuple(require_non_negative_int(int(seed), "seed")
+                                       for seed in args.seeds.split(","))
+        except ValueError as error:
+            raise SystemExit(f"--seeds: {error}") from None
     elif args.num_seeds is not None:
         overrides["num_seeds"] = int(args.num_seeds)
     if args.name is not None:

@@ -26,6 +26,7 @@ if TYPE_CHECKING:
 
 from repro.utils.rng import derive_seed, ensure_rng
 from repro.utils.serde import JsonSerializable, from_jsonable
+from repro.utils.validation import require_non_negative_int
 
 __all__ = ["CampaignSpec", "ShardSpec", "estimator_from_params"]
 
@@ -96,8 +97,10 @@ class CampaignSpec(JsonSerializable):
             raise ValueError("campaigns need an experiment name")
         if self.num_seeds < 1:
             raise ValueError("num_seeds must be at least 1")
+        require_non_negative_int(self.seed, "seed")
         if self.seeds is not None:
-            seeds = tuple(int(seed) for seed in self.seeds)
+            seeds = tuple(require_non_negative_int(seed, "seeds")
+                          for seed in self.seeds)
             if not seeds:
                 raise ValueError("explicit seeds must be non-empty")
             object.__setattr__(self, "seeds", seeds)

@@ -228,8 +228,8 @@ def attack_matrix_campaign(scenario: str,
 
     Point 0 measures the legitimate client's false alarms; the following
     points measure the scenario's attackers in declaration order — the
-    serial evaluation's capture order, so each shard fast-forwards to its
-    own slice after replaying the training and tracking prefix.
+    serial evaluation's capture order, so each shard skips to its own slice
+    after replaying the training and tracking prefix.
     """
     canonical = SCENARIOS.canonical(scenario)
     spec = _resolve_scenario(canonical, None)
@@ -277,14 +277,7 @@ def run_attack_matrix_shard(spec: CampaignSpec,
         # The serial loop resets the victim's mismatch streak after each
         # attacker, so every attacker but the first starts from a clean one.
         deployment.ap().detector.reset(victim_address)
-    # Fast-forward past the prior attackers' capture slices.  Shaping
-    # attackers (replay, CFO) spawn the extra waveform substream, so the
-    # skip width depends on each prior attacker's class — a flat
-    # ``(point - 1) * num_test`` skip would desynchronise the generator.
-    simulator = deployment.simulator()
-    for prior in attackers[:attacker_index]:
-        simulator.skip_captures(
-            num_test, spawns_per_capture=5 if prior.shapes_waveform else 4)
+    deployment.simulator().skip_captures(attacker_index * num_test)
     outcome = _attacker_outcome(deployment, attackers[attacker_index],
                                 victim_address, ap_address, num_test)
     return AttackMatrixShard(role="attacker", outcome=outcome)

@@ -118,8 +118,8 @@ def beamforming_campaign(client_ids: Optional[Sequence[int]] = None,
 
     The lone replicate reproduces :func:`run_beamforming_evaluation`
     bit-for-bit: each shard rebuilds the deployment from the same seed and
-    fast-forwards the simulator past the earlier clients' packets (one
-    capture each).
+    skips the simulator's capture ordinal past the earlier clients' packets
+    (one capture each).
     """
     if client_ids is None:
         from repro.api import ENVIRONMENTS

@@ -213,8 +213,8 @@ def fence_eval_campaign(packets_per_transmitter: int = DEFAULT_PACKETS_PER_TRANS
     """The fence evaluation as a campaign: one shard per transmitter.
 
     The lone replicate reproduces :func:`run_fence_evaluation` bit-for-bit:
-    each shard rebuilds the fence deployment from the same seed,
-    fast-forwards every AP simulator past the earlier transmitters' packets,
+    each shard rebuilds the fence deployment from the same seed, skips every
+    AP simulator's capture ordinal past the earlier transmitters' packets,
     and evaluates its own transmitter exactly as the serial loop would.
     """
     from repro.api import ENVIRONMENTS

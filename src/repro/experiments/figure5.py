@@ -158,9 +158,9 @@ def figure5_campaign(num_packets: int = DEFAULT_NUM_PACKETS,
     """Figure 5 as a campaign: one shard per client, seed pinned to 42.
 
     The lone replicate reproduces :func:`run_figure5` bit-for-bit: each shard
-    rebuilds the figure's deployment from the same seed, fast-forwards the
-    master generator past the earlier clients' captures, and measures its own
-    client exactly as the serial loop would.
+    rebuilds the figure's deployment from the same seed, skips the
+    simulator's capture ordinal past the earlier clients' captures, and
+    measures its own client exactly as the serial loop would.
     """
     if client_ids is None:
         from repro.api import ENVIRONMENTS

@@ -173,7 +173,7 @@ def roc_campaign(victim_client_id: int = DEFAULT_VICTIM_CLIENT,
 
     The legitimate population is point 0, the attacker populations follow in
     declaration order — exactly the capture order of the serial sweep, so
-    each shard can fast-forward the simulator to its own slice.
+    each shard can skip the simulator's capture ordinal to its own slice.
     """
     if thresholds is None:
         thresholds = default_thresholds()

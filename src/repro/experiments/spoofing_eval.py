@@ -234,8 +234,8 @@ def spoofing_eval_campaign(victim_client_id: int = DEFAULT_VICTIM_CLIENT,
 
     Point 0 measures the legitimate client's false alarms; the following
     points measure the scenario's attackers in declaration order — the
-    serial evaluation's capture order, so each shard fast-forwards to its
-    own slice after replaying the training and tracking prefix.
+    serial evaluation's capture order, so each shard skips to its own slice
+    after replaying the training and tracking prefix.
     """
     scenario = spoofing_scenario()
     populations = [{"role": "legitimate"}]

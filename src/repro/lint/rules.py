@@ -206,7 +206,7 @@ def _is_spawn_bound(node: ast.AST) -> bool:
     "rng-discipline",
     "no legacy np.random global-state API anywhere; generator construction "
     "and seed derivation only via repro.utils.rng (ensure_rng / spawn_rng / "
-    "derive_seed / skip_spawns), so shard seeds stay a pure function of the "
+    "derive_seed / keyed_rng), so shard seeds stay a pure function of the "
     "spec")
 def check_rng_discipline(context: FileContext) -> Iterator[Violation]:
     aliases = numpy_aliases(context.tree)
@@ -230,7 +230,7 @@ def check_rng_discipline(context: FileContext) -> Iterator[Violation]:
                 yield context.violation(
                     "rng-discipline", node,
                     f"{name} outside repro.utils.rng; construct generators "
-                    "via ensure_rng/spawn_rng and derive seeds via "
+                    "via ensure_rng/spawn_rng/keyed_rng and derive seeds via "
                     "derive_seed so substream layouts stay canonical")
         elif (isinstance(node, ast.Call) and not in_rng_module
                 and isinstance(node.func, ast.Attribute)
@@ -242,7 +242,7 @@ def check_rng_discipline(context: FileContext) -> Iterator[Violation]:
             yield context.violation(
                 "rng-discipline", node,
                 "hand-rolled spawn-seed derivation (.integers(0, 2**N - 1)); "
-                "use repro.utils.rng.derive_seed / spawn_rng / skip_spawns "
+                "use repro.utils.rng.derive_seed / spawn_rng / keyed_rng "
                 "so the draw count stays part of the documented stream "
                 "layout")
 

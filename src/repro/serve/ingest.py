@@ -10,8 +10,8 @@ The one rule that makes the whole service verifiable: **live and offline
 paths share these functions.**  :func:`synthesize_packet` is called by the
 live tenant worker per micro-batch, and :func:`replay_events` — the offline
 reference — calls it over the identical request list in the identical order.
-Because capture synthesis consumes the deployment's master generator
-deterministically in request order, and decisions are batch-partition
+Because each capture's randomness is keyed by its capture ordinal, which
+the simulators assign in request order, and decisions are batch-partition
 invariant (``tests/test_synthesis_batch_equivalence.py``), the streamed
 events are byte-identical to the offline replay no matter how the
 micro-batcher happened to chop the arrivals.
@@ -79,9 +79,9 @@ def synthesize_packet(deployment: Deployment,
                       request: PacketRequest) -> Packet:
     """Synthesize the physical packet a request describes.
 
-    Consumes the deployment's rng streams exactly as the offline traffic
-    generators do — byte identity between live and replayed events depends
-    on calling this over the same requests in the same order.
+    Takes capture ordinals exactly as the offline traffic generators do —
+    byte identity between live and replayed events depends on calling this
+    over the same requests in the same order.
     """
     if request.attacker is not None:
         victim_id = request.victim_client_id

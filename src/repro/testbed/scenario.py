@@ -34,7 +34,7 @@ from repro.mac.frames import Dot11Frame
 from repro.phy.packet import PhyPacket, make_packet_waveform, make_packet_waveforms
 from repro.kernels.backend import validate_precision
 from repro.testbed.environment import TestbedEnvironment
-from repro.utils.rng import RngLike, ensure_rng, skip_spawns, spawn_rng
+from repro.utils.rng import RngLike, derive_seed, ensure_rng, keyed_rng, spawn_rng
 from repro.utils.validation import require_finite_non_negative
 
 
@@ -132,6 +132,10 @@ class TestbedSimulator:
                                       rng=spawn_rng(self._rng, 12),
                                       precision=config.precision)
         self.dynamics = EnvironmentDynamics(config.dynamics, rng=spawn_rng(self._rng, 13))
+        # Captures are keyed by (root, ordinal, stream); after this, only the
+        # lazy calibration spawn (14) draws from ``self._rng``.
+        self._capture_root = derive_seed(self._rng)
+        self._next_ordinal = 0
         self.calibration_source = CalibrationSource(num_outputs=array.num_elements)
         self._calibration: Optional[CalibrationTable] = None
         # Path cache: (x, y, elapsed_s) -> traced-and-evolved path list.  The
@@ -194,10 +198,11 @@ class TestbedSimulator:
         """Simulate a whole batch of packets in one vectorized pass.
 
         This is the simulator's one synthesis implementation; every scalar
-        capture is a batch of one.  The per-packet random substreams (payload
-        bits, fast fading, path phase walks, receiver noise) are spawned from
-        the simulator's master generator packet by packet, in request order,
-        so any partition of a request sequence into batches gives the same
+        capture is a batch of one.  Requests take consecutive capture
+        ordinals, in request order, and each packet's random substreams
+        (payload bits, fast fading, path phase walks, receiver noise, plus
+        an attacker's waveform shaping) are keyed by its ordinal, so
+        any partition of a request sequence into batches gives the same
         captures — while ray tracing hits the path cache, waveforms are
         modulated with one stacked IFFT, and the channel and receiver
         arithmetic run batched.  Captures are read-only views.
@@ -205,34 +210,29 @@ class TestbedSimulator:
         requests = list(requests)
         if not requests:
             return []
+        first_ordinal = self._next_ordinal
+        self._next_ordinal += len(requests)
         paths_batch: List[List[PropagationPath]] = []
         tx_powers: List[float] = []
         fadings: List[np.ndarray] = []
         waveform_rngs: List[np.random.Generator] = []
-        shaping_rngs: List[Optional[np.random.Generator]] = []
         channel_rngs: List[np.random.Generator] = []
         receiver_rngs: List[np.random.Generator] = []
         timestamps: List[float] = []
         metadata_list: List[dict] = []
-        for request in requests:
+        root = self._capture_root
+        for ordinal, request in enumerate(requests, start=first_ordinal):
             tx_power = (self.config.default_tx_power_dbm
                         if request.tx_power_dbm is None else request.tx_power_dbm)
             paths = self._resolve_paths(request.position, request.elapsed_s,
                                         request.attacker)
-            # Substreams are spawned per packet in a fixed order (21
-            # waveform, 22 fading, 23 channel, 24 receiver, plus 25 for
-            # waveform-shaping attackers); the waveform generator is consumed
-            # later, which changes nothing — a spawned child is independent
-            # of when it is drawn from.
-            waveform_rngs.append(spawn_rng(self._rng, 21))
+            # Substream ids: 21 waveform, 22 fading, 23 channel, 24
+            # receiver, 25 waveform shaping.
+            waveform_rngs.append(keyed_rng(root, ordinal, 21))
             fading = self.dynamics.fast_fading_jitter(
-                len(paths), decorrelation=1.0, rng=spawn_rng(self._rng, 22))
-            channel_rngs.append(spawn_rng(self._rng, 23))
-            receiver_rngs.append(spawn_rng(self._rng, 24))
-            shaping_rngs.append(
-                spawn_rng(self._rng, 25)
-                if request.attacker is not None and request.attacker.shapes_waveform
-                else None)
+                len(paths), decorrelation=1.0, rng=keyed_rng(root, ordinal, 22))
+            channel_rngs.append(keyed_rng(root, ordinal, 23))
+            receiver_rngs.append(keyed_rng(root, ordinal, 24))
             paths_batch.append(paths)
             tx_powers.append(tx_power)
             fadings.append(fading)
@@ -254,12 +254,11 @@ class TestbedSimulator:
                     rngs=waveform_rngs)
             ]
         sample_rate_hz = self.config.channel.sample_rate_hz
-        for index, (request, shaping_rng) in enumerate(zip(requests, shaping_rngs)):
-            if shaping_rng is not None:
-                assert request.attacker is not None
+        for index, request in enumerate(requests):
+            if request.attacker is not None:
                 waveforms[index] = request.attacker.shape_waveform(
                     waveforms[index], sample_rate_hz, request.elapsed_s,
-                    rng=shaping_rng)
+                    rng=keyed_rng(root, first_ordinal + index, 25))
 
         # Packets of one batch normally share a waveform length; oversized
         # frames grow their packet, so group by length and batch per group.
@@ -323,26 +322,18 @@ class TestbedSimulator:
         ]
         return self.capture_batch(requests)
 
-    def skip_captures(self, num_captures: int, spawns_per_capture: int = 4) -> None:
-        """Advance the master generator past ``num_captures`` capture calls.
+    def skip_captures(self, num_captures: int) -> None:
+        """Advance the capture ordinal past ``num_captures`` captures.
 
-        Every capture spawns exactly four per-packet substreams (waveform,
-        fading, channel, receiver — streams 21..24) from the simulator's
-        master generator and touches no other simulator randomness, so
-        replaying those spawn draws leaves the generator in the bit-exact
-        state it would hold after simulating the packets for real.  Campaign
-        shards use this to jump straight to their slice of a serial
-        experiment's capture sequence.
-
-        Captures transmitted by a waveform-shaping attacker
-        (:attr:`Attacker.shapes_waveform`) spawn one extra substream (25);
-        skip those with ``spawns_per_capture=5``.
+        A capture's randomness is keyed by its ordinal alone, so the next
+        capture is exactly the one a simulator that had synthesised the
+        skipped packets would produce, whoever transmitted them.  Campaign
+        shards use this to start at their slice of a serial experiment's
+        capture sequence.
         """
         if num_captures < 0:
             raise ValueError("num_captures must be non-negative")
-        if spawns_per_capture < 1:
-            raise ValueError("spawns_per_capture must be at least 1")
-        skip_spawns(self._rng, spawns_per_capture * int(num_captures))
+        self._next_ordinal += int(num_captures)
 
     # -------------------------------------------------------------- path cache
     def path_cache_info(self) -> Dict[str, int]:
@@ -410,9 +401,8 @@ class TestbedSimulator:
                          rng: RngLike) -> PhyPacket:
         """The ``reuse_waveforms`` mode: one modulated packet per (frame, length).
 
-        The rng substream is always spawned by the caller (keeping the master
-        generator's state identical in both modes); it is drawn from only
-        when the key is not cached yet.
+        The caller always passes the packet's waveform substream; it is drawn
+        from only when the key is not cached yet.
         """
         key = (frame, self.config.payload_symbols)
         packet = self._waveform_cache.get(key)

@@ -44,22 +44,17 @@ def spawn_rng(rng: RngLike, stream: Optional[int] = None) -> np.random.Generator
     return np.random.default_rng(seed)
 
 
-def skip_spawns(rng: RngLike, count: int, stream: bool = True) -> np.random.Generator:
-    """Advance ``rng`` past ``count`` :func:`spawn_rng` calls without spawning.
+def keyed_rng(root: int, *key: int) -> np.random.Generator:
+    """The generator addressed by ``key`` under the seed ``root``.
 
-    A numbered spawn consumes exactly one ``integers(0, 2**31 - 1)`` draw from
-    the parent (an unnumbered one draws from ``[0, 2**63 - 1)``), so replaying
-    the draws fast-forwards the parent's state bit-exactly.  Campaign shards
-    use this to jump the master generator to their slice of a serial
-    experiment's capture sequence without synthesizing the skipped packets.
+    A pure function of its arguments: ``keyed_rng(root, 7, 24)`` is the same
+    PCG64 stream however many other addresses were used before it, and
+    distinct keys give independent streams (``SeedSequence`` spawn keys).
+    The testbed simulator keys every capture's substreams by (capture
+    ordinal, stream id), so a campaign shard reaches its slice of a serial
+    run by setting an ordinal instead of replaying draws.
     """
-    if count < 0:
-        raise ValueError("count must be non-negative")
-    parent = ensure_rng(rng)
-    bound = 2**31 - 1 if stream else 2**63 - 1
-    for _ in range(int(count)):
-        parent.integers(0, bound)
-    return parent
+    return np.random.default_rng(np.random.SeedSequence(int(root), spawn_key=key))
 
 
 def derive_seed(rng: RngLike) -> int:

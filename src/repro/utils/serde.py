@@ -23,7 +23,7 @@ import enum
 import json
 import typing
 from pathlib import Path
-from typing import Any, Dict, Type, TypeVar, Union
+from typing import Any, Dict, Tuple, Type, TypeVar, Union
 
 import numpy as np
 
@@ -63,6 +63,14 @@ def _coerce_key(hint: Any, key: Any) -> Any:
     if hint is bool and isinstance(key, str):
         return key == "true"
     return key
+
+
+#: The values each scalar hint accepts: no lenient coercion, since
+#: ``bool("false")`` is True and ``int(2.9)`` is 2.  ``bool`` subclasses
+#: ``int``, so the numeric hints refuse booleans explicitly.
+_SCALARS: Dict[type, Tuple[type, ...]] = {
+    bool: (bool, np.bool_), int: (int, np.integer),
+    float: (int, float, np.integer, np.floating), str: (str,)}
 
 
 def from_jsonable(hint: Any, data: Any) -> Any:
@@ -134,9 +142,10 @@ def from_jsonable(hint: Any, data: Any) -> Any:
                 if field.init and field.name in data
             }
             return hint(**kwargs)
-        if hint is bool:
-            return bool(data)
-        if hint in (int, float, str):
+        if hint in _SCALARS:
+            if (not isinstance(data, _SCALARS[hint])
+                    or (hint is not bool and isinstance(data, (bool, np.bool_)))):
+                raise TypeError(f"expected {hint.__name__}, got {data!r}")
             return hint(data)
         # Classes constructible from their canonical string form.
         return hint(data)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import numbers
 from typing import Union
 
 Number = Union[int, float]
@@ -24,6 +25,14 @@ def require_positive_int(value: int, name: str) -> int:
     if value <= 0:
         raise ValueError(f"{name} must be positive, got {value!r}")
     return value
+
+
+def require_non_negative_int(value: int, name: str) -> int:
+    """Return ``value`` as an int after checking that it is an integer >= 0."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
+            or value < 0):
+        raise ValueError(f"{name} must be a non-negative integer, got {value!r}")
+    return int(value)
 
 
 def require_finite(value: Number, name: str) -> float:

@@ -12,6 +12,7 @@ from repro.api import (
     three_ap_scenario,
 )
 from repro.core.fence import FenceDecision
+from repro.core.localization import BearingObservation
 
 
 @pytest.fixture(scope="module")
@@ -63,9 +64,9 @@ class TestCompilation:
         assert deployment.ap("a").config.estimator.method == "music"
 
     def test_attacker_declarations_never_perturb_lone_ap_captures(self):
-        # A lone AP's simulator owns the master generator; attacker addresses
-        # must stay off it, so captures are identical whether attackers are
-        # declared, built, or absent entirely.
+        # A lone AP's simulator draws from the master generator; captures
+        # are keyed by their ordinals, so they are identical whether
+        # attackers are declared, built, or absent entirely.
         spec = spoofing_scenario()
         from dataclasses import replace
 
@@ -116,16 +117,31 @@ class TestStreaming:
         assert "training needed" in " ".join(events[0].decision.reasons)
 
     def test_multi_ap_events_localise_and_fence(self, fenced_deployment):
+        # Each event carries all three bearings, their triangulation, and the
+        # fence's verdict on it.  How often a noisy packet lands near the
+        # client is a rate, gated end to end by bearing_within_2p5_frac and
+        # by benchmarks/test_bench_accuracy_claim.py.
         deployment = fenced_deployment
         events = deployment.run_batch(
             list(deployment.client_packets(5, num_packets=2)),
             update_signatures=False)
-        truth = deployment.environment.client_position(5)
+        sigma_deg = deployment.spec.policy.bearing_sigma_deg
         for event in events:
             assert set(event.bearings_deg) == {"ap-main", "ap-east", "ap-south"}
-            assert event.fence is not None
-            assert event.fence.decision is FenceDecision.INSIDE
-            assert event.location.position.distance_to(truth) < 3.0
+            observations = [
+                BearingObservation(deployment.ap(name).position, bearing,
+                                   sigma_deg=sigma_deg)
+                for name, bearing in event.bearings_deg.items()]
+            assert event.fence == deployment.fence.check_bearings(observations)
+            assert event.location is event.fence.location
+        # Noiseless bearings from the three APs place client 5 inside.
+        truth = deployment.environment.client_position(5)
+        exact = deployment.fence.check_bearings([
+            BearingObservation(ap.position, ap.position.bearing_to(truth),
+                               sigma_deg=sigma_deg)
+            for ap in deployment.aps.values()])
+        assert exact.decision is FenceDecision.INSIDE
+        assert exact.location.position.distance_to(truth) < 1e-6
 
     def test_attacker_packets_are_dropped_outside_the_fence(self):
         # A fresh deployment keeps the simulator rng state (and hence these

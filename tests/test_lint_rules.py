@@ -115,6 +115,16 @@ class TestRngDiscipline:
         assert len(rule_hits(report, "rng-discipline")) == 1
         assert "derive_seed" in report.violations[0].message
 
+    def test_seed_sequence_outside_utils_fires(self, tmp_path):
+        report = run_lint(tmp_path, {"src/repro/core/thing.py": """
+            import numpy as np
+
+            def f(root, ordinal):
+                return np.random.SeedSequence(root, spawn_key=(ordinal,))
+            """}, rule="rng-discipline")
+        assert len(rule_hits(report, "rng-discipline")) == 1
+        assert "keyed_rng" in report.violations[0].message
+
     def test_default_rng_inside_utils_rng_is_allowed(self, tmp_path):
         report = run_lint(tmp_path, {"src/repro/utils/rng.py": """
             import numpy as np

@@ -7,8 +7,6 @@ spaces*, not hand-picked examples:
 
 * ``derive_seed`` is deterministic, collision-free across a replicate
   sequence, and independent of the campaign's axes (shard orderings);
-* ``skip_spawns`` leaves the generator in the bit-exact state of drawing the
-  spawns and discarding them — the fast-forward every shard runner uses;
 * deleting *any* subset of a store's shard records and resuming re-merges to
   byte-identical output, recomputing exactly the deleted shards.
 """
@@ -20,7 +18,7 @@ from pathlib import Path
 import pytest
 
 from repro.campaign import CampaignSpec, ResultStore, get_adapter, run_campaign
-from repro.utils.rng import derive_seed, ensure_rng, skip_spawns, spawn_rng
+from repro.utils.rng import derive_seed, ensure_rng
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, given, settings  # noqa: E402
@@ -71,24 +69,6 @@ class TestDeriveSeedProperties:
     def _derive(seed, count):
         master = ensure_rng(seed)
         return [derive_seed(master) for _ in range(count)]
-
-
-class TestSkipSpawnsProperties:
-    @given(seed=seeds, count=st.integers(0, 48), stream=st.booleans())
-    @settings(deadline=None)
-    def test_skip_equals_drawing_then_discarding(self, seed, count, stream):
-        drawn = ensure_rng(seed)
-        for index in range(count):
-            spawn_rng(drawn, stream=index if stream else None)
-        skipped = skip_spawns(ensure_rng(seed), count, stream=stream)
-        assert drawn.bit_generator.state == skipped.bit_generator.state
-
-    @given(seed=seeds, first=st.integers(0, 24), second=st.integers(0, 24))
-    @settings(deadline=None)
-    def test_skip_composes_additively(self, seed, first, second):
-        split = skip_spawns(skip_spawns(ensure_rng(seed), first), second)
-        joined = skip_spawns(ensure_rng(seed), first + second)
-        assert split.bit_generator.state == joined.bit_generator.state
 
 
 @pytest.fixture(scope="module")
