@@ -24,14 +24,16 @@ draw from it exactly as the hand-wired experiments used to (directly for a
 lone AP, via numbered child streams otherwise), so a spec-built deployment
 reproduces the legacy experiment wiring bit-for-bit.  Each simulator keys its
 captures by capture ordinal, so later draws from the master (attacker
-addresses) never perturb a capture.
+addresses) never perturb a capture.  A packet is transmitted once per
+deployment: the primary AP's simulator draws its payload and waveform shaping,
+and every AP receives that one waveform (:meth:`Deployment.capture`).
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import replace
-from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from repro.aoa.estimator import AoAEstimate
 from repro.api.components import ENVIRONMENTS
@@ -48,6 +50,7 @@ from repro.core.localization import (
     triangulate_bearings,
 )
 from repro.core.signature import AoASignature, signatures_from_pseudospectra
+from repro.hardware.capture import Capture
 from repro.mac.address import MacAddress
 from repro.mac.frames import Dot11Frame
 from repro.testbed.clients import SoekrisClient, make_clients
@@ -346,14 +349,28 @@ class Deployment:
 
         return {"client_id": client_id}, uplink()
 
-    def _synthesize(self, metadata: Dict[str, object],
-                    burst: List[BurstItem]) -> List[Packet]:
-        """Every AP captures the burst in one ``capture_batch`` call."""
-        requests = [request for _, request in burst]
-        captures_by_ap = {
-            name: simulator.capture_batch(requests)
+    def capture(self, requests: Sequence[CaptureRequest]
+                ) -> Dict[str, List[Capture]]:
+        """Transmit each requested packet once and capture it at every AP.
+
+        The primary AP's simulator transmits the packets
+        (:meth:`TestbedSimulator.transmit`: payload bits, modulation, attacker
+        waveform shaping), and every AP's simulator, the primary's included,
+        receives those same waveforms through its own paths, fading, phase
+        walks and noise in one :meth:`TestbedSimulator.capture_batch` call.
+        Returns each AP's captures in request order, keyed by AP name.
+        """
+        requests = list(requests)
+        waveforms = self.simulator().transmit(requests)
+        return {
+            name: simulator.capture_batch(requests, waveforms=waveforms)
             for name, simulator in self.simulators.items()
         }
+
+    def _synthesize(self, metadata: Dict[str, object],
+                    burst: List[BurstItem]) -> List[Packet]:
+        """The burst's packets, each transmitted once and captured by every AP."""
+        captures_by_ap = self.capture([request for _, request in burst])
         return [
             Packet(frame=frame,
                    captures={name: captures[index]

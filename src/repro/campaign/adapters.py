@@ -14,7 +14,7 @@ it, with the registries' usual did-you-mean errors.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, List, Sequence, Tuple, Type
+from typing import Any, Callable, List, Optional, Sequence, Tuple, Type
 
 from repro.api.registry import Registry
 from repro.campaign.spec import CampaignSpec, ShardSpec
@@ -44,6 +44,7 @@ from repro.experiments.attack_matrix import (
     AttackMatrixResult,
     AttackMatrixShard,
     cfo_drift_eval_campaign,
+    check_attack_matrix_params,
     merge_attack_matrix,
     reflector_eval_campaign,
     replay_eval_campaign,
@@ -88,6 +89,7 @@ from repro.experiments.figure7 import (
 from repro.experiments.mobility import (
     MobilityResult,
     MobilitySample,
+    check_mobility_params,
     merge_mobility,
     mobility_campaign,
     run_mobility_shard,
@@ -131,6 +133,10 @@ class CampaignAdapter:
     #: serial capture sequence by grid-point index, so an unknown axis would
     #: silently multiply shards and desynchronise that slice arithmetic.
     axis_names: Tuple[str, ...] = ()
+    #: Reject base parameters that contradict the axes — a parameter that
+    #: sizes an axis, overridden without the axis, would leave shards
+    #: indexing past it.  ``None`` when no base parameter shapes an axis.
+    check_params: Optional[Callable[[CampaignSpec], None]] = None
 
     def validate_axes(self, spec: CampaignSpec) -> None:
         """Reject axes the experiment's shard runner does not understand."""
@@ -139,6 +145,13 @@ class CampaignAdapter:
             raise ValueError(
                 f"campaign experiment {self.name!r} does not shard over "
                 f"axis(es) {unknown}; supported: {sorted(self.axis_names)}")
+
+    def validate(self, spec: CampaignSpec) -> None:
+        """Reject a spec the shard runner cannot execute as the serial run
+        would: unknown axes, or base parameters the axes contradict."""
+        self.validate_axes(spec)
+        if self.check_params is not None:
+            self.check_params(spec)
 
 
 CAMPAIGNS: Registry[CampaignAdapter] = Registry("campaign experiment")
@@ -241,6 +254,7 @@ CAMPAIGNS.register("mobility", CampaignAdapter(
     result_type=MobilityResult,
     default_spec=mobility_campaign,
     axis_names=("sample",),
+    check_params=check_mobility_params,
 ))
 CAMPAIGNS.register("replay_eval", CampaignAdapter(
     name="replay_eval",
@@ -250,6 +264,7 @@ CAMPAIGNS.register("replay_eval", CampaignAdapter(
     result_type=AttackMatrixResult,
     default_spec=replay_eval_campaign,
     axis_names=("population",),
+    check_params=check_attack_matrix_params,
 ), aliases=("replay",))
 CAMPAIGNS.register("reflector_eval", CampaignAdapter(
     name="reflector_eval",
@@ -259,6 +274,7 @@ CAMPAIGNS.register("reflector_eval", CampaignAdapter(
     result_type=AttackMatrixResult,
     default_spec=reflector_eval_campaign,
     axis_names=("population",),
+    check_params=check_attack_matrix_params,
 ), aliases=("reflector", "multipath_mirror_eval"))
 CAMPAIGNS.register("swarm_eval", CampaignAdapter(
     name="swarm_eval",
@@ -268,6 +284,7 @@ CAMPAIGNS.register("swarm_eval", CampaignAdapter(
     result_type=AttackMatrixResult,
     default_spec=swarm_eval_campaign,
     axis_names=("population",),
+    check_params=check_attack_matrix_params,
 ), aliases=("swarm", "coordinated_swarm_eval"))
 CAMPAIGNS.register("cfo_drift_eval", CampaignAdapter(
     name="cfo_drift_eval",
@@ -277,6 +294,7 @@ CAMPAIGNS.register("cfo_drift_eval", CampaignAdapter(
     result_type=AttackMatrixResult,
     default_spec=cfo_drift_eval_campaign,
     axis_names=("population",),
+    check_params=check_attack_matrix_params,
 ), aliases=("cfo_eval",))
 CAMPAIGNS.register("beamforming", CampaignAdapter(
     name="beamforming",

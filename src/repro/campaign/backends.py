@@ -50,6 +50,7 @@ import multiprocessing
 import multiprocessing.connection
 import os
 import shutil
+import signal
 import statistics
 import sys
 import tempfile
@@ -436,6 +437,9 @@ def _local_worker(store_root: str, ordinal: int, poll_s: float,
     """
     from repro.campaign.worker import run_worker
 
+    # The coordinator may have turned SIGTERM into an interrupt; its own
+    # terminate() of this worker should still end it at once.
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
     log_path = FileQueue(store_root).root / f"worker-{ordinal}.log"
     log = os.open(log_path, os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o644)
     for stream in (1, 2):

@@ -27,10 +27,13 @@ spec can express is reachable from the shell.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
+import signal
 import sys
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from types import FrameType
+from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence
 
 from repro.api import SCENARIOS
 from repro.campaign.adapters import CAMPAIGNS, get_adapter
@@ -235,13 +238,39 @@ def _backend(args: argparse.Namespace) -> ExecutorBackend:
                             lease_timeout_s=args.lease_timeout, retry=retry)
 
 
+@contextlib.contextmanager
+def _terminate_as_interrupt() -> Iterator[None]:
+    """Shut a campaign down on SIGTERM exactly as on Ctrl-C.
+
+    SIGTERM's default action ends the coordinator without unwinding, which
+    leaves its local workers running and a private store on disk.  Raised
+    as ``KeyboardInterrupt`` it takes the interrupt's path instead: the
+    executor reaps its workers and removes the private store.
+    """
+    def interrupt(signum: int, frame: Optional[FrameType]) -> None:
+        raise KeyboardInterrupt(f"terminated by signal {signum}")
+
+    previous = signal.signal(signal.SIGTERM, interrupt)
+    try:
+        yield
+    finally:
+        signal.signal(signal.SIGTERM, previous)
+
+
 def _finish_campaign(spec: CampaignSpec, args: argparse.Namespace) -> int:
+    # Like the execution flags, a spec the shard runners cannot execute
+    # exits with one line before the store is touched.
+    try:
+        get_adapter(spec.experiment).validate(spec)
+    except (KeyError, ValueError) as error:
+        raise SystemExit(str(error.args[0])) from None
     backend = _backend(args)
     store = ResultStore(args.out) if args.out else None
-    run = run_campaign(spec, store=store,
-                       progress=_choose_progress(spec, args),
-                       backend=backend,
-                       strict=getattr(args, "strict", False))
+    with _terminate_as_interrupt():
+        run = run_campaign(spec, store=store,
+                           progress=_choose_progress(spec, args),
+                           backend=backend,
+                           strict=getattr(args, "strict", False))
     _print(f"campaign {spec.name!r} ({spec.experiment}): "
            f"{len(run.records)} shard(s), {run.executed} executed, "
            f"{len(run.results)} replicate(s)")

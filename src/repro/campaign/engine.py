@@ -164,8 +164,9 @@ def run_campaign(spec: CampaignSpec, workers: int = 1,
                    else FileQueueBackend(workers=workers, retry=retry))
     adapter = get_adapter(spec.experiment)
     # An axis the shard runner does not understand would silently multiply
-    # shards and desynchronise the serial-slice arithmetic; fail instead.
-    adapter.validate_axes(spec)
+    # shards and desynchronise the serial-slice arithmetic, and a parameter
+    # that contradicts an axis would fail shard by shard; fail up front.
+    adapter.validate(spec)
     shards = spec.compile()
 
     records: Dict[int, ShardRecord] = {}

@@ -250,6 +250,31 @@ def attack_matrix_campaign(scenario: str,
     )
 
 
+def check_attack_matrix_params(spec: CampaignSpec) -> None:
+    """Reject a ``scenario`` whose attackers the population axis does not name.
+
+    The axis lists the scenario's attackers by index and name, so a
+    ``scenario`` override without a matching axis would run some other
+    scenario's attackers, or index past them.
+    """
+    scenario = SCENARIOS.canonical(str(spec.param("scenario", "replay")))
+    if scenario not in ATTACK_MATRIX_SCENARIOS:
+        raise ValueError(f"scenario={scenario!r} is not an attack-family "
+                         f"scenario; known: {list(ATTACK_MATRIX_SCENARIOS)}")
+    attackers = [attacker_spec.effective_name()
+                 for attacker_spec in _resolve_scenario(scenario, None).attackers]
+    for population in spec.axes.get("population", ()):
+        if not isinstance(population, dict) or population.get("role") != "attacker":
+            continue
+        index = population.get("attacker_index")
+        if (index not in range(len(attackers))
+                or population.get("attacker") != attackers[int(index)]):
+            raise ValueError(
+                f"scenario={scenario!r} does not match the population axis: "
+                f"its attackers are {attackers}, the axis names "
+                f"{population.get('attacker')!r} at index {index!r}")
+
+
 def run_attack_matrix_shard(spec: CampaignSpec,
                             shard: ShardSpec) -> AttackMatrixShard:
     """One attack-matrix shard (legitimate client or one attacker)."""

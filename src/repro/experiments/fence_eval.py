@@ -1,9 +1,10 @@
 """The virtual-fence evaluation (Section 2.3.1).
 
-Two SecureAngle access points with circular arrays are placed in the building;
-each computes the direct-path bearing of every transmitter from its own
-captures, the controller triangulates the transmitter and checks it against
-the building boundary.  The evaluation covers three populations:
+Three SecureAngle access points with circular arrays are placed in the
+building.  Each packet is transmitted once and every AP captures it; each AP
+computes the packet's direct-path bearing from its own capture, and the
+controller triangulates the transmitter and checks it against the building
+boundary.  The evaluation covers three populations:
 
 * the twenty legitimate indoor clients (should be admitted),
 * transmitters at outdoor positions just outside the building (should be
@@ -29,6 +30,7 @@ from repro.campaign.spec import CampaignSpec, ShardSpec, estimator_from_params
 from repro.core.fence import FenceDecision
 from repro.experiments.reporting import format_table
 from repro.geometry.point import Point
+from repro.testbed.scenario import CaptureRequest
 from repro.utils.rng import RngLike, ensure_rng
 from repro.utils.serde import JsonSerializable
 
@@ -121,8 +123,13 @@ def _transmitter_population(environment,
 
 def _evaluate_transmitter(deployment: Deployment, transmitter: Dict[str, Any],
                           packets_per_transmitter: int) -> FenceCase:
-    """One transmitter's fence outcome (consumes ``packets_per_transmitter``
-    captures per AP simulator)."""
+    """One transmitter's fence outcome.
+
+    Its ``packets_per_transmitter`` packets go through
+    :meth:`Deployment.capture` in one call: each is transmitted once and
+    every AP captures it, so every AP simulator consumes that many capture
+    ordinals.
+    """
     environment = deployment.environment
     kind = str(transmitter["kind"])
     attacker = None
@@ -144,16 +151,17 @@ def _evaluate_transmitter(deployment: Deployment, transmitter: Dict[str, Any],
     else:
         raise ValueError(f"unknown fence transmitter kind {kind!r}")
 
-    controller = deployment.controller
+    captures_by_ap = deployment.capture([
+        CaptureRequest(position=position, elapsed_s=packet_index * 0.5,
+                       attacker=attacker)
+        for packet_index in range(packets_per_transmitter)
+    ])
     votes: List[FenceDecision] = []
     errors: List[float] = []
     for packet_index in range(packets_per_transmitter):
-        captures = {
-            name: simulator.capture_from_position(
-                position, elapsed_s=packet_index * 0.5, attacker=attacker)
-            for name, simulator in deployment.simulators.items()
-        }
-        check = controller.fence_check(captures)
+        check = deployment.controller.fence_check(
+            {name: captures[packet_index]
+             for name, captures in captures_by_ap.items()})
         votes.append(check.decision)
         if check.location is not None and check.decision is not FenceDecision.INDETERMINATE:
             errors.append(check.location.position.distance_to(position))

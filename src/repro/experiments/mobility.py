@@ -1,10 +1,11 @@
 """Mobility tracking experiment (Section 5, future work).
 
 A client walks a straight line across the main office at roughly walking
-speed while transmitting a packet every few hundred milliseconds.  Two or
-more APs estimate the per-packet direct-path bearing, the
-:class:`~repro.core.tracking.MobilityTracker` smooths and triangulates them,
-and the experiment reports the position error along the trace.
+speed while transmitting a packet every few hundred milliseconds.  Each
+packet is transmitted once and captured by three APs; each AP estimates its
+direct-path bearing, the :class:`~repro.core.tracking.MobilityTracker`
+smooths and triangulates them, and the experiment reports the position error
+along the trace.
 
 The expensive part — capture synthesis and AoA estimation per sample — is
 embarrassingly parallel, so the campaign adapter shards per trace sample and
@@ -26,6 +27,7 @@ from repro.campaign.spec import CampaignSpec, ShardSpec, estimator_from_params
 from repro.core.tracking import MobilityTracker
 from repro.experiments.reporting import format_table
 from repro.geometry.point import Point
+from repro.testbed.scenario import CaptureRequest
 from repro.utils.rng import RngLike, ensure_rng
 from repro.utils.serde import JsonSerializable
 
@@ -97,17 +99,17 @@ def _sample_bearings(deployment: Deployment, position: Point,
                      timestamp: float) -> Dict[str, float]:
     """Every AP's direct-path bearing for one packet from ``position``.
 
-    Consumes exactly one capture per AP simulator (the shard-skip unit).
+    The packet is transmitted once and every AP captures it
+    (:meth:`Deployment.capture`), which consumes one capture ordinal per AP
+    simulator (the shard-skip unit).
     """
-    bearings: Dict[str, float] = {}
-    for name, simulator in deployment.simulators.items():
-        capture = simulator.capture_from_position(position, elapsed_s=timestamp,
-                                                  timestamp_s=timestamp)
-        estimate = deployment.aps[name].analyze(capture)
-        # Circular arrays report local azimuth; the APs are mounted with
-        # orientation 0 so the local azimuth is already the global bearing.
-        bearings[name] = estimate.bearing_deg
-    return bearings
+    captures = deployment.capture([
+        CaptureRequest(position=position, elapsed_s=timestamp,
+                       timestamp_s=timestamp)])
+    # Circular arrays report local azimuth; the APs are mounted with
+    # orientation 0 so the local azimuth is already the global bearing.
+    return {name: deployment.aps[name].analyze(batch[0]).bearing_deg
+            for name, batch in captures.items()}
 
 
 def _replay_tracker(ap_positions: Dict[str, Point],
@@ -203,6 +205,23 @@ def mobility_campaign(start: Tuple[float, float] = DEFAULT_START,
               "tracker_outlier_threshold_deg": float(tracker_outlier_threshold_deg)},
         axes={"sample": tuple(range(int(num_samples)))},
     )
+
+
+def check_mobility_params(spec: CampaignSpec) -> None:
+    """Reject a ``num_samples`` that does not cover the ``sample`` axis.
+
+    ``num_samples`` sizes the trace the shards index, while the axis
+    enumerates the samples to run; overriding one without the other would
+    leave shards indexing past the trace.
+    """
+    num_samples = spec.param("num_samples", DEFAULT_NUM_SAMPLES)
+    outside = [sample for sample in spec.axes.get("sample", ())
+               if sample not in range(int(num_samples))]
+    if outside:
+        raise ValueError(
+            f"num_samples={num_samples} does not cover the sample axis "
+            f"(samples {outside} fall outside 0..{int(num_samples) - 1}); "
+            f"override num_samples and the sample axis together")
 
 
 def _base_trace(spec: CampaignSpec) -> List[Point]:

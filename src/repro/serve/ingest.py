@@ -3,8 +3,9 @@
 Network clients cannot ship raw multi-antenna CSI captures as JSON lines, so
 the service ingests *packet requests* — small declarative records saying
 "client 7 transmits at t=60.0s" or "attacker `directional` spoofs client 5
-at t=200.5s" — and synthesizes the physical packet (frame + per-AP captures)
-server-side through the deployment's own traffic generators.
+at t=200.5s" — and synthesizes the physical packet server-side through the
+deployment's own traffic generators: the frame, transmitted once, plus every
+AP's capture of that one waveform.
 
 The one rule that makes the whole service verifiable: **live and offline
 paths share these functions.**  :func:`synthesize_packet` is called by the

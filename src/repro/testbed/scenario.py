@@ -58,7 +58,8 @@ class SimulatorConfig:
     #: deterministically per elapsed time, so cached entries are bit-identical
     #: to re-tracing.  Static clients stop paying the ray tracer per packet.
     cache_paths: bool = True
-    #: Maximum number of cached path sets before old epochs are evicted.
+    #: Maximum number of cached path sets before the least recently used
+    #: is evicted.
     path_cache_size: int = 1024
     #: Reuse one modulated waveform per (frame, payload length) instead of
     #: drawing fresh random payload/padding bits for every packet.  This is a
@@ -194,53 +195,25 @@ class TestbedSimulator:
             metadata=metadata)
         return self.capture_batch([request])[0]
 
-    def capture_batch(self, requests: Sequence[CaptureRequest]) -> List[Capture]:
-        """Simulate a whole batch of packets in one vectorized pass.
+    def transmit(self, requests: Sequence[CaptureRequest]) -> List[np.ndarray]:
+        """The transmit side of the next ``len(requests)`` captures.
 
-        This is the simulator's one synthesis implementation; every scalar
-        capture is a batch of one.  Requests take consecutive capture
-        ordinals, in request order, and each packet's random substreams
-        (payload bits, fast fading, path phase walks, receiver noise, plus
-        an attacker's waveform shaping) are keyed by its ordinal, so
-        any partition of a request sequence into batches gives the same
-        captures — while ray tracing hits the path cache, waveforms are
-        modulated with one stacked IFFT, and the channel and receiver
-        arithmetic run batched.  Captures are read-only views.
+        One waveform per request, keyed by the ordinal the next
+        :meth:`capture_batch` will give that request: payload bits and
+        padding from substream 21 (or the ``reuse_waveforms`` cache),
+        modulated with one stacked IFFT, then the attacker's waveform
+        shaping from substream 25.  Draws no other stream and does not
+        advance the ordinal, so a :class:`~repro.api.Deployment` can transmit
+        a packet once on its primary AP and hand the same waveforms to every
+        AP's :meth:`capture_batch`.
         """
         requests = list(requests)
         if not requests:
             return []
-        first_ordinal = self._next_ordinal
-        self._next_ordinal += len(requests)
-        paths_batch: List[List[PropagationPath]] = []
-        tx_powers: List[float] = []
-        fadings: List[np.ndarray] = []
-        waveform_rngs: List[np.random.Generator] = []
-        channel_rngs: List[np.random.Generator] = []
-        receiver_rngs: List[np.random.Generator] = []
-        timestamps: List[float] = []
-        metadata_list: List[dict] = []
         root = self._capture_root
-        for ordinal, request in enumerate(requests, start=first_ordinal):
-            tx_power = (self.config.default_tx_power_dbm
-                        if request.tx_power_dbm is None else request.tx_power_dbm)
-            paths = self._resolve_paths(request.position, request.elapsed_s,
-                                        request.attacker)
-            # Substream ids: 21 waveform, 22 fading, 23 channel, 24
-            # receiver, 25 waveform shaping.
-            waveform_rngs.append(keyed_rng(root, ordinal, 21))
-            fading = self.dynamics.fast_fading_jitter(
-                len(paths), decorrelation=1.0, rng=keyed_rng(root, ordinal, 22))
-            channel_rngs.append(keyed_rng(root, ordinal, 23))
-            receiver_rngs.append(keyed_rng(root, ordinal, 24))
-            paths_batch.append(paths)
-            tx_powers.append(tx_power)
-            fadings.append(fading)
-            timestamps.append(request.elapsed_s if request.timestamp_s is None
-                              else request.timestamp_s)
-            metadata_list.append(self._capture_metadata(
-                request.position, request.frame, request.attacker, paths,
-                request.metadata))
+        first_ordinal = self._next_ordinal
+        waveform_rngs = [keyed_rng(root, ordinal, 21) for ordinal
+                         in range(first_ordinal, first_ordinal + len(requests))]
         if self.config.reuse_waveforms:
             waveforms = [
                 self._reused_waveform(request.frame, rng=generator).waveform
@@ -259,6 +232,64 @@ class TestbedSimulator:
                 waveforms[index] = request.attacker.shape_waveform(
                     waveforms[index], sample_rate_hz, request.elapsed_s,
                     rng=keyed_rng(root, first_ordinal + index, 25))
+        return waveforms
+
+    def capture_batch(self, requests: Sequence[CaptureRequest],
+                      waveforms: Optional[Sequence[np.ndarray]] = None,
+                      ) -> List[Capture]:
+        """Simulate a whole batch of packets in one vectorized pass.
+
+        This is the simulator's one synthesis implementation; every scalar
+        capture is a batch of one.  Requests take consecutive capture
+        ordinals, in request order, and each packet's random substreams are
+        keyed by its ordinal: fast fading (22), path phase walks (23) and
+        receiver noise (24) here, payload bits (21) and an attacker's
+        waveform shaping (25) in :meth:`transmit`.  So any partition of a
+        request sequence into batches gives the same captures — while ray
+        tracing hits the path cache, and the channel and receiver arithmetic
+        run batched.  Captures are read-only views.
+
+        ``waveforms`` are the transmitted packets, one per request, as
+        another simulator's :meth:`transmit` returned them; with ``None``
+        this simulator transmits for itself.
+        """
+        requests = list(requests)
+        if not requests:
+            return []
+        if waveforms is not None:
+            waveforms = list(waveforms)
+            if len(waveforms) != len(requests):
+                raise ValueError(f"expected {len(requests)} waveforms, "
+                                 f"got {len(waveforms)}")
+        first_ordinal = self._next_ordinal
+        paths_batch: List[List[PropagationPath]] = []
+        tx_powers: List[float] = []
+        fadings: List[np.ndarray] = []
+        channel_rngs: List[np.random.Generator] = []
+        receiver_rngs: List[np.random.Generator] = []
+        timestamps: List[float] = []
+        metadata_list: List[dict] = []
+        root = self._capture_root
+        for ordinal, request in enumerate(requests, start=first_ordinal):
+            tx_power = (self.config.default_tx_power_dbm
+                        if request.tx_power_dbm is None else request.tx_power_dbm)
+            paths = self._resolve_paths(request.position, request.elapsed_s,
+                                        request.attacker)
+            fading = self.dynamics.fast_fading_jitter(
+                len(paths), decorrelation=1.0, rng=keyed_rng(root, ordinal, 22))
+            channel_rngs.append(keyed_rng(root, ordinal, 23))
+            receiver_rngs.append(keyed_rng(root, ordinal, 24))
+            paths_batch.append(paths)
+            tx_powers.append(tx_power)
+            fadings.append(fading)
+            timestamps.append(request.elapsed_s if request.timestamp_s is None
+                              else request.timestamp_s)
+            metadata_list.append(self._capture_metadata(
+                request.position, request.frame, request.attacker, paths,
+                request.metadata))
+        if waveforms is None:
+            waveforms = self.transmit(requests)
+        self._next_ordinal += len(requests)
 
         # Packets of one batch normally share a waveform length; oversized
         # frames grow their packet, so group by length and batch per group.
@@ -368,11 +399,15 @@ class TestbedSimulator:
                 paths = self.dynamics.paths_at(paths, elapsed_s)
         else:
             # Hits count avoided ray traces: either the exact (position,
-            # epoch) entry or the epoch-0 base geometry it evolves from.
+            # epoch) entry or the epoch-0 base geometry it evolves from.  A
+            # hit refreshes its entry, so eviction is least-recently-used and
+            # a stream of one-off epochs cannot push out the base geometry
+            # every new epoch evolves from.
             key = (position.x, position.y, float(elapsed_s))
             cached = self._path_cache.get(key)
             if cached is not None:
                 self._path_cache_hits += 1
+                self._path_cache.move_to_end(key)
                 paths = cached
             else:
                 base_key = (position.x, position.y, 0.0)
@@ -383,6 +418,7 @@ class TestbedSimulator:
                     self._store_paths(base_key, base)
                 else:
                     self._path_cache_hits += 1
+                    self._path_cache.move_to_end(base_key)
                 paths = base
                 if elapsed_s > 0:
                     paths = self.dynamics.paths_at(base, elapsed_s)

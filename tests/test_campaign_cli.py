@@ -1,6 +1,12 @@
 """The ``python -m repro`` command line, driven in-process."""
 
 import json
+import os
+import signal
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
@@ -88,6 +94,80 @@ class TestCampaignCommand:
         ResultStore(store_dir).merged_path.unlink()
         with pytest.raises(SystemExit, match="no merged result"):
             run_cli("report", str(store_dir))
+
+
+class TestSpecChecks:
+    @pytest.mark.parametrize("argv,names", [
+        (("mobility", "--param", "num_samples=6"), ("num_samples", "sample axis")),
+        (("mobility", "--param", "num_samples=4", "--axis", "sample=0,1,5"),
+         ("num_samples", "sample axis")),
+        (("replay_eval", "--param", "scenario=swarm"),
+         ("scenario", "population axis")),
+        (("figure5", "--axis", "client=1,2"), ("axis", "client_id")),
+    ], ids=["mobility-param-only", "mobility-axis-past-param",
+            "attack-matrix-scenario", "unknown-axis"])
+    def test_a_parameter_the_axes_contradict_exits_with_one_line(
+            self, tmp_path, argv, names):
+        out = tmp_path / "campaign"
+        with pytest.raises(SystemExit) as exit_info:
+            run_cli("campaign", *argv, "--out", str(out), "--quiet")
+        message = str(exit_info.value.code)
+        assert all(name in message for name in names)
+        assert "\n" not in message
+        assert not out.exists()  # rejected before the store was touched
+
+    def test_a_matching_axis_runs_the_resized_trace(self, tmp_path):
+        from repro.experiments.mobility import run_mobility_tracking
+
+        out = tmp_path / "campaign"
+        assert run_cli("campaign", "mobility", "--param", "num_samples=3",
+                       "--axis", "sample=0,1,2", "--quiet",
+                       "--out", str(out)) == 0
+        merged = json.loads(ResultStore(out).merged_path.read_text())
+        serial = run_mobility_tracking(num_samples=3)
+        assert merged["results"][0] == serial.to_dict()
+
+
+REPO_SRC = str(Path(__file__).resolve().parent.parent / "src")
+
+
+def _children(pid):
+    """Direct child processes of ``pid`` (Linux ``/proc``)."""
+    try:
+        text = Path(f"/proc/{pid}/task/{pid}/children").read_text()
+    except OSError:
+        return []
+    return [int(child) for child in text.split()]
+
+
+@pytest.mark.skipif(not Path("/proc/self/task").exists(),
+                    reason="needs /proc to find the coordinator's workers")
+class TestTermination:
+    def test_sigterm_reaps_workers_and_removes_the_private_store(self, tmp_path):
+        env = dict(os.environ, TMPDIR=str(tmp_path), PYTHONPATH=REPO_SRC)
+        coordinator = subprocess.Popen(
+            [sys.executable, "-m", "repro", "campaign", "figure5",
+             "--param", "num_packets=6", "--workers", "2", "--quiet"],
+            env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE)
+        try:
+            deadline = time.monotonic() + 60
+            workers = []
+            while time.monotonic() < deadline and coordinator.poll() is None:
+                workers = _children(coordinator.pid)
+                if len(workers) >= 2 and any(tmp_path.glob("repro-campaign-*")):
+                    break
+                time.sleep(0.05)
+            assert len(workers) >= 2, "the local workers never started"
+            coordinator.send_signal(signal.SIGTERM)
+            _, stderr = coordinator.communicate(timeout=60)
+        finally:
+            if coordinator.poll() is None:
+                coordinator.kill()
+                coordinator.wait()
+        assert coordinator.returncode != 0
+        assert b"KeyboardInterrupt" in stderr
+        assert not list(tmp_path.glob("repro-campaign-*"))
+        assert not [pid for pid in workers if Path(f"/proc/{pid}").exists()]
 
 
 class TestBackendsAndProgress:

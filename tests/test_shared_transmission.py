@@ -1,0 +1,248 @@
+"""A deployment transmits each packet once; every AP receives that waveform.
+
+``TestbedSimulator.transmit`` is the transmit side of a capture (payload bits,
+stacked OFDM modulation, attacker waveform shaping) and ``capture_batch`` the
+receive side (paths, fading, phase walks, noise).  ``Deployment.capture``
+runs the transmit side once, on the primary AP's simulator, and hands the
+same waveforms to every AP.  These tests pin that:
+
+* one modulation call per burst and one waveform shaping per attacker
+  packet, whatever the number of APs and whichever front door drives them;
+* with every per-link random effect off, the APs' captures are complex
+  multiples of one waveform;
+* lone-AP and primary-AP captures keep their bytes: digests computed before
+  the split, plus the same captures from a stand-alone simulator.
+"""
+
+import hashlib
+from dataclasses import replace
+
+import numpy as np
+import pytest
+
+from repro.api import SCENARIOS, Deployment, fence_scenario, three_ap_scenario
+from repro.attacks.attacker import Attacker
+from repro.channel.channel import ChannelConfig
+from repro.experiments.fence_eval import run_fence_evaluation
+from repro.experiments.mobility import run_mobility_tracking
+from repro.hardware.receiver import ReceiverConfig
+from repro.testbed import scenario as scenario_module
+from repro.testbed.scenario import CaptureRequest, SimulatorConfig
+
+FENCE_ATTACKER = "directional-attacker"
+
+
+class TransmitSpy:
+    """Counts modulation calls (and the packets they modulate) and attacker
+    waveform shapings."""
+
+    def __init__(self, monkeypatch):
+        self.modulations = 0
+        self.modulated_packets = 0
+        self.shapings = 0
+        modulate = scenario_module.make_packet_waveforms
+        shape = Attacker.shape_waveform
+
+        def counting_modulate(frames, *args, **kwargs):
+            self.modulations += 1
+            self.modulated_packets += len(frames)
+            return modulate(frames, *args, **kwargs)
+
+        def counting_shape(attacker, *args, **kwargs):
+            self.shapings += 1
+            return shape(attacker, *args, **kwargs)
+
+        monkeypatch.setattr(scenario_module, "make_packet_waveforms",
+                            counting_modulate)
+        # The fence scenario's directional attacker inherits the base shaping.
+        monkeypatch.setattr(Attacker, "shape_waveform", counting_shape)
+
+
+@pytest.fixture(scope="module")
+def fence():
+    return Deployment(fence_scenario())
+
+
+class TestOneTransmissionPerPacket:
+    def test_traffic_modulates_each_burst_once(self, fence, monkeypatch):
+        spy = TransmitSpy(monkeypatch)
+        packets = fence.traffic(4, num_packets=5, start_s=2.0)
+        assert len(fence.simulators) == 3
+        assert all(len(packet.captures) == 3 for packet in packets)
+        assert (spy.modulations, spy.modulated_packets, spy.shapings) == (1, 5, 0)
+
+    def test_attacker_traffic_shapes_each_packet_once(self, fence, monkeypatch):
+        victim = fence.clients[5].address
+        spy = TransmitSpy(monkeypatch)
+        fence.traffic(attacker=FENCE_ATTACKER, victim_address=victim,
+                      num_packets=4, start_s=30.0)
+        assert (spy.modulations, spy.modulated_packets, spy.shapings) == (1, 4, 4)
+
+    def test_client_packets_modulate_each_packet_once(self, fence, monkeypatch):
+        spy = TransmitSpy(monkeypatch)
+        packets = list(fence.client_packets(6, num_packets=3, start_s=5.0))
+        assert len(packets) == 3
+        assert (spy.modulations, spy.modulated_packets, spy.shapings) == (3, 3, 0)
+
+    def test_attacker_packets_shape_each_packet_once(self, fence, monkeypatch):
+        victim = fence.clients[5].address
+        spy = TransmitSpy(monkeypatch)
+        list(fence.attacker_packets(FENCE_ATTACKER, victim, num_packets=3,
+                                    start_s=50.0))
+        assert (spy.modulations, spy.modulated_packets, spy.shapings) == (3, 3, 3)
+
+    def test_fence_evaluation_transmits_each_burst_once(self, monkeypatch):
+        spy = TransmitSpy(monkeypatch)
+        evaluation = run_fence_evaluation(packets_per_transmitter=2,
+                                          client_ids=[3],
+                                          outdoor_labels=["street-east"])
+        # Client, outdoor probe, attacker: one burst of two packets each.
+        assert len(evaluation.cases) == 3
+        assert (spy.modulations, spy.modulated_packets, spy.shapings) == (3, 6, 2)
+
+    def test_mobility_transmits_each_sample_once(self, monkeypatch):
+        spy = TransmitSpy(monkeypatch)
+        result = run_mobility_tracking(num_samples=3)
+        assert len(result.errors_m) == 3
+        assert (spy.modulations, spy.modulated_packets, spy.shapings) == (3, 3, 0)
+
+    def test_transmit_leaves_the_ordinal_alone(self):
+        deployment = Deployment(three_ap_scenario())
+        simulator = deployment.simulator()
+        request = CaptureRequest(position=deployment.environment.client_position(2))
+        first = simulator.transmit([request])[0]
+        again = simulator.transmit([request])[0]
+        assert np.array_equal(first, again)
+        assert simulator.transmit([]) == []
+
+    def test_capture_batch_checks_the_waveform_count(self):
+        deployment = Deployment(three_ap_scenario())
+        simulator = deployment.simulator()
+        request = CaptureRequest(position=deployment.environment.client_position(2))
+        waveforms = simulator.transmit([request, request])
+        with pytest.raises(ValueError, match="expected 1 waveforms, got 2"):
+            simulator.capture_batch([request], waveforms=waveforms)
+
+
+def _clean_links(spec):
+    """The spec with every per-link random or frequency-selective effect off:
+    no receiver noise, no phase walks, no path delays, no reflections."""
+    return replace(spec, simulator=SimulatorConfig(
+        max_reflections=0,
+        channel=ChannelConfig(path_phase_walk_std_rad=0.0,
+                              apply_path_delays=False),
+        receiver=ReceiverConfig(add_noise=False)))
+
+
+def _ratio_spread(a, b):
+    """Relative spread of ``a / b`` over the samples where ``b`` is not tiny."""
+    mask = np.abs(b) > 1e-6 * np.abs(b).max()
+    ratio = a[mask] / b[mask]
+    return float(np.max(np.abs(ratio - ratio[0])) / np.abs(ratio[0]))
+
+
+class TestOneWaveform:
+    @pytest.mark.parametrize("attacker", [False, True], ids=["client", "attacker"])
+    def test_every_chain_is_a_multiple_of_one_waveform(self, attacker):
+        deployment = Deployment(_clean_links(fence_scenario()))
+        if attacker:
+            packets = deployment.traffic(
+                attacker=FENCE_ATTACKER,
+                victim_address=deployment.clients[5].address,
+                num_packets=2, start_s=10.0)
+        else:
+            packets = deployment.traffic(7, num_packets=2, start_s=10.0)
+        for packet in packets:
+            reference = packet.captures[deployment.primary_ap_name].samples[0]
+            for capture in packet.captures.values():
+                for chain in capture.samples:
+                    assert _ratio_spread(chain, reference) < 1e-9
+        # Distinct packets carry distinct payloads.
+        first, second = (packet.captures["ap-east"].samples[0] for packet in packets)
+        assert _ratio_spread(first, second) > 1e-3
+
+
+def _digest(packets, ap_name):
+    digest = hashlib.sha256()
+    for packet in packets:
+        digest.update(packet.captures[ap_name].samples.tobytes())
+    return digest.hexdigest()
+
+
+def _traffic(scenario, mode, attacker=None):
+    deployment = Deployment(SCENARIOS.get(scenario)())
+    victim = deployment.clients[5].address
+    if mode == "batch":
+        packets = deployment.traffic(3, num_packets=4, start_s=1.0)
+        if attacker is not None:
+            packets += deployment.traffic(attacker=attacker, victim_address=victim,
+                                          num_packets=3, start_s=40.0)
+    else:
+        packets = list(deployment.client_packets(3, num_packets=4, start_s=1.0))
+        if attacker is not None:
+            packets += list(deployment.attacker_packets(attacker, victim,
+                                                        num_packets=3, start_s=40.0))
+    return deployment, packets
+
+
+#: sha256 of the primary AP's capture bytes for ``_traffic``, computed before
+#: the transmit side was shared (float64 synthesis).  A lone AP and a
+#: deployment's primary AP transmit and receive exactly as before, so these
+#: must not move.
+PINNED_DIGESTS = {
+    "figure5": "b6289a3348a31fb1b568a581988f54aa1f1b3d5a0b4539d3b9ede08391bbc34a",
+    "replay": "7e9132e0f1865152b4eda387e91465e29154557eec11178adba5ffc9fcbd1da6",
+    "fence": "b431eb6bacc71ce97611adb5d3100df509c52000f8b569be18b9fefea06e333e",
+}
+ATTACKERS = {"figure5": None, "replay": "replay-indoor", "fence": FENCE_ATTACKER}
+
+
+def _kernel_fingerprint():
+    """sha256 of the numeric kernels synthesis rounds through: FFTs, float64
+    trig, complex matmul and normal draws.  Another numpy build or SIMD
+    level can round them differently, and then every capture byte moves."""
+    rng = np.random.default_rng(2024)
+    x = rng.standard_normal(4096)
+    z = x[:2048] + 1j * x[2048:]
+    digest = hashlib.sha256()
+    for array in (np.fft.fft(z[:1920]), np.fft.ifft(z[:1920]), np.cos(40 * x),
+                  np.sin(40 * x), np.exp(1j * x),
+                  z[:64].reshape(8, 8) @ z[64:128].reshape(8, 8),
+                  rng.standard_normal(64)):
+        digest.update(np.ascontiguousarray(array).tobytes())
+    return digest.hexdigest()
+
+
+#: ``_kernel_fingerprint()`` on the host that computed ``PINNED_DIGESTS``.
+PINNING_HOST_KERNELS = "6834fb764b22c17075b8830cebc3abec0be8959c5b81f5bd204d91377ea23003"
+
+
+class TestPrimaryBytes:
+    @pytest.mark.parametrize("mode", ["batch", "stream"])
+    @pytest.mark.parametrize("scenario", sorted(PINNED_DIGESTS))
+    def test_primary_captures_keep_their_digest(self, scenario, mode):
+        if _kernel_fingerprint() != PINNING_HOST_KERNELS:
+            pytest.skip("numpy's kernels round differently here than on the "
+                        "pinning host; the stand-alone simulator test below "
+                        "checks the primary AP's bytes on any host")
+        deployment, packets = _traffic(scenario, mode, ATTACKERS[scenario])
+        assert _digest(packets, deployment.primary_ap_name) == PINNED_DIGESTS[scenario]
+
+    def test_primary_captures_equal_a_stand_alone_simulator(self):
+        deployment = Deployment(fence_scenario())
+        twin = Deployment(fence_scenario()).simulator()
+        attacker = deployment.attackers[FENCE_ATTACKER]
+        position = deployment.environment.client_position(2)
+        requests = [CaptureRequest(position=position, elapsed_s=4.0 + index)
+                    for index in range(3)]
+        requests += [CaptureRequest(position=attacker.position,
+                                    tx_power_dbm=attacker.tx_power_dbm,
+                                    elapsed_s=20.0 + index, attacker=attacker)
+                     for index in range(2)]
+        shared = deployment.capture(requests)
+        assert list(shared) == ["ap-main", "ap-east", "ap-south"]
+        # The stand-alone simulator transmits for itself.
+        alone = twin.capture_batch(requests)
+        assert all(np.array_equal(a.samples.view(np.uint8), b.samples.view(np.uint8))
+                   and a.metadata == b.metadata
+                   for a, b in zip(shared["ap-main"], alone))

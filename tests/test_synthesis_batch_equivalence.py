@@ -344,6 +344,24 @@ class TestSimulatorEquivalence:
         simulator.clear_path_cache()
         assert simulator.path_cache_info() == {"hits": 0, "misses": 0, "size": 0}
 
+    def test_path_cache_keeps_base_geometry_under_epoch_churn(self, environment):
+        # Streaming stores one entry per new epoch; with least-recently-used
+        # eviction the base geometry every epoch evolves from stays cached.
+        size = 8
+        cached = Simulator(environment, OctagonalArray(),
+                           config=SimulatorConfig(path_cache_size=size), rng=5)
+        traced = Simulator(environment, OctagonalArray(),
+                           config=SimulatorConfig(cache_paths=False), rng=5)
+        position = environment.client_position(6)
+        requests = [CaptureRequest(position=position, elapsed_s=1.0 + index)
+                    for index in range(size + 50)]
+        with_cache = [cached.capture_from_position(position, elapsed_s=request.elapsed_s)
+                      for request in requests]
+        assert cached.path_cache_info()["misses"] == 1
+        assert cached.path_cache_info()["size"] == size
+        assert all(captures_equal(a, b)
+                   for a, b in zip(with_cache, traced.capture_batch(requests)))
+
     def test_cache_disabled_still_equal(self, environment):
         config = SimulatorConfig(cache_paths=False)
         scalar_sim = Simulator(environment, OctagonalArray(),
