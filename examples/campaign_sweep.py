@@ -9,7 +9,8 @@ the records back into the experiment's result dataclass:
 1. ``snr_sweep_campaign`` declares the grid — one shard per transmit power,
 2. ``run_campaign(..., workers=2)`` fans the shards out; per-shard seeds were
    fixed at compile time in canonical order, so the merged result is
-   bit-identical to ``run_snr_sweep`` no matter the worker count,
+   bit-identical to ``run_snr_sweep`` (the same campaign at one worker) no
+   matter the worker count,
 3. attaching a ``ResultStore`` makes the run resumable from disk (one atomic
    JSON record per shard; completed shards are never recomputed).
 
@@ -45,12 +46,12 @@ def main() -> None:
         print(f"\nresume executed {resumed.executed} shard(s) "
               f"(records came from {store.root})")
 
-    serial = run_snr_sweep(tx_powers_dbm=TX_POWERS_DBM,
-                           client_ids=(1, 5), packets_per_point=2)
-    identical = run.result.to_json() == serial.to_json()
-    print(f"\nbit-identical to the serial runner: {identical}")
+    one_worker = run_snr_sweep(tx_powers_dbm=TX_POWERS_DBM,
+                               client_ids=(1, 5), packets_per_point=2)
+    identical = run.result.to_json() == one_worker.to_json()
+    print(f"\nbit-identical to the one-worker run_snr_sweep: {identical}")
     if not identical:
-        raise SystemExit("campaign/serial mismatch")
+        raise SystemExit("2-worker/1-worker mismatch")
 
 
 if __name__ == "__main__":

@@ -10,7 +10,7 @@ arrangement resolves the full [0, 360) range (footnote 1 of the paper).
 from __future__ import annotations
 
 import math
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -273,13 +273,3 @@ class OctagonalArray(UniformCircularArray):
     def side_length(self) -> float:
         """Octagon side length in metres."""
         return self._side_length_m
-
-
-def prototype_arrays(carrier_frequency_hz: float = DEFAULT_CARRIER_FREQUENCY_HZ
-                     ) -> Tuple[UniformLinearArray, OctagonalArray]:
-    """Return the two antenna arrangements used by the paper's prototype."""
-    linear = UniformLinearArray(num_elements=8, carrier_frequency_hz=carrier_frequency_hz,
-                                name="prototype-linear")
-    circular = OctagonalArray(carrier_frequency_hz=carrier_frequency_hz,
-                              name="prototype-circular")
-    return linear, circular

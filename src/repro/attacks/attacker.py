@@ -27,7 +27,6 @@ for why AoA signatures are hard to forge.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import ClassVar, List, Optional, Tuple
 
@@ -170,8 +169,3 @@ class AntennaArrayAttacker(DirectionalAntennaAttacker):
         by the attacker.
         """
         self.aim_point = reflector_point
-
-
-def attacker_distance_to(attacker: Attacker, point: Point) -> float:
-    """Distance (metres) from an attacker to a point — convenience for reports."""
-    return math.hypot(attacker.position.x - point.x, attacker.position.y - point.y)

@@ -14,7 +14,7 @@ threshold the per-entry differences.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Mapping, Optional
+from typing import Dict, Optional
 
 import numpy as np
 
@@ -92,16 +92,3 @@ class RssSpoofingDetector:
 
     def __len__(self) -> int:
         return len(self._prints)
-
-
-def signalprint_from_captures(captures: Mapping[str, "object"]) -> RssSignalprint:
-    """Build a multi-AP signalprint from a mapping of AP name to Capture.
-
-    Uses each capture's mean power; ordering is the sorted AP names so prints
-    built from the same APs are always comparable.
-    """
-    if not captures:
-        raise ValueError("at least one capture is required")
-    names = sorted(captures.keys())
-    powers = [captures[name].power_dbm() for name in names]
-    return RssSignalprint(np.asarray(powers, dtype=float))

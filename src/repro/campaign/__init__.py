@@ -32,7 +32,7 @@ line.
 >>> from repro.campaign import get_adapter, run_campaign
 >>> spec = get_adapter("figure5").default_spec(num_packets=2)
 >>> run = run_campaign(spec, workers=4)
->>> run.result.mean_confidence_halfwidth_deg  # == the serial run's, exactly
+>>> run.result.mean_confidence_halfwidth_deg  # == run_figure5's, exactly
 """
 
 from repro.campaign.adapters import CAMPAIGNS, CampaignAdapter, get_adapter

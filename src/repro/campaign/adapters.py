@@ -14,7 +14,7 @@ it, with the registries' usual did-you-mean errors.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, List, Optional, Sequence, Tuple, Type
+from typing import Any, Callable, Optional, Sequence, Tuple, Type
 
 from repro.api.registry import Registry
 from repro.campaign.spec import CampaignSpec, ShardSpec
@@ -28,6 +28,7 @@ from repro.experiments.ablations import (
     SnrShard,
     SnrSweep,
     calibration_ablation_campaign,
+    check_packets_per_signature_params,
     estimator_comparison_campaign,
     merge_calibration,
     merge_estimator_comparison,
@@ -61,6 +62,7 @@ from repro.experiments.beamforming_eval import (
 from repro.experiments.fence_eval import (
     FenceCase,
     FenceEvaluation,
+    check_fence_eval_params,
     fence_eval_campaign,
     merge_fence_eval,
     run_fence_shard,
@@ -68,6 +70,7 @@ from repro.experiments.fence_eval import (
 from repro.experiments.figure5 import (
     ClientBearingRow,
     Figure5Result,
+    check_figure5_params,
     figure5_campaign,
     merge_figure5,
     run_figure5_shard,
@@ -75,6 +78,7 @@ from repro.experiments.figure5 import (
 from repro.experiments.figure6 import (
     ClientStability,
     Figure6Result,
+    check_figure6_params,
     figure6_campaign,
     merge_figure6,
     run_figure6_shard,
@@ -82,6 +86,7 @@ from repro.experiments.figure6 import (
 from repro.experiments.figure7 import (
     AntennaCountRow,
     Figure7Result,
+    check_figure7_params,
     figure7_campaign,
     merge_figure7,
     run_figure7_shard,
@@ -97,6 +102,7 @@ from repro.experiments.mobility import (
 from repro.experiments.roc import (
     RocShardScores,
     SpoofingRoc,
+    check_roc_params,
     merge_roc,
     roc_campaign,
     run_roc_shard,
@@ -104,6 +110,7 @@ from repro.experiments.roc import (
 from repro.experiments.spoofing_eval import (
     SpoofingEvalShard,
     SpoofingEvaluation,
+    check_spoofing_eval_params,
     merge_spoofing_eval,
     run_spoofing_eval_shard,
     spoofing_eval_campaign,
@@ -130,12 +137,16 @@ class CampaignAdapter:
     default_spec: Callable[..., CampaignSpec]
     #: The axis names this experiment shards over.  A spec gridding any
     #: other axis is rejected before execution: the shard runners slice the
-    #: serial capture sequence by grid-point index, so an unknown axis would
-    #: silently multiply shards and desynchronise that slice arithmetic.
+    #: experiment's capture sequence by grid-point index, so an unknown axis
+    #: would silently multiply shards and desynchronise that slice
+    #: arithmetic.
     axis_names: Tuple[str, ...] = ()
-    #: Reject base parameters that contradict the axes — a parameter that
-    #: sizes an axis, overridden without the axis, would leave shards
-    #: indexing past it.  ``None`` when no base parameter shapes an axis.
+    #: The experiment's argument checks, run before any shard: counts the
+    #: shards would loop over zero times, and base parameters that
+    #: contradict the axes (a parameter that sizes an axis, overridden
+    #: without the axis, would leave shards indexing past it).  The serial
+    #: ``run_*`` runners and ``python -m repro campaign`` both pass through
+    #: it.  ``None`` when the experiment has no such argument.
     check_params: Optional[Callable[[CampaignSpec], None]] = None
 
     def validate_axes(self, spec: CampaignSpec) -> None:
@@ -147,8 +158,8 @@ class CampaignAdapter:
                 f"axis(es) {unknown}; supported: {sorted(self.axis_names)}")
 
     def validate(self, spec: CampaignSpec) -> None:
-        """Reject a spec the shard runner cannot execute as the serial run
-        would: unknown axes, or base parameters the axes contradict."""
+        """Reject a spec the shard runner cannot execute: unknown axes, or
+        base parameters ``check_params`` rejects."""
         self.validate_axes(spec)
         if self.check_params is not None:
             self.check_params(spec)
@@ -164,6 +175,7 @@ CAMPAIGNS.register("figure5", CampaignAdapter(
     result_type=Figure5Result,
     default_spec=figure5_campaign,
     axis_names=("client_id",),
+    check_params=check_figure5_params,
 ))
 CAMPAIGNS.register("figure6", CampaignAdapter(
     name="figure6",
@@ -173,6 +185,7 @@ CAMPAIGNS.register("figure6", CampaignAdapter(
     result_type=Figure6Result,
     default_spec=figure6_campaign,
     axis_names=("client_id",),
+    check_params=check_figure6_params,
 ))
 CAMPAIGNS.register("figure7", CampaignAdapter(
     name="figure7",
@@ -182,6 +195,7 @@ CAMPAIGNS.register("figure7", CampaignAdapter(
     result_type=Figure7Result,
     default_spec=figure7_campaign,
     axis_names=("num_antennas",),
+    check_params=check_figure7_params,
 ))
 CAMPAIGNS.register("roc", CampaignAdapter(
     name="roc",
@@ -191,6 +205,7 @@ CAMPAIGNS.register("roc", CampaignAdapter(
     result_type=SpoofingRoc,
     default_spec=roc_campaign,
     axis_names=("population",),
+    check_params=check_roc_params,
 ), aliases=("spoofing_roc",))
 CAMPAIGNS.register("spoofing_eval", CampaignAdapter(
     name="spoofing_eval",
@@ -200,6 +215,7 @@ CAMPAIGNS.register("spoofing_eval", CampaignAdapter(
     result_type=SpoofingEvaluation,
     default_spec=spoofing_eval_campaign,
     axis_names=("population",),
+    check_params=check_spoofing_eval_params,
 ), aliases=("spoofing",))
 CAMPAIGNS.register("calibration_ablation", CampaignAdapter(
     name="calibration_ablation",
@@ -236,6 +252,7 @@ CAMPAIGNS.register("packets_per_signature", CampaignAdapter(
     result_type=PacketsPerSignatureSweep,
     default_spec=packets_per_signature_campaign,
     axis_names=("training_size",),
+    check_params=check_packets_per_signature_params,
 ))
 CAMPAIGNS.register("fence_eval", CampaignAdapter(
     name="fence_eval",
@@ -245,6 +262,7 @@ CAMPAIGNS.register("fence_eval", CampaignAdapter(
     result_type=FenceEvaluation,
     default_spec=fence_eval_campaign,
     axis_names=("transmitter",),
+    check_params=check_fence_eval_params,
 ), aliases=("fence",))
 CAMPAIGNS.register("mobility", CampaignAdapter(
     name="mobility",
@@ -310,8 +328,3 @@ CAMPAIGNS.register("beamforming", CampaignAdapter(
 def get_adapter(experiment: str) -> CampaignAdapter:
     """Resolve a campaign adapter by name (did-you-mean on miss)."""
     return CAMPAIGNS.get(experiment)
-
-
-def adapter_names() -> List[str]:
-    """Sorted canonical campaign-experiment names."""
-    return CAMPAIGNS.names()

@@ -2,7 +2,8 @@
 
 One entry point for the whole results pipeline:
 
-* ``run`` — execute one serial experiment runner and print its table;
+* ``run`` — run one experiment in-process (its campaign at one worker) and
+  print its table;
 * ``campaign`` — run a sharded campaign (by experiment name or from a spec
   JSON file) in-process (``--workers 1``) or on a file queue drained by
   forked local workers (``--workers N``) and/or external workers
@@ -56,7 +57,8 @@ PROFILE_TOP_N = 15
 
 
 def serial_runners() -> Dict[str, Callable[..., Any]]:
-    """The serial experiment runners, by campaign-compatible name."""
+    """The ``run_*`` experiment runners, by campaign-compatible name (each
+    its campaign at one worker), plus the accuracy claim."""
     from repro import experiments
     from repro.experiments.attack_matrix import (
         run_cfo_drift_eval,
@@ -476,7 +478,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="SecureAngle reproduction: experiments, campaigns, reports.")
     commands = parser.add_subparsers(dest="command", required=True)
 
-    run = commands.add_parser("run", help="run one serial experiment")
+    run = commands.add_parser(
+        "run", help="run one experiment in-process (its campaign at one worker)")
     run.add_argument("experiment", help="experiment name (see list-scenarios)")
     run.add_argument("--seed", type=int, default=None, help="scenario seed")
     run.add_argument("--param", action="append", metavar="KEY=VALUE",

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple
 
 from repro.campaign.adapters import CampaignAdapter, get_adapter
 from repro.campaign.backends import (
@@ -49,7 +49,10 @@ from repro.campaign.store import (
 )
 from repro.utils.serde import from_jsonable, to_jsonable
 
-__all__ = ["CampaignRun", "execute_shard", "run_campaign"]
+if TYPE_CHECKING:
+    from repro.aoa.estimator import EstimatorConfig
+
+__all__ = ["CampaignRun", "execute_shard", "run_campaign", "run_serial"]
 
 #: Progress callback: ``(completed_shards, total_shards, record)``.
 ProgressCallback = Callable[[int, int, ShardRecord], None]
@@ -164,8 +167,9 @@ def run_campaign(spec: CampaignSpec, workers: int = 1,
                    else FileQueueBackend(workers=workers, retry=retry))
     adapter = get_adapter(spec.experiment)
     # An axis the shard runner does not understand would silently multiply
-    # shards and desynchronise the serial-slice arithmetic, and a parameter
-    # that contradicts an axis would fail shard by shard; fail up front.
+    # shards and desynchronise the capture-slice arithmetic, and a bad
+    # parameter would fail shard by shard (or merge into a meaningless
+    # result); fail up front.
     adapter.validate(spec)
     shards = spec.compile()
 
@@ -235,6 +239,23 @@ def run_campaign(spec: CampaignSpec, workers: int = 1,
             store.save_merged(run.campaign_result())
         store.save_progress(tracker.snapshot())
     return run
+
+
+def run_serial(spec: CampaignSpec,
+               estimator_config: Optional[EstimatorConfig] = None) -> Any:
+    """The merged result of ``spec``'s first replicate, run in-process.
+
+    Every serial experiment runner (``run_figure5`` ...) is this call on its
+    experiment's campaign.  ``estimator_config`` travels as the
+    ``estimator`` base parameter that shards read through
+    :func:`~repro.campaign.spec.estimator_from_params`.  Shards are pure, so
+    a failing one is not retried: it raises :class:`ShardFailure` at once.
+    """
+    if estimator_config is not None:
+        spec = spec.with_overrides(
+            base={"estimator": to_jsonable(estimator_config)})
+    return run_campaign(spec, workers=1, retry=RetryPolicy(max_attempts=1),
+                        strict=True).result
 
 
 def _merge(adapter: CampaignAdapter, spec: CampaignSpec,

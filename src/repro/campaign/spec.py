@@ -28,7 +28,8 @@ from repro.utils.rng import derive_seed, ensure_rng
 from repro.utils.serde import JsonSerializable, from_jsonable
 from repro.utils.validation import require_non_negative_int
 
-__all__ = ["CampaignSpec", "ShardSpec", "estimator_from_params"]
+__all__ = ["CampaignSpec", "ShardSpec", "estimator_from_params",
+           "require_param_at_least"]
 
 
 def estimator_from_params(params: Dict[str, Any],
@@ -81,8 +82,8 @@ class CampaignSpec(JsonSerializable):
     #: Number of seed replicates when ``seeds`` is not pinned explicitly.
     num_seeds: int = 1
     #: Explicit replicate seeds; overrides the master-seed derivation.  The
-    #: paper-figure campaigns pin ``(42,)`` so the lone replicate reproduces
-    #: the serial experiment bit-for-bit.
+    #: paper-figure campaigns pin their ``seed`` argument (42 by default) as
+    #: the lone replicate.
     seeds: Optional[Tuple[int, ...]] = None
     #: Parameters shared by every shard (the experiment's keyword arguments).
     base: Dict[str, Any] = field(default_factory=dict)
@@ -172,3 +173,15 @@ class CampaignSpec(JsonSerializable):
             updates["num_seeds"] = num_seeds
             updates["seeds"] = None
         return replace(self, **updates)
+
+
+def require_param_at_least(spec: CampaignSpec, name: str, default: Any,
+                           minimum: int = 1) -> None:
+    """Reject base parameter ``name`` (``default`` when unset) below ``minimum``.
+
+    The building block of the adapters' ``check_params``: a count the shards
+    would loop over zero times must fail before any shard runs.
+    """
+    value = spec.param(name, default)
+    if int(value) < minimum:
+        raise ValueError(f"{name} must be at least {minimum}, got {value!r}")

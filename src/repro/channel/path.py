@@ -106,14 +106,6 @@ class PropagationPath:
                 f"length={self.length_m:.2f} m, gain={self.gain_db:.1f} dB)")
 
 
-def strongest_path(paths) -> Optional[PropagationPath]:
-    """Return the path with the highest gain, or ``None`` for an empty list."""
-    paths = list(paths)
-    if not paths:
-        return None
-    return max(paths, key=lambda path: path.gain_db)
-
-
 def direct_path(paths) -> Optional[PropagationPath]:
     """Return the direct path from a path list, or ``None`` if absent."""
     for path in paths:

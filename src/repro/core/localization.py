@@ -107,9 +107,3 @@ def triangulate_bearings(observations: Sequence[BearingObservation]) -> Location
     residual = float(np.sqrt(np.mean(np.square(distances))))
     return LocationEstimate(position=position, residual_m=residual,
                             num_bearings=len(observations))
-
-
-def bearing_lines_intersection(first: BearingObservation,
-                               second: BearingObservation) -> Point:
-    """Exact intersection of two bearing lines (convenience for two APs)."""
-    return triangulate_bearings([first, second]).position

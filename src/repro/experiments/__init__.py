@@ -1,10 +1,12 @@
 """Experiment runners that regenerate the paper's figures and claims.
 
-Each runner has a serial entry point (``run_*``) and, for the sweep-shaped
-experiments, a campaign builder (``*_campaign``) that expresses the same grid
-as a :class:`~repro.campaign.spec.CampaignSpec` for the sharded
-multi-process engine — merged campaign results are bit-identical to the
-serial runners.
+Each experiment is a campaign: a builder (``*_campaign``) expresses its grid
+as a :class:`~repro.campaign.spec.CampaignSpec`, a shard runner
+(``run_*_shard``) measures one grid point, and a merge reduces the shards
+into the result.  The ``run_*`` entry points run that campaign in-process at
+one worker (:func:`repro.campaign.engine.run_serial`);
+:func:`evaluate_accuracy_claim` reduces :func:`run_figure5`'s per-packet
+bearings.
 """
 
 from repro.experiments.figure5 import Figure5Result, figure5_campaign, run_figure5

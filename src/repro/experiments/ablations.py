@@ -13,7 +13,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence
+from typing import Any, Dict, List, Sequence
 
 import numpy as np
 
@@ -24,11 +24,10 @@ from repro.core.metrics import signature_similarity
 from repro.core.signature import AoASignature
 from repro.experiments.reporting import format_table
 from repro.utils.angles import angular_difference
-from repro.utils.rng import RngLike, ensure_rng
 from repro.utils.serde import JsonSerializable
 
 
-#: Defaults shared by the serial runners and the campaign adapters.
+#: Defaults of the campaign builders, their shards and their merges.
 DEFAULT_CALIBRATION_CLIENTS = (1, 3, 5, 7, 9)
 DEFAULT_COMPARISON_CLIENTS = (13, 14, 17, 18, 19, 20)
 DEFAULT_PACKETS_PER_CLIENT = 3
@@ -56,25 +55,15 @@ class CalibrationAblation(JsonSerializable):
         )
 
 
-def run_calibration_ablation(client_ids: Sequence[int] = DEFAULT_CALIBRATION_CLIENTS,
-                             packets_per_client: int = DEFAULT_PACKETS_PER_CLIENT,
-                             rng: RngLike = 42) -> CalibrationAblation:
-    """Measure bearing error with the calibration step enabled and disabled."""
-    deployment = Deployment(single_ap_scenario(name="calibration-ablation"), rng=rng)
-    uncalibrated_estimator = AoAEstimator(deployment.ap().array,
-                                          EstimatorConfig(require_calibrated=False))
+def run_calibration_ablation(rng: int = 42, **params: Any) -> CalibrationAblation:
+    """Measure bearing error with the calibration step enabled and disabled.
 
-    calibrated_errors: List[float] = []
-    uncalibrated_errors: List[float] = []
-    for client_id in client_ids:
-        calibrated, uncalibrated = _calibration_errors(
-            deployment, uncalibrated_estimator, client_id, packets_per_client)
-        calibrated_errors.extend(calibrated)
-        uncalibrated_errors.extend(uncalibrated)
-    return CalibrationAblation(
-        median_error_calibrated_deg=float(np.median(calibrated_errors)),
-        median_error_uncalibrated_deg=float(np.median(uncalibrated_errors)),
-    )
+    :func:`calibration_ablation_campaign` run in-process at one worker;
+    ``params`` are its keyword arguments, ``rng`` its seed.
+    """
+    from repro.campaign.engine import run_serial
+
+    return run_serial(calibration_ablation_campaign(seed=rng, **params))
 
 
 def _calibration_errors(deployment: Deployment,
@@ -137,7 +126,7 @@ def run_calibration_shard(spec: CampaignSpec, shard: ShardSpec) -> CalibrationSh
 
 def merge_calibration(spec: CampaignSpec,
                       records: Sequence[CalibrationShard]) -> CalibrationAblation:
-    """Reduce per-client error lists into the serial medians."""
+    """Reduce per-client error lists into the medians."""
     calibrated = [error for record in records
                   for error in record.calibrated_errors_deg]
     uncalibrated = [error for record in records
@@ -162,28 +151,17 @@ class EstimatorComparison(JsonSerializable):
         )
 
 
-def run_estimator_comparison(client_ids: Sequence[int] = DEFAULT_COMPARISON_CLIENTS,
-                             packets_per_client: int = DEFAULT_PACKETS_PER_CLIENT,
-                             rng: RngLike = 42) -> EstimatorComparison:
+def run_estimator_comparison(rng: int = 42, **params: Any) -> EstimatorComparison:
     """Compare Equation 1, Bartlett, Capon, and MUSIC on the linear array.
 
-    Uses the linear-arrangement clients so the two-antenna phase method
-    (which reports broadside angles) is directly comparable.
+    :func:`estimator_comparison_campaign` run in-process at one worker;
+    ``params`` are its keyword arguments, ``rng`` its seed.  Uses the
+    linear-arrangement clients so the two-antenna phase method (which
+    reports broadside angles) is directly comparable.
     """
-    deployment = Deployment(single_ap_scenario(
-        geometry="linear", num_elements=8, name="estimator-comparison"), rng=rng)
-    estimators = _comparison_estimators(deployment)
+    from repro.campaign.engine import run_serial
 
-    errors: Dict[str, List[float]] = {name: [] for name in estimators}
-    errors["two-antenna (eq. 1)"] = []
-    for client_id in client_ids:
-        for name, values in _comparison_errors(deployment, estimators,
-                                               client_id, packets_per_client).items():
-            errors[name].extend(values)
-    return EstimatorComparison(
-        median_error_by_method_deg={name: float(np.median(values))
-                                    for name, values in errors.items()},
-    )
+    return run_serial(estimator_comparison_campaign(seed=rng, **params))
 
 
 def _comparison_estimators(deployment: Deployment):
@@ -258,7 +236,7 @@ def run_estimator_comparison_shard(spec: CampaignSpec,
 
 def merge_estimator_comparison(spec: CampaignSpec,
                                records: Sequence[EstimatorComparisonShard]) -> EstimatorComparison:
-    """Reduce per-client per-method errors into the serial medians."""
+    """Reduce per-client per-method errors into the medians."""
     errors: Dict[str, List[float]] = {}
     for record in records:
         for name, values in record.errors_by_method_deg.items():
@@ -283,18 +261,15 @@ class SnrSweep(JsonSerializable):
         )
 
 
-def run_snr_sweep(tx_powers_dbm: Sequence[float] = DEFAULT_TX_POWERS_DBM,
-                  client_ids: Sequence[int] = DEFAULT_SNR_CLIENTS,
-                  packets_per_point: int = DEFAULT_PACKETS_PER_CLIENT,
-                  rng: RngLike = 42) -> SnrSweep:
-    """Bearing error as the transmit power (and hence SNR at the AP) is reduced."""
-    deployment = Deployment(single_ap_scenario(name="snr-sweep"), rng=rng)
+def run_snr_sweep(rng: int = 42, **params: Any) -> SnrSweep:
+    """Bearing error as the transmit power (and hence SNR at the AP) is reduced.
 
-    results: Dict[float, float] = {}
-    for tx_power in tx_powers_dbm:
-        results[float(tx_power)] = _snr_point_error(deployment, float(tx_power),
-                                                    client_ids, packets_per_point)
-    return SnrSweep(median_error_by_tx_power_deg=results)
+    :func:`snr_sweep_campaign` run in-process at one worker; ``params`` are
+    its keyword arguments, ``rng`` its seed.
+    """
+    from repro.campaign.engine import run_serial
+
+    return run_serial(snr_sweep_campaign(seed=rng, **params))
 
 
 def _snr_point_error(deployment: Deployment, tx_power: float,
@@ -354,7 +329,7 @@ def run_snr_shard(spec: CampaignSpec, shard: ShardSpec) -> SnrShard:
 
 
 def merge_snr_sweep(spec: CampaignSpec, records: Sequence[SnrShard]) -> SnrSweep:
-    """Reduce per-power medians into the serial sweep result."""
+    """Reduce per-power medians into the sweep result."""
     return SnrSweep(median_error_by_tx_power_deg={
         record.tx_power_dbm: record.median_error_deg for record in records
     })
@@ -386,36 +361,22 @@ class PacketsPerSignatureSweep(JsonSerializable):
         )
 
 
-def run_packets_per_signature_sweep(training_sizes: Sequence[int] = DEFAULT_TRAINING_SIZES,
-                                    victim_client_id: int = DEFAULT_PPS_VICTIM_CLIENT,
-                                    attacker_client_id: int = DEFAULT_PPS_ATTACKER_CLIENT,
-                                    num_probe_packets: int = DEFAULT_PPS_PROBE_PACKETS,
-                                    rng: RngLike = 42) -> PacketsPerSignatureSweep:
-    """How training-set size affects legitimate/attacker signature separation."""
-    generator = ensure_rng(rng)
-    deployment = Deployment(single_ap_scenario(name="packets-per-signature",
-                                               rng_stream=1), rng=generator)
+def run_packets_per_signature_sweep(rng: int = 42,
+                                    **params: Any) -> PacketsPerSignatureSweep:
+    """How training-set size affects legitimate/attacker signature separation.
 
-    legitimate: Dict[int, float] = {}
-    attacker: Dict[int, float] = {}
-    for training_size in training_sizes:
-        legit, adversary = _training_size_similarity(
-            deployment, int(training_size), victim_client_id,
-            attacker_client_id, num_probe_packets)
-        legitimate[int(training_size)] = legit
-        attacker[int(training_size)] = adversary
-    return PacketsPerSignatureSweep(
-        legitimate_similarity_by_packets=legitimate,
-        attacker_similarity_by_packets=attacker,
-    )
+    :func:`packets_per_signature_campaign` run in-process at one worker;
+    ``params`` are its keyword arguments, ``rng`` its seed.
+    """
+    from repro.campaign.engine import run_serial
+
+    return run_serial(packets_per_signature_campaign(seed=rng, **params))
 
 
 def _training_size_similarity(deployment: Deployment, training_size: int,
                               victim_client_id: int, attacker_client_id: int,
                               num_probe_packets: int):
     """One training size's (legitimate, attacker) mean similarities."""
-    if training_size < 1:
-        raise ValueError("training sizes must be positive")
     simulator = deployment.simulator()
     ap = deployment.ap()
 
@@ -466,6 +427,12 @@ def packets_per_signature_campaign(training_sizes: Sequence[int] = DEFAULT_TRAIN
     )
 
 
+def check_packets_per_signature_params(spec: CampaignSpec) -> None:
+    """Reject a training size that would train on no packet."""
+    if any(int(size) < 1 for size in spec.axes.get("training_size", ())):
+        raise ValueError("training sizes must be positive")
+
+
 def run_packets_per_signature_shard(spec: CampaignSpec,
                                     shard: ShardSpec) -> PacketsPerSignatureShard:
     """One packets-per-signature shard (a single training size)."""
@@ -490,7 +457,7 @@ def run_packets_per_signature_shard(spec: CampaignSpec,
 def merge_packets_per_signature(
         spec: CampaignSpec,
         records: Sequence[PacketsPerSignatureShard]) -> PacketsPerSignatureSweep:
-    """Reduce per-size similarities into the serial sweep result."""
+    """Reduce per-size similarities into the sweep result."""
     return PacketsPerSignatureSweep(
         legitimate_similarity_by_packets={
             record.training_size: record.legitimate_similarity for record in records},

@@ -5,23 +5,22 @@ three quarters of our clients' bearings to the access point to within 2.5
 degrees and all clients' bearings to within 14 degrees with 95 % confidence."
 
 ``evaluate_accuracy_claim`` measures exactly that statistic on the simulated
-testbed: for every client it collects per-packet (single-packet) bearing
-errors, takes each client's 95th-percentile error, and reports what fraction
-of clients stay within 2.5 degrees and within 14 degrees.
+testbed: for every client it takes the per-packet (single-packet) bearing
+errors of Figure 5's bursts, each client's 95th-percentile error, and reports
+what fraction of clients stay within 2.5 degrees and within 14 degrees.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 import numpy as np
 
 from repro.aoa.estimator import EstimatorConfig
-from repro.api import Deployment, single_ap_scenario
+from repro.experiments.figure5 import run_figure5
 from repro.experiments.reporting import format_table
 from repro.utils.angles import angular_difference
-from repro.utils.rng import RngLike
 from repro.utils.serde import JsonSerializable
 
 
@@ -62,27 +61,21 @@ def evaluate_accuracy_claim(num_packets: int = 10,
                             confidence: float = 0.95,
                             client_ids: Optional[Sequence[int]] = None,
                             estimator_config: Optional[EstimatorConfig] = None,
-                            rng: RngLike = 42) -> AccuracyClaim:
-    """Measure the Section 2.3.1 single-packet bearing-accuracy claim."""
-    if num_packets < 1:
-        raise ValueError("num_packets must be at least 1")
+                            rng: int = 42) -> AccuracyClaim:
+    """Measure the Section 2.3.1 single-packet bearing-accuracy claim.
+
+    A reduction of :func:`run_figure5`'s per-packet bearings: each client's
+    ``confidence`` quantile of its single-packet bearing errors.
+    """
     if not 0.0 < confidence < 1.0:
         raise ValueError("confidence must be in (0, 1)")
-    deployment = Deployment(single_ap_scenario(estimator=estimator_config,
-                                               name="accuracy"), rng=rng)
-    if client_ids is None:
-        client_ids = deployment.environment.client_ids
-    simulator = deployment.simulator()
-    ap = deployment.ap()
-
-    per_client: Dict[int, float] = {}
-    for client_id in client_ids:
-        expected = simulator.expected_client_bearing(client_id)
-        errors: List[float] = []
-        for index in range(num_packets):
-            capture = simulator.capture_from_client(client_id, elapsed_s=index * 0.5)
-            estimate = ap.analyze(capture)
-            errors.append(float(angular_difference(estimate.bearing_deg, expected)))
-        per_client[client_id] = float(np.quantile(errors, confidence))
+    figure5 = run_figure5(num_packets=num_packets, client_ids=client_ids,
+                          estimator_config=estimator_config, rng=rng)
+    per_client: Dict[int, float] = {
+        row.client_id: float(np.quantile(
+            [float(angular_difference(bearing, row.ground_truth_deg))
+             for bearing in row.per_packet_bearings_deg], confidence))
+        for row in figure5.rows
+    }
     return AccuracyClaim(per_client_quantile_error_deg=per_client,
                          confidence=confidence, num_packets=num_packets)

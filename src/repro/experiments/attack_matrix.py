@@ -19,7 +19,7 @@ conformance gate covers all four; they share this module's runner.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import Any, List, Optional, Sequence
 
 import numpy as np
 
@@ -28,15 +28,21 @@ from repro.api import SCENARIOS, Deployment
 from repro.api.spec import ScenarioSpec
 from repro.attacks.attacker import Attacker
 from repro.attacks.spoofing_attack import SpoofingAttack
-from repro.campaign.spec import CampaignSpec, ShardSpec, estimator_from_params
+from repro.campaign.spec import (
+    CampaignSpec,
+    ShardSpec,
+    estimator_from_params,
+    require_param_at_least,
+)
 from repro.core.spoofing import SpoofingVerdict
 from repro.experiments.reporting import format_table
+from repro.experiments.spoofing_eval import _train_and_track
 from repro.geometry.point import Point
 from repro.mac.address import MacAddress
-from repro.utils.rng import RngLike, ensure_rng, spawn_rng
+from repro.utils.rng import ensure_rng, spawn_rng
 from repro.utils.serde import JsonSerializable
 
-#: Defaults shared by the serial runners and the campaign adapters (kept
+#: Defaults of the campaign builders, their shards and their merge (kept
 #: equal to the spoofing evaluation's, for comparability).
 DEFAULT_VICTIM_CLIENT = 5
 DEFAULT_TRAINING_PACKETS = 10
@@ -96,73 +102,17 @@ def _resolve_scenario(scenario: str,
 
 
 def run_attack_matrix(scenario: str,
-                      victim_client_id: int = DEFAULT_VICTIM_CLIENT,
-                      num_training_packets: int = DEFAULT_TRAINING_PACKETS,
-                      num_test_packets: int = DEFAULT_TEST_PACKETS,
                       estimator_config: Optional[EstimatorConfig] = None,
-                      rng: RngLike = 42) -> AttackMatrixResult:
-    """Run one attack-family scenario against the trained detector."""
-    if num_training_packets < 1 or num_test_packets < 1:
-        raise ValueError("training and test packet counts must be positive")
-    canonical = SCENARIOS.canonical(scenario)
-    generator = ensure_rng(rng)
-    deployment = Deployment(_resolve_scenario(canonical, estimator_config),
-                            rng=generator)
+                      rng: int = 42, **params: Any) -> AttackMatrixResult:
+    """Run one attack-family scenario against the trained detector.
 
-    # Same address-draw order as the spoofing evaluation: AP from stream 2,
-    # victim from stream 3, attacker addresses lazily from stream 4.
-    ap_address = MacAddress.random(spawn_rng(generator, 2))
-    victim_address = MacAddress.random(spawn_rng(generator, 3))
-
-    false_alarms = _train_and_track(deployment, victim_address,
-                                    victim_client_id, num_training_packets,
-                                    num_test_packets)
-
-    outcomes = [
-        _attacker_outcome(deployment, attacker, victim_address, ap_address,
-                          num_test_packets)
-        for attacker in deployment.attackers.values()
-    ]
-    return AttackMatrixResult(
-        scenario=canonical,
-        victim_client_id=victim_client_id,
-        false_alarm_rate=false_alarms / num_test_packets,
-        attackers=outcomes,
-    )
-
-
-def _train_and_track(deployment: Deployment, victim_address: MacAddress,
-                     victim_client_id: int, num_training_packets: int,
-                     num_test_packets: int) -> int:
-    """Train the certified signature, then stream the victim's later packets.
-
-    Returns the false-alarm count.  Mutates the AP's detector/tracker state
-    exactly as the serial evaluation does — campaign shards replay this
-    before measuring their attacker.
+    :func:`attack_matrix_campaign` run in-process at one worker; ``params``
+    are its keyword arguments, ``rng`` its seed.
     """
-    simulator = deployment.simulator()
-    ap = deployment.ap()
+    from repro.campaign.engine import run_serial
 
-    training_captures = [
-        simulator.capture_from_client(victim_client_id, elapsed_s=index * 0.5,
-                                      timestamp_s=index * 0.5)
-        for index in range(num_training_packets)
-    ]
-    ap.train_client(victim_address, training_captures)
-
-    false_alarms = 0
-    probe_captures = [
-        simulator.capture_from_client(victim_client_id,
-                                      elapsed_s=60.0 + index * 5.0,
-                                      timestamp_s=60.0 + index * 5.0)
-        for index in range(num_test_packets)
-    ]
-    probe_observations = ap.signatures_from_captures(probe_captures)
-    for capture, observation in zip(probe_captures, probe_observations):
-        check = ap.check_packet(victim_address, observation, capture.timestamp_s)
-        if check.verdict is SpoofingVerdict.SPOOFED:
-            false_alarms += 1
-    return false_alarms
+    return run_serial(attack_matrix_campaign(scenario, seed=rng, **params),
+                      estimator_config)
 
 
 def _attacker_outcome(deployment: Deployment, attacker: Attacker,
@@ -227,9 +177,9 @@ def attack_matrix_campaign(scenario: str,
     """One attack-family evaluation as a campaign: a shard per transmitter.
 
     Point 0 measures the legitimate client's false alarms; the following
-    points measure the scenario's attackers in declaration order — the
-    serial evaluation's capture order, so each shard skips to its own slice
-    after replaying the training and tracking prefix.
+    points measure the scenario's attackers in declaration order, each shard
+    skipping to its own slice of captures after replaying the training and
+    tracking prefix.
     """
     canonical = SCENARIOS.canonical(scenario)
     spec = _resolve_scenario(canonical, None)
@@ -251,12 +201,15 @@ def attack_matrix_campaign(scenario: str,
 
 
 def check_attack_matrix_params(spec: CampaignSpec) -> None:
-    """Reject a ``scenario`` whose attackers the population axis does not name.
+    """Reject empty packet counts, and a ``scenario`` whose attackers the
+    population axis does not name.
 
     The axis lists the scenario's attackers by index and name, so a
     ``scenario`` override without a matching axis would run some other
     scenario's attackers, or index past them.
     """
+    require_param_at_least(spec, "num_training_packets", DEFAULT_TRAINING_PACKETS)
+    require_param_at_least(spec, "num_test_packets", DEFAULT_TEST_PACKETS)
     scenario = SCENARIOS.canonical(str(spec.param("scenario", "replay")))
     if scenario not in ATTACK_MATRIX_SCENARIOS:
         raise ValueError(f"scenario={scenario!r} is not an attack-family "
@@ -286,11 +239,13 @@ def run_attack_matrix_shard(spec: CampaignSpec,
     deployment = Deployment(
         _resolve_scenario(scenario, estimator_from_params(spec.base)),
         rng=generator)
+    # Same address-draw order as the spoofing evaluation: AP from stream 2,
+    # victim from stream 3, attacker addresses lazily from stream 4.
     ap_address = MacAddress.random(spawn_rng(generator, 2))
     victim_address = MacAddress.random(spawn_rng(generator, 3))
 
-    false_alarms = _train_and_track(deployment, victim_address, victim_client,
-                                    num_training, num_test)
+    false_alarms, _, _ = _train_and_track(deployment, victim_address,
+                                          victim_client, num_training, num_test)
     population = shard.params["population"]
     if population["role"] == "legitimate":
         return AttackMatrixShard(role="legitimate",
@@ -299,8 +254,9 @@ def run_attack_matrix_shard(spec: CampaignSpec,
     attackers = list(deployment.attackers.values())
     attacker_index = int(population["attacker_index"])
     if shard.point > 1:
-        # The serial loop resets the victim's mismatch streak after each
-        # attacker, so every attacker but the first starts from a clean one.
+        # Each attacker's measurement resets the victim's mismatch streak
+        # when it ends, so every attacker but the first starts from a clean
+        # one.
         deployment.ap().detector.reset(victim_address)
     deployment.simulator().skip_captures(attacker_index * num_test)
     outcome = _attacker_outcome(deployment, attackers[attacker_index],
@@ -310,7 +266,7 @@ def run_attack_matrix_shard(spec: CampaignSpec,
 
 def merge_attack_matrix(spec: CampaignSpec,
                         records: Sequence[AttackMatrixShard]) -> AttackMatrixResult:
-    """Reduce the per-transmitter shards into the serial evaluation."""
+    """Reduce the per-transmitter shards into the evaluation."""
     legitimate = [record for record in records if record.role == "legitimate"]
     if len(legitimate) != 1:
         raise ValueError(
@@ -351,20 +307,20 @@ def cfo_drift_eval_campaign(**kwargs: object) -> CampaignSpec:
 
 
 def run_replay_eval(**kwargs: object) -> AttackMatrixResult:
-    """Serial replay evaluation (campaign-conformance reference)."""
+    """The replay evaluation at one worker (see :func:`run_attack_matrix`)."""
     return run_attack_matrix("replay", **kwargs)  # type: ignore[arg-type]
 
 
 def run_reflector_eval(**kwargs: object) -> AttackMatrixResult:
-    """Serial reflector evaluation (campaign-conformance reference)."""
+    """The reflector evaluation at one worker (see :func:`run_attack_matrix`)."""
     return run_attack_matrix("reflector", **kwargs)  # type: ignore[arg-type]
 
 
 def run_swarm_eval(**kwargs: object) -> AttackMatrixResult:
-    """Serial swarm evaluation (campaign-conformance reference)."""
+    """The swarm evaluation at one worker (see :func:`run_attack_matrix`)."""
     return run_attack_matrix("swarm", **kwargs)  # type: ignore[arg-type]
 
 
 def run_cfo_drift_eval(**kwargs: object) -> AttackMatrixResult:
-    """Serial CFO-drift evaluation (campaign-conformance reference)."""
+    """The CFO-drift evaluation at one worker (see :func:`run_attack_matrix`)."""
     return run_attack_matrix("cfo_drift", **kwargs)  # type: ignore[arg-type]

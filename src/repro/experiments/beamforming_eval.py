@@ -12,7 +12,7 @@ transmission ... resulting in higher throughput and better reliability".
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Any, Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -27,7 +27,6 @@ from repro.core.beamforming import (
     steering_weights,
 )
 from repro.experiments.reporting import format_table
-from repro.utils.rng import RngLike
 from repro.utils.serde import JsonSerializable
 
 
@@ -83,22 +82,16 @@ def _client_gains(deployment: Deployment, client_id: int) -> Tuple[float, float]
             beamforming_gain_db(mrt, channel))
 
 
-def run_beamforming_evaluation(client_ids: Optional[Sequence[int]] = None,
-                               estimator_config: Optional[EstimatorConfig] = None,
-                               rng: RngLike = 42) -> BeamformingResult:
-    """Evaluate downlink beamforming gains derived from uplink AoA."""
-    deployment = Deployment(single_ap_scenario(estimator=estimator_config,
-                                               name="beamforming"), rng=rng)
-    if client_ids is None:
-        client_ids = deployment.environment.client_ids
+def run_beamforming_evaluation(estimator_config: Optional[EstimatorConfig] = None,
+                               rng: int = 42, **params: Any) -> BeamformingResult:
+    """Evaluate downlink beamforming gains derived from uplink AoA.
 
-    steering_gains: Dict[int, float] = {}
-    eigen_gains: Dict[int, float] = {}
-    for client_id in client_ids:
-        steering_gains[client_id], eigen_gains[client_id] = _client_gains(
-            deployment, client_id)
-    return BeamformingResult(steering_gain_db_by_client=steering_gains,
-                             eigen_gain_db_by_client=eigen_gains)
+    :func:`beamforming_campaign` run in-process at one worker; ``params``
+    are its keyword arguments, ``rng`` its seed.
+    """
+    from repro.campaign.engine import run_serial
+
+    return run_serial(beamforming_campaign(seed=rng, **params), estimator_config)
 
 
 # ------------------------------------------------------------------- campaign
@@ -116,10 +109,9 @@ def beamforming_campaign(client_ids: Optional[Sequence[int]] = None,
                          name: str = "beamforming") -> CampaignSpec:
     """The beamforming evaluation as a campaign: one shard per client.
 
-    The lone replicate reproduces :func:`run_beamforming_evaluation`
-    bit-for-bit: each shard rebuilds the deployment from the same seed and
-    skips the simulator's capture ordinal past the earlier clients' packets
-    (one capture each).
+    Each shard rebuilds the deployment from the seed and skips the
+    simulator's capture ordinal past the earlier clients' packets (one
+    capture each).
     """
     if client_ids is None:
         from repro.api import ENVIRONMENTS
@@ -150,7 +142,7 @@ def run_beamforming_shard(spec: CampaignSpec,
 
 def merge_beamforming(spec: CampaignSpec,
                       shards: Sequence[BeamformingShard]) -> BeamformingResult:
-    """Reduce one replicate's shard gains into the serial result dataclass."""
+    """Reduce one replicate's shard gains into the evaluation."""
     return BeamformingResult(
         steering_gain_db_by_client={shard.client_id: shard.steering_gain_db
                                     for shard in shards},

@@ -26,16 +26,20 @@ import numpy as np
 
 from repro.aoa.estimator import EstimatorConfig
 from repro.api import Deployment, fence_scenario
-from repro.campaign.spec import CampaignSpec, ShardSpec, estimator_from_params
+from repro.campaign.spec import (
+    CampaignSpec,
+    ShardSpec,
+    estimator_from_params,
+    require_param_at_least,
+)
 from repro.core.fence import FenceDecision
 from repro.experiments.reporting import format_table
 from repro.geometry.point import Point
 from repro.testbed.scenario import CaptureRequest
-from repro.utils.rng import RngLike, ensure_rng
 from repro.utils.serde import JsonSerializable
 
 
-#: Defaults shared by the serial runner and the campaign adapter.
+#: Defaults of the campaign builder and its shards.
 DEFAULT_PACKETS_PER_TRANSMITTER = 3
 DEFAULT_MARGIN_M = 1.0
 #: The fence scenario's strong attacker (declared by ``fence_scenario``).
@@ -101,7 +105,7 @@ def _transmitter_population(environment,
                             client_ids: Optional[Sequence[int]] = None,
                             outdoor_labels: Optional[Sequence[str]] = None,
                             include_attacker: bool = True) -> List[Dict[str, Any]]:
-    """The evaluation's transmitters, in the serial runner's capture order.
+    """The evaluation's transmitters, in capture order.
 
     Each descriptor is a plain JSON-able dictionary so the same list can be a
     campaign axis: the indoor clients, then the outdoor probe positions, then
@@ -181,33 +185,16 @@ def _evaluate_transmitter(deployment: Deployment, transmitter: Dict[str, Any],
     )
 
 
-def run_fence_evaluation(packets_per_transmitter: int = DEFAULT_PACKETS_PER_TRANSMITTER,
-                         margin_m: float = DEFAULT_MARGIN_M,
-                         estimator_config: Optional[EstimatorConfig] = None,
-                         client_ids: Optional[Sequence[int]] = None,
-                         outdoor_labels: Optional[Sequence[str]] = None,
-                         include_attacker: bool = True,
-                         rng: RngLike = 42) -> FenceEvaluation:
+def run_fence_evaluation(estimator_config: Optional[EstimatorConfig] = None,
+                         rng: int = 42, **params: Any) -> FenceEvaluation:
     """Run the multi-AP virtual-fence evaluation on the simulated testbed.
 
-    ``client_ids``/``outdoor_labels``/``include_attacker`` restrict the
-    transmitter population (defaults cover everything, as the paper does).
+    :func:`fence_eval_campaign` run in-process at one worker; ``params`` are
+    its keyword arguments, ``rng`` its seed.
     """
-    if packets_per_transmitter < 1:
-        raise ValueError("packets_per_transmitter must be at least 1")
-    generator = ensure_rng(rng)
-    # Three APs, per Section 2.3.1's "more than two access points", plus the
-    # fence and the strong attacker — all declared by the fence scenario spec.
-    deployment = Deployment(fence_scenario(estimator=estimator_config,
-                                           margin_m=margin_m), rng=generator)
-    transmitters = _transmitter_population(
-        deployment.environment, client_ids=client_ids,
-        outdoor_labels=outdoor_labels, include_attacker=include_attacker)
-    cases = [
-        _evaluate_transmitter(deployment, transmitter, packets_per_transmitter)
-        for transmitter in transmitters
-    ]
-    return FenceEvaluation(cases=cases)
+    from repro.campaign.engine import run_serial
+
+    return run_serial(fence_eval_campaign(seed=rng, **params), estimator_config)
 
 
 # ------------------------------------------------------------------- campaign
@@ -220,10 +207,13 @@ def fence_eval_campaign(packets_per_transmitter: int = DEFAULT_PACKETS_PER_TRANS
                         name: str = "fence_eval") -> CampaignSpec:
     """The fence evaluation as a campaign: one shard per transmitter.
 
-    The lone replicate reproduces :func:`run_fence_evaluation` bit-for-bit:
-    each shard rebuilds the fence deployment from the same seed, skips every
-    AP simulator's capture ordinal past the earlier transmitters' packets,
-    and evaluates its own transmitter exactly as the serial loop would.
+    Three APs, per Section 2.3.1's "more than two access points", plus the
+    fence and the strong attacker, all declared by the fence scenario spec.
+    ``client_ids``/``outdoor_labels``/``include_attacker`` restrict the
+    transmitter population (defaults cover everything, as the paper does).
+    Each shard rebuilds the fence deployment from the seed, skips every AP
+    simulator's capture ordinal past the earlier transmitters' packets, and
+    evaluates its own transmitter.
     """
     from repro.api import ENVIRONMENTS
 
@@ -241,6 +231,12 @@ def fence_eval_campaign(packets_per_transmitter: int = DEFAULT_PACKETS_PER_TRANS
     )
 
 
+def check_fence_eval_params(spec: CampaignSpec) -> None:
+    """Reject a packet count that would leave every transmitter undecided."""
+    require_param_at_least(spec, "packets_per_transmitter",
+                           DEFAULT_PACKETS_PER_TRANSMITTER)
+
+
 def run_fence_shard(spec: CampaignSpec, shard: ShardSpec) -> FenceCase:
     """One fence-evaluation campaign shard: a single transmitter's case."""
     packets = int(spec.param("packets_per_transmitter",
@@ -249,8 +245,8 @@ def run_fence_shard(spec: CampaignSpec, shard: ShardSpec) -> FenceCase:
         fence_scenario(estimator=estimator_from_params(spec.base),
                        margin_m=float(spec.param("margin_m", DEFAULT_MARGIN_M))),
         rng=shard.seed)
-    # Jump every AP's simulator to this transmitter's slice of the serial
-    # capture sequence (each transmitter consumes ``packets`` captures per AP).
+    # Jump every AP's simulator to this transmitter's slice of the capture
+    # sequence (each transmitter consumes ``packets`` captures per AP).
     for simulator in deployment.simulators.values():
         simulator.skip_captures(shard.point * packets)
     return _evaluate_transmitter(deployment, dict(shard.params["transmitter"]),
@@ -259,5 +255,5 @@ def run_fence_shard(spec: CampaignSpec, shard: ShardSpec) -> FenceCase:
 
 def merge_fence_eval(spec: CampaignSpec,
                      cases: Sequence[FenceCase]) -> FenceEvaluation:
-    """Reduce one replicate's shard cases into the serial result dataclass."""
+    """Reduce one replicate's shard cases into the evaluation."""
     return FenceEvaluation(cases=list(cases))

@@ -7,7 +7,7 @@ with a 99 % confidence interval against the ground-truth bearing.  The text
 quotes a mean 99 % confidence interval of roughly 7 degrees and notes that the
 blocked (11, 12) and far (6) clients show the largest variance.
 
-``run_figure5`` reproduces exactly that procedure on the simulated testbed and
+``run_figure5`` reproduces that procedure on the simulated testbed and
 returns one row per client (ground truth, mean estimate, confidence interval,
 error) plus the summary statistics the accuracy claim (Section 2.3.1) is built
 from.
@@ -16,20 +16,24 @@ from.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from typing import Any, List, Optional, Sequence
 
 import numpy as np
 
 from repro.aoa.estimator import EstimatorConfig
 from repro.api import Deployment, single_ap_scenario
-from repro.campaign.spec import CampaignSpec, ShardSpec, estimator_from_params
+from repro.campaign.spec import (
+    CampaignSpec,
+    ShardSpec,
+    estimator_from_params,
+    require_param_at_least,
+)
 from repro.experiments.reporting import format_table
 from repro.utils.angles import angular_difference, circular_mean, confidence_interval_halfwidth
-from repro.utils.rng import RngLike
 from repro.utils.serde import JsonSerializable
 
 
-#: Defaults shared by the serial runner and the campaign adapter.
+#: Defaults of the campaign builder, its shards and its merge.
 DEFAULT_NUM_PACKETS = 10
 DEFAULT_INTER_PACKET_GAP_S = 0.5
 DEFAULT_CONFIDENCE = 0.99
@@ -83,69 +87,17 @@ class Figure5Result(JsonSerializable):
         )
 
 
-def run_figure5(num_packets: int = DEFAULT_NUM_PACKETS,
-                client_ids: Optional[Sequence[int]] = None,
-                inter_packet_gap_s: float = DEFAULT_INTER_PACKET_GAP_S,
-                confidence: float = DEFAULT_CONFIDENCE,
-                estimator_config: Optional[EstimatorConfig] = None,
-                rng: RngLike = 42) -> Figure5Result:
+def run_figure5(estimator_config: Optional[EstimatorConfig] = None,
+                rng: int = 42, **params: Any) -> Figure5Result:
     """Reproduce Figure 5 on the simulated testbed.
 
-    Parameters
-    ----------
-    num_packets:
-        Pseudospectra per client (the paper uses 10).
-    client_ids:
-        Which clients to measure; defaults to all twenty.
-    inter_packet_gap_s:
-        Spacing between the packets of one client's burst.
-    confidence:
-        Confidence level of the interval (the paper plots 99 %).
-    estimator_config:
-        Overrides the default MUSIC pipeline configuration.
-    rng:
-        Seed controlling every stochastic part of the simulation.
+    :func:`figure5_campaign` run in-process at one worker; ``params`` are
+    its keyword arguments, ``rng`` its seed.  ``estimator_config``
+    overrides the default MUSIC pipeline configuration.
     """
-    if num_packets < 1:
-        raise ValueError("num_packets must be at least 1")
-    deployment = Deployment(single_ap_scenario(estimator=estimator_config,
-                                               name="figure5"), rng=rng)
-    if client_ids is None:
-        client_ids = deployment.environment.client_ids
+    from repro.campaign.engine import run_serial
 
-    rows: List[ClientBearingRow] = []
-    for client_id in client_ids:
-        rows.append(_client_row(deployment, client_id, num_packets=num_packets,
-                                inter_packet_gap_s=inter_packet_gap_s,
-                                confidence=confidence))
-    return Figure5Result(rows=rows, num_packets=num_packets, confidence=confidence)
-
-
-def _client_row(deployment: Deployment, client_id: int, num_packets: int,
-                inter_packet_gap_s: float, confidence: float) -> ClientBearingRow:
-    """One client's Figure 5 row (consumes ``num_packets`` captures)."""
-    simulator = deployment.simulator()
-    ap = deployment.ap()
-    expected = simulator.expected_client_bearing(client_id)
-    captures = [
-        simulator.capture_from_client(
-            client_id, elapsed_s=index * inter_packet_gap_s,
-            timestamp_s=index * inter_packet_gap_s)
-        for index in range(num_packets)
-    ]
-    estimates = ap.analyze_batch(captures)
-    bearings = [estimate.bearing_deg for estimate in estimates]
-    mean_bearing = circular_mean(bearings)
-    halfwidth = confidence_interval_halfwidth(bearings, confidence=confidence)
-    error = float(angular_difference(mean_bearing, expected))
-    return ClientBearingRow(
-        client_id=client_id,
-        ground_truth_deg=float(expected),
-        mean_estimate_deg=float(mean_bearing),
-        confidence_halfwidth_deg=float(halfwidth),
-        error_deg=error,
-        per_packet_bearings_deg=bearings,
-    )
+    return run_serial(figure5_campaign(seed=rng, **params), estimator_config)
 
 
 # ------------------------------------------------------------------- campaign
@@ -157,10 +109,22 @@ def figure5_campaign(num_packets: int = DEFAULT_NUM_PACKETS,
                      name: str = "figure5") -> CampaignSpec:
     """Figure 5 as a campaign: one shard per client, seed pinned to 42.
 
-    The lone replicate reproduces :func:`run_figure5` bit-for-bit: each shard
-    rebuilds the figure's deployment from the same seed, skips the
+    Each shard rebuilds the figure's deployment from the seed, skips the
     simulator's capture ordinal past the earlier clients' captures, and
-    measures its own client exactly as the serial loop would.
+    measures its own client.
+
+    Parameters
+    ----------
+    num_packets:
+        Pseudospectra per client (the paper uses 10).
+    client_ids:
+        Which clients to measure; defaults to all twenty.
+    inter_packet_gap_s:
+        Spacing between the packets of one client's burst.
+    confidence:
+        Confidence level of the interval (the paper plots 99 %).
+    seed:
+        Seed controlling every stochastic part of the simulation.
     """
     if client_ids is None:
         from repro.api import ENVIRONMENTS
@@ -177,24 +141,46 @@ def figure5_campaign(num_packets: int = DEFAULT_NUM_PACKETS,
     )
 
 
+def check_figure5_params(spec: CampaignSpec) -> None:
+    """Reject a packet count the shards would measure nothing with."""
+    require_param_at_least(spec, "num_packets", DEFAULT_NUM_PACKETS)
+
+
 def run_figure5_shard(spec: CampaignSpec, shard: ShardSpec) -> ClientBearingRow:
     """One Figure 5 campaign shard: a single client's row."""
     num_packets = int(spec.param("num_packets", DEFAULT_NUM_PACKETS))
+    gap_s = float(spec.param("inter_packet_gap_s", DEFAULT_INTER_PACKET_GAP_S))
+    client_id = int(shard.params["client_id"])
     deployment = Deployment(single_ap_scenario(
         estimator=estimator_from_params(spec.base), name="figure5"),
         rng=shard.seed)
-    # Jump to this client's slice of the serial capture sequence.
-    deployment.simulator().skip_captures(shard.point * num_packets)
-    return _client_row(deployment, int(shard.params["client_id"]),
-                       num_packets=num_packets,
-                       inter_packet_gap_s=float(
-                           spec.param("inter_packet_gap_s", DEFAULT_INTER_PACKET_GAP_S)),
-                       confidence=float(spec.param("confidence", DEFAULT_CONFIDENCE)))
+    simulator = deployment.simulator()
+    # Jump to this client's slice of the capture sequence.
+    simulator.skip_captures(shard.point * num_packets)
+    expected = simulator.expected_client_bearing(client_id)
+    captures = [
+        simulator.capture_from_client(client_id, elapsed_s=index * gap_s,
+                                      timestamp_s=index * gap_s)
+        for index in range(num_packets)
+    ]
+    bearings = [estimate.bearing_deg
+                for estimate in deployment.ap().analyze_batch(captures)]
+    mean_bearing = circular_mean(bearings)
+    halfwidth = confidence_interval_halfwidth(
+        bearings, confidence=float(spec.param("confidence", DEFAULT_CONFIDENCE)))
+    return ClientBearingRow(
+        client_id=client_id,
+        ground_truth_deg=float(expected),
+        mean_estimate_deg=float(mean_bearing),
+        confidence_halfwidth_deg=float(halfwidth),
+        error_deg=float(angular_difference(mean_bearing, expected)),
+        per_packet_bearings_deg=bearings,
+    )
 
 
 def merge_figure5(spec: CampaignSpec,
                   rows: Sequence[ClientBearingRow]) -> Figure5Result:
-    """Reduce one replicate's shard rows into the serial result dataclass."""
+    """Reduce one replicate's shard rows into the figure's result."""
     return Figure5Result(rows=list(rows),
                          num_packets=int(spec.param("num_packets", DEFAULT_NUM_PACKETS)),
                          confidence=float(spec.param("confidence", DEFAULT_CONFIDENCE)))

@@ -16,7 +16,7 @@ and summarises the drift of the direct-path peak versus the secondary peaks.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence
 
 from repro.aoa.estimator import EstimatorConfig
 from repro.aoa.spectrum import Pseudospectrum
@@ -25,7 +25,6 @@ from repro.campaign.spec import CampaignSpec, ShardSpec, estimator_from_params
 from repro.core.metrics import peak_set_distance_deg, spectral_correlation
 from repro.core.signature import signatures_from_pseudospectra
 from repro.experiments.reporting import format_table
-from repro.utils.rng import RngLike
 from repro.utils.serde import JsonSerializable
 
 #: The time offsets (seconds) of the paper's Figure 6, including one hour and one day.
@@ -81,22 +80,16 @@ class Figure6Result(JsonSerializable):
         )
 
 
-def run_figure6(client_ids: Sequence[int] = DEFAULT_CLIENTS,
-                time_offsets_s: Sequence[float] = DEFAULT_TIME_OFFSETS_S,
-                estimator_config: Optional[EstimatorConfig] = None,
-                rng: RngLike = 42) -> Figure6Result:
-    """Reproduce Figure 6 on the simulated testbed (linear antenna arrangement)."""
-    time_offsets = [float(t) for t in time_offsets_s]
-    if not time_offsets or time_offsets[0] != 0.0:
-        raise ValueError("time_offsets_s must start with 0 (the reference capture)")
-    deployment = Deployment(single_ap_scenario(
-        geometry="linear", num_elements=8, estimator=estimator_config,
-        name="figure6"), rng=rng)
+def run_figure6(estimator_config: Optional[EstimatorConfig] = None,
+                rng: int = 42, **params: Any) -> Figure6Result:
+    """Reproduce Figure 6 on the simulated testbed (linear antenna arrangement).
 
-    clients: Dict[int, ClientStability] = {}
-    for client_id in client_ids:
-        clients[client_id] = _client_stability(deployment, client_id, time_offsets)
-    return Figure6Result(clients=clients, time_offsets_s=time_offsets)
+    :func:`figure6_campaign` run in-process at one worker; ``params`` are
+    its keyword arguments, ``rng`` its seed.
+    """
+    from repro.campaign.engine import run_serial
+
+    return run_serial(figure6_campaign(seed=rng, **params), estimator_config)
 
 
 def _client_stability(deployment: Deployment, client_id: int,
@@ -137,17 +130,21 @@ def figure6_campaign(client_ids: Sequence[int] = DEFAULT_CLIENTS,
                      time_offsets_s: Sequence[float] = DEFAULT_TIME_OFFSETS_S,
                      seed: int = 42,
                      name: str = "figure6") -> CampaignSpec:
-    """Figure 6 as a campaign: one shard per client, serial-equivalent."""
-    time_offsets = [float(t) for t in time_offsets_s]
-    if not time_offsets or time_offsets[0] != 0.0:
-        raise ValueError("time_offsets_s must start with 0 (the reference capture)")
+    """Figure 6 as a campaign: one shard per client."""
     return CampaignSpec(
         name=name,
         experiment="figure6",
         seeds=(int(seed),),
-        base={"time_offsets_s": time_offsets},
+        base={"time_offsets_s": [float(t) for t in time_offsets_s]},
         axes={"client_id": tuple(int(client) for client in client_ids)},
     )
+
+
+def check_figure6_params(spec: CampaignSpec) -> None:
+    """Reject time offsets that do not start with the reference capture."""
+    time_offsets = spec.param("time_offsets_s", list(DEFAULT_TIME_OFFSETS_S))
+    if not time_offsets or float(time_offsets[0]) != 0.0:
+        raise ValueError("time_offsets_s must start with 0 (the reference capture)")
 
 
 def run_figure6_shard(spec: CampaignSpec, shard: ShardSpec) -> ClientStability:
@@ -165,7 +162,7 @@ def run_figure6_shard(spec: CampaignSpec, shard: ShardSpec) -> ClientStability:
 
 def merge_figure6(spec: CampaignSpec,
                   records: Sequence[ClientStability]) -> Figure6Result:
-    """Reduce one replicate's shard records into the serial result."""
+    """Reduce one replicate's shard records into the figure's result."""
     time_offsets = [float(t) for t in
                     spec.param("time_offsets_s", list(DEFAULT_TIME_OFFSETS_S))]
     return Figure6Result(

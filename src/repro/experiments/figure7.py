@@ -15,7 +15,7 @@ is run on each subarray.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence
+from typing import Any, Dict, List, Sequence
 
 import numpy as np
 
@@ -25,10 +25,9 @@ from repro.aoa.spectrum import Pseudospectrum
 from repro.api import Deployment, single_ap_scenario
 from repro.arrays.geometry import UniformLinearArray
 from repro.arrays.subarray import subarray_samples
-from repro.campaign.spec import CampaignSpec, ShardSpec
+from repro.campaign.spec import CampaignSpec, ShardSpec, require_param_at_least
 from repro.experiments.reporting import format_table
 from repro.hardware.capture import Capture
-from repro.utils.rng import RngLike
 from repro.utils.serde import JsonSerializable
 
 #: The antenna counts Figure 7 compares.
@@ -37,7 +36,7 @@ DEFAULT_ANTENNA_COUNTS = (2, 4, 6, 8)
 #: The paper uses client 12 (blocked by the pillar, strong multipath).
 DEFAULT_CLIENT = 12
 
-#: Packets the sweep medians over (shared by serial runner and campaign).
+#: Packets the sweep medians over.
 DEFAULT_NUM_PACKETS = 3
 
 
@@ -79,40 +78,20 @@ class Figure7Result(JsonSerializable):
         )
 
 
-def run_figure7(client_id: int = DEFAULT_CLIENT,
-                antenna_counts: Sequence[int] = DEFAULT_ANTENNA_COUNTS,
-                num_packets: int = DEFAULT_NUM_PACKETS,
-                rng: RngLike = 42) -> Figure7Result:
+def run_figure7(rng: int = 42, **params: Any) -> Figure7Result:
     """Reproduce Figure 7: the same packet processed with growing subarrays.
 
-    Each of ``num_packets`` captures is processed with every antenna count (so
-    the per-count comparison always uses the same packet, as in the paper);
-    the reported bearing error per antenna count is the median over the
-    packets, which keeps the sweep representative rather than hostage to one
-    fading realisation.  The returned pseudospectra are those of the first
-    packet.
+    :func:`figure7_campaign` run in-process at one worker; ``params`` are
+    its keyword arguments, ``rng`` its seed.  Each of ``num_packets``
+    captures is processed with every antenna count (so the per-count
+    comparison always uses the same packet, as in the paper); the reported
+    bearing error per antenna count is the median over the packets, which
+    keeps the sweep representative rather than hostage to one fading
+    realisation.  The returned pseudospectra are those of the first packet.
     """
-    counts = sorted(set(int(count) for count in antenna_counts))
-    if not counts or counts[0] < 2:
-        raise ValueError("antenna counts must be at least 2")
-    if counts[-1] > 8:
-        raise ValueError("the prototype array has at most 8 antennas")
-    if num_packets < 1:
-        raise ValueError("num_packets must be at least 1")
-    deployment = Deployment(single_ap_scenario(
-        geometry="linear", num_elements=8, name="figure7"), rng=rng)
-    simulator = deployment.simulator()
-    full_array = deployment.ap().array
-    calibration = deployment.ap().calibration
-    expected = simulator.expected_client_bearing(client_id)
+    from repro.campaign.engine import run_serial
 
-    captures = [calibration.apply(simulator.capture_from_client(client_id, elapsed_s=i * 0.5))
-                for i in range(num_packets)]
-
-    rows: List[AntennaCountRow] = []
-    for count in counts:
-        rows.append(_antenna_count_row(captures, count, full_array.spacing, expected))
-    return Figure7Result(client_id=client_id, expected_bearing_deg=float(expected), rows=rows)
+    return run_serial(figure7_campaign(seed=rng, **params))
 
 
 def _antenna_count_row(captures: Sequence[Capture], count: int,
@@ -154,22 +133,28 @@ def figure7_campaign(client_id: int = DEFAULT_CLIENT,
                      name: str = "figure7") -> CampaignSpec:
     """Figure 7 as a campaign: one shard per antenna count.
 
-    Every shard re-simulates the same shared captures from the same seed (the
-    paper compares antenna counts on the *same* packet), so the per-count rows
-    are bit-identical to the serial sweep.
+    Every shard re-simulates the same shared captures from the same seed
+    (the paper compares antenna counts on the *same* packet).
     """
-    counts = sorted(set(int(count) for count in antenna_counts))
-    if not counts or counts[0] < 2:
-        raise ValueError("antenna counts must be at least 2")
-    if counts[-1] > 8:
-        raise ValueError("the prototype array has at most 8 antennas")
     return CampaignSpec(
         name=name,
         experiment="figure7",
         seeds=(int(seed),),
         base={"client_id": int(client_id), "num_packets": int(num_packets)},
-        axes={"num_antennas": tuple(counts)},
+        axes={"num_antennas": tuple(sorted(set(int(count)
+                                               for count in antenna_counts)))},
     )
+
+
+def check_figure7_params(spec: CampaignSpec) -> None:
+    """Reject antenna counts the prototype array cannot select, and an
+    empty packet set."""
+    counts = [int(count) for count in spec.axes.get("num_antennas", ())]
+    if counts and min(counts) < 2:
+        raise ValueError("antenna counts must be at least 2")
+    if counts and max(counts) > 8:
+        raise ValueError("the prototype array has at most 8 antennas")
+    require_param_at_least(spec, "num_packets", DEFAULT_NUM_PACKETS)
 
 
 def _figure7_captures(spec: CampaignSpec, seed: int):
@@ -195,7 +180,7 @@ def run_figure7_shard(spec: CampaignSpec, shard: ShardSpec) -> AntennaCountRow:
 
 def merge_figure7(spec: CampaignSpec,
                   rows: Sequence[AntennaCountRow]) -> Figure7Result:
-    """Reduce one replicate's shard rows into the serial result.
+    """Reduce one replicate's shard rows into the figure's result.
 
     The expected bearing is pure geometry (environment and array layout, no
     randomness), so the merge recomputes it from a bare simulator instead of

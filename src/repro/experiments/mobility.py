@@ -10,29 +10,32 @@ along the trace.
 The expensive part — capture synthesis and AoA estimation per sample — is
 embarrassingly parallel, so the campaign adapter shards per trace sample and
 replays the (cheap, strictly sequential) tracker over the gathered bearings
-at merge time.  The serial runner goes through the same replay helper, so
-the two paths cannot diverge.
+at merge time.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.aoa.estimator import EstimatorConfig
 from repro.api import Deployment, three_ap_scenario
-from repro.campaign.spec import CampaignSpec, ShardSpec, estimator_from_params
+from repro.campaign.spec import (
+    CampaignSpec,
+    ShardSpec,
+    estimator_from_params,
+    require_param_at_least,
+)
 from repro.core.tracking import MobilityTracker
 from repro.experiments.reporting import format_table
 from repro.geometry.point import Point
 from repro.testbed.scenario import CaptureRequest
-from repro.utils.rng import RngLike, ensure_rng
 from repro.utils.serde import JsonSerializable
 
 
-#: Defaults shared by the serial runner and the campaign adapter.
+#: Defaults of the campaign builder, its shards and its merge.
 DEFAULT_START = (9.0, 3.5)
 DEFAULT_END = (22.0, 11.0)
 DEFAULT_NUM_SAMPLES = 15
@@ -112,66 +115,16 @@ def _sample_bearings(deployment: Deployment, position: Point,
             for name, batch in captures.items()}
 
 
-def _replay_tracker(ap_positions: Dict[str, Point],
-                    samples: Sequence[MobilitySample],
-                    tracker_alpha: float, tracker_beta: float,
-                    tracker_outlier_threshold_deg: float) -> MobilityResult:
-    """Feed gathered samples through the tracker, in trace order.
-
-    Shared by the serial runner and the campaign merge: the tracker is
-    strictly sequential, so it always runs here — after the (parallelisable)
-    bearing estimation — and both paths produce bit-identical results.
-    """
-    tracker = MobilityTracker(ap_positions, alpha=tracker_alpha,
-                              beta=tracker_beta,
-                              outlier_threshold_deg=tracker_outlier_threshold_deg)
-    ordered = sorted(samples, key=lambda item: item.sample)
-    for item in ordered:
-        tracker.update(dict(item.bearings_deg), item.timestamp_s)
-    true_positions = [item.true_position for item in ordered]
-    estimated = tracker.positions()
-    errors = tracker.track_error_m(true_positions)
-    return MobilityResult(true_positions=true_positions,
-                          estimated_positions=estimated, errors_m=errors)
-
-
-def run_mobility_tracking(start: Tuple[float, float] = DEFAULT_START,
-                          end: Tuple[float, float] = DEFAULT_END,
-                          num_samples: int = DEFAULT_NUM_SAMPLES,
-                          packet_interval_s: float = DEFAULT_PACKET_INTERVAL_S,
-                          estimator_config: Optional[EstimatorConfig] = None,
-                          tracker_alpha: float = DEFAULT_TRACKER_ALPHA,
-                          tracker_beta: float = DEFAULT_TRACKER_BETA,
-                          tracker_outlier_threshold_deg: float = DEFAULT_TRACKER_OUTLIER_DEG,
-                          rng: RngLike = 42) -> MobilityResult:
+def run_mobility_tracking(estimator_config: Optional[EstimatorConfig] = None,
+                          rng: int = 42, **params: Any) -> MobilityResult:
     """Track a client walking from ``start`` to ``end`` across the main office.
 
-    The tracker gains default to values suited to walking-speed dynamics: a
-    client passing close to an AP legitimately changes bearing by tens of
-    degrees between packets, so the outlier gate is opened well beyond the
-    stationary-client default.
+    :func:`mobility_campaign` run in-process at one worker; ``params`` are
+    its keyword arguments, ``rng`` its seed.
     """
-    if num_samples < 2:
-        raise ValueError("num_samples must be at least 2")
-    if packet_interval_s <= 0:
-        raise ValueError("packet_interval_s must be positive")
-    generator = ensure_rng(rng)
-    deployment = Deployment(three_ap_scenario(estimator=estimator_config,
-                                              name="mobility"), rng=generator)
-    samples = [
-        MobilitySample(
-            sample=index,
-            timestamp_s=index * packet_interval_s,
-            true_position=position,
-            bearings_deg=_sample_bearings(deployment, position,
-                                          index * packet_interval_s),
-        )
-        for index, position in enumerate(_trace_positions(start, end, num_samples))
-    ]
-    return _replay_tracker(
-        {name: ap.position for name, ap in deployment.aps.items()}, samples,
-        tracker_alpha=tracker_alpha, tracker_beta=tracker_beta,
-        tracker_outlier_threshold_deg=tracker_outlier_threshold_deg)
+    from repro.campaign.engine import run_serial
+
+    return run_serial(mobility_campaign(seed=rng, **params), estimator_config)
 
 
 # ------------------------------------------------------------------- campaign
@@ -187,11 +140,12 @@ def mobility_campaign(start: Tuple[float, float] = DEFAULT_START,
     """Mobility tracking as a campaign: one shard per trace sample.
 
     Shards estimate bearings (the expensive part) independently; the
-    sequential tracker replays over the gathered samples at merge time, so
-    the lone replicate reproduces :func:`run_mobility_tracking` bit-for-bit.
+    sequential tracker replays over the gathered samples at merge time.  The
+    tracker gains default to values suited to walking-speed dynamics: a
+    client passing close to an AP legitimately changes bearing by tens of
+    degrees between packets, so the outlier gate is opened well beyond the
+    stationary-client default.
     """
-    if num_samples < 2:
-        raise ValueError("num_samples must be at least 2")
     return CampaignSpec(
         name=name,
         experiment="mobility",
@@ -208,12 +162,16 @@ def mobility_campaign(start: Tuple[float, float] = DEFAULT_START,
 
 
 def check_mobility_params(spec: CampaignSpec) -> None:
-    """Reject a ``num_samples`` that does not cover the ``sample`` axis.
+    """Reject a trace too short to track, a non-positive packet interval,
+    and a ``num_samples`` that does not cover the ``sample`` axis.
 
     ``num_samples`` sizes the trace the shards index, while the axis
     enumerates the samples to run; overriding one without the other would
     leave shards indexing past the trace.
     """
+    require_param_at_least(spec, "num_samples", DEFAULT_NUM_SAMPLES, minimum=2)
+    if not float(spec.param("packet_interval_s", DEFAULT_PACKET_INTERVAL_S)) > 0:
+        raise ValueError("packet_interval_s must be positive")
     num_samples = spec.param("num_samples", DEFAULT_NUM_SAMPLES)
     outside = [sample for sample in spec.axes.get("sample", ())
                if sample not in range(int(num_samples))]
@@ -255,7 +213,11 @@ def run_mobility_shard(spec: CampaignSpec, shard: ShardSpec) -> MobilitySample:
 
 def merge_mobility(spec: CampaignSpec,
                    samples: Sequence[MobilitySample]) -> MobilityResult:
-    """Replay the tracker over one replicate's gathered samples."""
+    """Replay the tracker over one replicate's gathered samples.
+
+    The tracker is strictly sequential, so it runs here, after the
+    (parallelisable) bearing estimation, feeding the samples in trace order.
+    """
     from repro.api import ENVIRONMENTS
 
     scenario = three_ap_scenario(name="mobility")
@@ -264,10 +226,16 @@ def merge_mobility(spec: CampaignSpec,
         ap_spec.name: ap_spec.resolve_position(environment)
         for ap_spec in scenario.resolved_access_points()
     }
-    return _replay_tracker(
-        ap_positions, samples,
-        tracker_alpha=float(spec.param("tracker_alpha", DEFAULT_TRACKER_ALPHA)),
-        tracker_beta=float(spec.param("tracker_beta", DEFAULT_TRACKER_BETA)),
-        tracker_outlier_threshold_deg=float(
-            spec.param("tracker_outlier_threshold_deg",
-                       DEFAULT_TRACKER_OUTLIER_DEG)))
+    tracker = MobilityTracker(
+        ap_positions,
+        alpha=float(spec.param("tracker_alpha", DEFAULT_TRACKER_ALPHA)),
+        beta=float(spec.param("tracker_beta", DEFAULT_TRACKER_BETA)),
+        outlier_threshold_deg=float(spec.param("tracker_outlier_threshold_deg",
+                                               DEFAULT_TRACKER_OUTLIER_DEG)))
+    ordered = sorted(samples, key=lambda item: item.sample)
+    for item in ordered:
+        tracker.update(dict(item.bearings_deg), item.timestamp_s)
+    true_positions = [item.true_position for item in ordered]
+    return MobilityResult(true_positions=true_positions,
+                          estimated_positions=tracker.positions(),
+                          errors_m=tracker.track_error_m(true_positions))

@@ -12,21 +12,25 @@ detector threshold, and reports detection and false-alarm rates per threshold
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import Any, List, Optional, Sequence
 
 import numpy as np
 
 from repro.aoa.estimator import EstimatorConfig
 from repro.api import Deployment, single_ap_scenario
-from repro.campaign.spec import CampaignSpec, ShardSpec, estimator_from_params
+from repro.campaign.spec import (
+    CampaignSpec,
+    ShardSpec,
+    estimator_from_params,
+    require_param_at_least,
+)
 from repro.core.metrics import signature_similarity
 from repro.core.signature import AoASignature
 from repro.experiments.reporting import format_table
-from repro.utils.rng import RngLike, ensure_rng
 from repro.utils.serde import JsonSerializable
 
 
-#: Defaults shared by the serial runner and the campaign adapter.
+#: Defaults of the campaign builder, its shards and its merge.
 DEFAULT_VICTIM_CLIENT = 5
 DEFAULT_ATTACKER_CLIENTS = (3, 9, 15, 18)
 DEFAULT_TRAINING_PACKETS = 10
@@ -78,63 +82,19 @@ class SpoofingRoc(JsonSerializable):
         )
 
 
-def run_spoofing_roc(victim_client_id: int = DEFAULT_VICTIM_CLIENT,
-                     attacker_client_ids: Sequence[int] = DEFAULT_ATTACKER_CLIENTS,
-                     num_training_packets: int = DEFAULT_TRAINING_PACKETS,
-                     num_probe_packets: int = DEFAULT_PROBE_PACKETS,
-                     thresholds: Optional[Sequence[float]] = None,
-                     estimator_config: Optional[EstimatorConfig] = None,
-                     rng: RngLike = 42) -> SpoofingRoc:
+def run_spoofing_roc(estimator_config: Optional[EstimatorConfig] = None,
+                     rng: int = 42, **params: Any) -> SpoofingRoc:
     """Sweep the similarity threshold of the spoofing detector.
 
-    Attackers are modelled as transmitters at other client positions spoofing
-    the victim's address (the geometry, not the MAC header, is what the
-    detector sees), which makes the sweep independent of any particular
-    antenna model.
+    :func:`roc_campaign` run in-process at one worker; ``params`` are its
+    keyword arguments, ``rng`` its seed.  Attackers are modelled as
+    transmitters at other client positions spoofing the victim's address
+    (the geometry, not the MAC header, is what the detector sees), which
+    makes the sweep independent of any particular antenna model.
     """
-    if num_training_packets < 1 or num_probe_packets < 1:
-        raise ValueError("packet counts must be positive")
-    if thresholds is None:
-        thresholds = default_thresholds()
-    generator = ensure_rng(rng)
-    deployment = Deployment(single_ap_scenario(estimator=estimator_config,
-                                               name="roc", rng_stream=1),
-                            rng=generator)
-    simulator = deployment.simulator()
-    ap = deployment.ap()
+    from repro.campaign.engine import run_serial
 
-    def signatures_of(client_id: int, elapsed_list: Sequence[float]) -> List[AoASignature]:
-        """Batched capture -> spectrum -> signature for one client's packets."""
-        captures = [simulator.capture_from_client(client_id, elapsed_s=elapsed,
-                                                  timestamp_s=elapsed)
-                    for elapsed in elapsed_list]
-        return ap.signatures_from_captures(captures)
-
-    # Certified signature: average of the training packets.
-    training = signatures_of(victim_client_id,
-                             [index * 0.5 for index in range(num_training_packets)])
-    certified = training[0]
-    for index, observation in enumerate(training[1:], start=1):
-        certified = certified.merged_with(observation, weight=1.0 / (index + 1))
-
-    legitimate_scores = [
-        signature_similarity(certified, signature)
-        for signature in signatures_of(
-            victim_client_id,
-            [60.0 + 5.0 * index for index in range(num_probe_packets)])
-    ]
-    attacker_scores: List[float] = []
-    for attacker_client in attacker_client_ids:
-        attacker_scores.extend(
-            signature_similarity(certified, signature)
-            for signature in signatures_of(
-                attacker_client,
-                [120.0 + 5.0 * index for index in range(num_probe_packets)]))
-
-    return SpoofingRoc(points=_sweep_points(thresholds, legitimate_scores,
-                                            attacker_scores),
-                       legitimate_scores=legitimate_scores,
-                       attacker_scores=attacker_scores)
+    return run_serial(roc_campaign(seed=rng, **params), estimator_config)
 
 
 def _sweep_points(thresholds, legitimate_scores, attacker_scores) -> List[RocPoint]:
@@ -172,8 +132,8 @@ def roc_campaign(victim_client_id: int = DEFAULT_VICTIM_CLIENT,
     """The ROC sweep as a campaign: one shard per score population.
 
     The legitimate population is point 0, the attacker populations follow in
-    declaration order — exactly the capture order of the serial sweep, so
-    each shard can skip the simulator's capture ordinal to its own slice.
+    declaration order.  Every shard replays the training captures, then
+    skips the simulator's capture ordinal to its own slice of probes.
     """
     if thresholds is None:
         thresholds = default_thresholds()
@@ -190,6 +150,12 @@ def roc_campaign(victim_client_id: int = DEFAULT_VICTIM_CLIENT,
               "thresholds": [float(threshold) for threshold in thresholds]},
         axes={"population": tuple(populations)},
     )
+
+
+def check_roc_params(spec: CampaignSpec) -> None:
+    """Reject packet counts that would train or probe with nothing."""
+    require_param_at_least(spec, "num_training_packets", DEFAULT_TRAINING_PACKETS)
+    require_param_at_least(spec, "num_probe_packets", DEFAULT_PROBE_PACKETS)
 
 
 def run_roc_shard(spec: CampaignSpec, shard: ShardSpec) -> RocShardScores:
@@ -210,8 +176,8 @@ def run_roc_shard(spec: CampaignSpec, shard: ShardSpec) -> RocShardScores:
                     for elapsed in elapsed_list]
         return ap.signatures_from_captures(captures)
 
-    # Training always replays first (every shard scores against the same
-    # certified signature, from the same capture draws as the serial sweep).
+    # Training always replays first: every shard scores against the same
+    # certified signature, from the same capture draws.
     training = signatures_of(victim,
                              [index * 0.5 for index in range(num_training)])
     certified = training[0]
@@ -234,7 +200,7 @@ def run_roc_shard(spec: CampaignSpec, shard: ShardSpec) -> RocShardScores:
 
 def merge_roc(spec: CampaignSpec,
               records: Sequence[RocShardScores]) -> SpoofingRoc:
-    """Reduce one replicate's population scores into the serial ROC."""
+    """Reduce one replicate's population scores into the ROC."""
     thresholds = spec.param("thresholds")
     if thresholds is None:
         thresholds = default_thresholds()

@@ -17,7 +17,7 @@ the client's MAC address.  The evaluation measures, over many packets:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import Any, List, Optional, Sequence
 
 import numpy as np
 
@@ -26,16 +26,21 @@ from repro.api import Deployment, spoofing_scenario
 from repro.attacks.attacker import Attacker
 from repro.attacks.spoofing_attack import SpoofingAttack
 from repro.baselines.rss_signalprint import RssSignalprint, RssSpoofingDetector
-from repro.campaign.spec import CampaignSpec, ShardSpec, estimator_from_params
+from repro.campaign.spec import (
+    CampaignSpec,
+    ShardSpec,
+    estimator_from_params,
+    require_param_at_least,
+)
 from repro.core.spoofing import SpoofingVerdict
 from repro.experiments.reporting import format_table
 from repro.geometry.point import Point
 from repro.mac.address import MacAddress
-from repro.utils.rng import RngLike, ensure_rng, spawn_rng
+from repro.utils.rng import ensure_rng, spawn_rng
 from repro.utils.serde import JsonSerializable
 
 
-#: Defaults shared by the serial runner and the campaign adapter.
+#: Defaults of the campaign builder, its shards and its merge.
 DEFAULT_VICTIM_CLIENT = 5
 DEFAULT_TRAINING_PACKETS = 10
 DEFAULT_TEST_PACKETS = 20
@@ -83,46 +88,17 @@ class SpoofingEvaluation(JsonSerializable):
         )
 
 
-def run_spoofing_evaluation(victim_client_id: int = DEFAULT_VICTIM_CLIENT,
-                            num_training_packets: int = DEFAULT_TRAINING_PACKETS,
-                            num_test_packets: int = DEFAULT_TEST_PACKETS,
-                            estimator_config: Optional[EstimatorConfig] = None,
-                            rng: RngLike = 42) -> SpoofingEvaluation:
-    """Run the spoofing-detection evaluation on the simulated testbed."""
-    if num_training_packets < 1 or num_test_packets < 1:
-        raise ValueError("training and test packet counts must be positive")
-    generator = ensure_rng(rng)
-    # The spoofing scenario carries the paper's four attacker configurations;
-    # the deployment compiles the AP (stream 1 of the master generator, like
-    # the original wiring) and lazily draws attacker addresses from stream 4.
-    deployment = Deployment(spoofing_scenario(estimator=estimator_config),
-                            rng=generator)
+def run_spoofing_evaluation(estimator_config: Optional[EstimatorConfig] = None,
+                            rng: int = 42, **params: Any) -> SpoofingEvaluation:
+    """Run the spoofing-detection evaluation on the simulated testbed.
 
-    ap_address = MacAddress.random(spawn_rng(generator, 2))
-    victim_address = MacAddress.random(spawn_rng(generator, 3))
+    :func:`spoofing_eval_campaign` run in-process at one worker; ``params``
+    are its keyword arguments, ``rng`` its seed.
+    """
+    from repro.campaign.engine import run_serial
 
-    false_alarms, rss_false_alarms, rss_detector = _train_and_track(
-        deployment, victim_address, victim_client_id,
-        num_training_packets, num_test_packets)
-
-    # ------------------------------------------------------------ the attackers
-    # Declared in the scenario spec; building them here (after the address
-    # draws above) consumes the same master-generator streams as the original
-    # hand-wired attacker list.
-    attackers = list(deployment.attackers.values())
-
-    outcomes: List[AttackerOutcome] = []
-    for attacker in attackers:
-        outcomes.append(_attacker_outcome(
-            deployment, attacker, victim_address, ap_address,
-            num_test_packets, rss_detector))
-
-    return SpoofingEvaluation(
-        victim_client_id=victim_client_id,
-        false_alarm_rate=false_alarms / num_test_packets,
-        rss_false_alarm_rate=rss_false_alarms / num_test_packets,
-        attackers=outcomes,
-    )
+    return run_serial(spoofing_eval_campaign(seed=rng, **params),
+                      estimator_config)
 
 
 def _train_and_track(deployment: Deployment, victim_address: MacAddress,
@@ -131,9 +107,9 @@ def _train_and_track(deployment: Deployment, victim_address: MacAddress,
     """Train the certified signature, then stream the victim's later packets.
 
     Returns ``(false_alarms, rss_false_alarms, rss_detector)``.  Mutates the
-    AP's detector/tracker state exactly as the serial evaluation does — the
-    attacker loops depend on that state, so campaign shards replay this
-    before measuring their attacker.
+    AP's detector/tracker state, which the attacker measurements depend on,
+    so every shard replays this before measuring its attacker.  The RSS
+    baseline draws no randomness.
     """
     simulator = deployment.simulator()
     ap = deployment.ap()
@@ -233,9 +209,9 @@ def spoofing_eval_campaign(victim_client_id: int = DEFAULT_VICTIM_CLIENT,
     """The spoofing evaluation as a campaign: one shard per transmitter.
 
     Point 0 measures the legitimate client's false alarms; the following
-    points measure the scenario's attackers in declaration order — the
-    serial evaluation's capture order, so each shard skips to its own slice
-    after replaying the training and tracking prefix.
+    points measure the scenario's attackers in declaration order, each shard
+    skipping to its own slice of captures after replaying the training and
+    tracking prefix.
     """
     scenario = spoofing_scenario()
     populations = [{"role": "legitimate"}]
@@ -254,6 +230,12 @@ def spoofing_eval_campaign(victim_client_id: int = DEFAULT_VICTIM_CLIENT,
     )
 
 
+def check_spoofing_eval_params(spec: CampaignSpec) -> None:
+    """Reject packet counts that would train or test with nothing."""
+    require_param_at_least(spec, "num_training_packets", DEFAULT_TRAINING_PACKETS)
+    require_param_at_least(spec, "num_test_packets", DEFAULT_TEST_PACKETS)
+
+
 def run_spoofing_eval_shard(spec: CampaignSpec,
                             shard: ShardSpec) -> SpoofingEvalShard:
     """One spoofing-evaluation shard (legitimate client or one attacker)."""
@@ -261,6 +243,8 @@ def run_spoofing_eval_shard(spec: CampaignSpec,
     num_test = int(spec.param("num_test_packets", DEFAULT_TEST_PACKETS))
     victim_client = int(spec.param("victim_client_id", DEFAULT_VICTIM_CLIENT))
     generator = ensure_rng(shard.seed)
+    # The deployment compiles the AP from stream 1 of the seed's generator;
+    # the addresses come from streams 2 and 3, the attackers' lazily from 4.
     deployment = Deployment(
         spoofing_scenario(estimator=estimator_from_params(spec.base)),
         rng=generator)
@@ -280,8 +264,9 @@ def run_spoofing_eval_shard(spec: CampaignSpec,
     attackers = list(deployment.attackers.values())
     attacker_index = int(population["attacker_index"])
     if shard.point > 1:
-        # The serial loop resets the victim's mismatch streak after each
-        # attacker, so every attacker but the first starts from a clean one.
+        # Each attacker's measurement resets the victim's mismatch streak
+        # when it ends, so every attacker but the first starts from a clean
+        # one.
         deployment.ap().detector.reset(victim_address)
     deployment.simulator().skip_captures((shard.point - 1) * num_test)
     outcome = _attacker_outcome(deployment, attackers[attacker_index],
@@ -292,7 +277,7 @@ def run_spoofing_eval_shard(spec: CampaignSpec,
 
 def merge_spoofing_eval(spec: CampaignSpec,
                         records: Sequence[SpoofingEvalShard]) -> SpoofingEvaluation:
-    """Reduce the per-transmitter shards into the serial evaluation."""
+    """Reduce the per-transmitter shards into the evaluation."""
     legitimate = [record for record in records if record.role == "legitimate"]
     if len(legitimate) != 1:
         raise ValueError("a spoofing campaign needs exactly one legitimate shard")

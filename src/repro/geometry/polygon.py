@@ -7,7 +7,7 @@ fence, and obstacle cross-sections (the cement pillar of Figure 4).
 from __future__ import annotations
 
 import math
-from typing import Iterable, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from repro.geometry.point import Point
 from repro.geometry.segment import Segment
@@ -156,26 +156,3 @@ class Polygon:
 
     def __repr__(self) -> str:
         return f"Polygon({len(self._vertices)} vertices, area={self.area:.2f} m^2)"
-
-
-def convex_hull(points: Iterable[Point]) -> Polygon:
-    """Convex hull of a set of points (Andrew's monotone chain)."""
-    unique = sorted({(p.x, p.y) for p in points})
-    if len(unique) < 3:
-        raise ValueError("convex hull needs at least 3 distinct points")
-
-    def cross(o, a, b):
-        return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
-
-    lower: List[Tuple[float, float]] = []
-    for p in unique:
-        while len(lower) >= 2 and cross(lower[-2], lower[-1], p) <= 0:
-            lower.pop()
-        lower.append(p)
-    upper: List[Tuple[float, float]] = []
-    for p in reversed(unique):
-        while len(upper) >= 2 and cross(upper[-2], upper[-1], p) <= 0:
-            upper.pop()
-        upper.append(p)
-    hull = lower[:-1] + upper[:-1]
-    return Polygon([Point(x, y) for x, y in hull])

@@ -7,7 +7,6 @@ the image method used to construct single-bounce reflection paths.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -127,28 +126,3 @@ class Segment:
         if intersection is None:
             return None
         return intersection
-
-
-def reflect_direction(direction: Vector, surface: Segment) -> Vector:
-    """Reflect a propagation ``direction`` off a ``surface`` segment."""
-    normal = surface.normal
-    dot = direction.dot(normal)
-    reflected = direction - normal.scaled(2.0 * dot)
-    if reflected.length < _EPS:
-        raise ValueError("cannot reflect a zero-length direction")
-    return reflected
-
-
-def path_length(*points: Point) -> float:
-    """Total length of the polyline through ``points``."""
-    if len(points) < 2:
-        raise ValueError("a path needs at least two points")
-    total = 0.0
-    for first, second in zip(points[:-1], points[1:]):
-        total += first.distance_to(second)
-    return total
-
-
-def almost_equal_points(a: Point, b: Point, tolerance: float = 1e-9) -> bool:
-    """True when two points coincide within ``tolerance`` metres."""
-    return math.hypot(a.x - b.x, a.y - b.y) <= tolerance

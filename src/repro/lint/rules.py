@@ -586,7 +586,7 @@ def _conformance_facts(project: ProjectContext, filename: str,
     "registry-completeness",
     "every CAMPAIGNS / AOA_METHODS registration must be reachable by its "
     "conformance suite (tiny-grid entry or auto-discovering iteration), so "
-    "a new adapter cannot ship without serial bit-identity coverage",
+    "a new adapter cannot ship without conformance coverage",
     scope="project")
 def check_registry_completeness(project: ProjectContext) -> Iterator[Violation]:
     for registry, (filename, mode) in sorted(_REGISTRY_CONFORMANCE.items()):
@@ -605,4 +605,4 @@ def check_registry_completeness(project: ProjectContext) -> Iterator[Violation]:
                     "registry-completeness", node,
                     f"{registry}.register({name!r}) has no entry in "
                     f"{filename}; add the tiny-grid / conformance entry so "
-                    "the serial bit-identity suite covers it")
+                    "the conformance suite covers it")

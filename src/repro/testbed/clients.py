@@ -9,7 +9,7 @@ the access point, which the scenario layer turns into over-the-air captures.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List
+from typing import Dict
 
 from repro.geometry.point import Point
 from repro.mac.address import MacAddress
@@ -63,9 +63,3 @@ def make_clients(environment: TestbedEnvironment, tx_power_dbm: float = 15.0,
             tx_power_dbm=tx_power_dbm,
         )
     return clients
-
-
-def client_bearings(environment: TestbedEnvironment,
-                    clients: Dict[int, SoekrisClient]) -> List[float]:
-    """Ground-truth bearings of the given clients from the default AP position."""
-    return [environment.ground_truth_bearing(client_id) for client_id in sorted(clients)]

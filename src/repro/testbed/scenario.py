@@ -359,7 +359,7 @@ class TestbedSimulator:
         A capture's randomness is keyed by its ordinal alone, so the next
         capture is exactly the one a simulator that had synthesised the
         skipped packets would produce, whoever transmitted them.  Campaign
-        shards use this to start at their slice of a serial experiment's
+        shards use this to start at their slice of an experiment's
         capture sequence.
         """
         if num_captures < 0:

@@ -9,7 +9,7 @@ that the rest of the code never has to worry about the 0/360 seam.
 from __future__ import annotations
 
 import math
-from typing import Iterable, Sequence, Tuple, Union
+from typing import Iterable, Sequence, Union
 
 import numpy as np
 
@@ -118,25 +118,7 @@ def confidence_interval_halfwidth(angles_deg: Sequence[float],
     return t_value * std_err
 
 
-def linear_to_circular_bearing(angle_deg: ArrayLike) -> np.ndarray:
-    """Map a linear-array bearing in [-90, 90] onto the [0, 360) convention."""
-    return normalize_angle_deg(angle_deg)
-
-
 def circular_to_linear_bearing(angle_deg: ArrayLike) -> np.ndarray:
     """Map a [0, 360) bearing onto the linear-array convention (-180, 180]."""
     wrapped = np.mod(np.asarray(angle_deg, dtype=float) + 180.0, 360.0) - 180.0
     return np.where(np.isclose(wrapped, -180.0), 180.0, wrapped)
-
-
-def bearing_between(origin_xy: Tuple[float, float], target_xy: Tuple[float, float]) -> float:
-    """Bearing in degrees, [0, 360), from ``origin_xy`` towards ``target_xy``.
-
-    Angles follow the mathematical convention: 0 degrees along +x, increasing
-    counter-clockwise, which matches the testbed floor plan of Figure 4.
-    """
-    dx = target_xy[0] - origin_xy[0]
-    dy = target_xy[1] - origin_xy[1]
-    if math.isclose(dx, 0.0, abs_tol=1e-15) and math.isclose(dy, 0.0, abs_tol=1e-15):
-        raise ValueError("bearing is undefined for coincident points")
-    return float(normalize_angle_deg(math.degrees(math.atan2(dy, dx))))

@@ -10,7 +10,6 @@ from repro.arrays.geometry import (
     OctagonalArray,
     UniformCircularArray,
     UniformLinearArray,
-    prototype_arrays,
 )
 from repro.arrays.steering import steering_matrix, steering_vector
 from repro.arrays.subarray import subarray, subarray_samples
@@ -58,11 +57,6 @@ class TestArrayGeometries:
             ArbitraryArray(np.zeros((3, 3)))
         with pytest.raises(ValueError):
             UniformLinearArray(num_elements=4, spacing_m=-0.01)
-
-    def test_prototype_arrays_helper(self):
-        linear, circular = prototype_arrays()
-        assert linear.num_elements == 8
-        assert circular.num_elements == 8
 
     def test_rotated_array_preserves_aperture(self):
         octagon = OctagonalArray()

@@ -1,4 +1,4 @@
-"""Campaign engine: spec compilation, determinism, resume, serial equivalence."""
+"""Campaign engine: spec compilation, determinism, resume, replicates."""
 
 import json
 
@@ -16,7 +16,6 @@ from repro.campaign import (
     run_campaign,
 )
 from repro.experiments.figure5 import run_figure5
-from repro.experiments.roc import run_spoofing_roc
 
 
 # A small figure5 campaign shared by the determinism tests.
@@ -105,27 +104,12 @@ class TestCampaignDeterminism:
         pooled_run = run_campaign(spec, workers=4)
         assert serial_run.result.to_json() == pooled_run.result.to_json()
 
-    def test_figure5_campaign_matches_serial_experiment(self):
-        spec = small_figure5_spec(client_ids=(1, 2, 3), num_packets=2)
-        run = run_campaign(spec, workers=2)
-        serial = run_figure5(num_packets=2, client_ids=(1, 2, 3))
-        assert run.result.to_json() == serial.to_json()
-
-    def test_roc_campaign_matches_serial_experiment(self):
-        spec = get_adapter("roc").default_spec(
-            num_training_packets=2, num_probe_packets=2,
-            attacker_client_ids=(3, 9))
-        run = run_campaign(spec, workers=2)
-        serial = run_spoofing_roc(num_training_packets=2, num_probe_packets=2,
-                                  attacker_client_ids=(3, 9))
-        assert run.result.to_json() == serial.to_json()
-
-    # (Per-adapter serial-vs-campaign bit-identity lives in the
-    # auto-discovering conformance suite: tests/test_campaign_conformance.py.)
+    # (Per-adapter capture-slice tiling lives in the auto-discovering
+    # conformance suite: tests/test_campaign_conformance.py.)
 
     def test_unknown_axis_is_rejected_before_execution(self):
         # A typo'd --axis would otherwise multiply shards and silently
-        # desynchronise the serial-slice arithmetic.
+        # desynchronise the capture-slice arithmetic.
         spec = small_figure5_spec().with_overrides(axes={"bogus": (1, 2)})
         with pytest.raises(ValueError, match="does not shard over"):
             run_campaign(spec, workers=1)

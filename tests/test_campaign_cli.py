@@ -96,17 +96,62 @@ class TestCampaignCommand:
             run_cli("report", str(store_dir))
 
 
+#: Every argument check an experiment makes, as ``campaign`` argv: each must
+#: exit with one line before any shard runs (the serial ``run_*`` runners go
+#: through the same ``check_params``).
+BAD_PARAMETERS = {
+    "figure5-no-packets": (("figure5", "--param", "num_packets=0"),
+                           ("num_packets",)),
+    "figure6-no-reference": (("figure6", "--param", "time_offsets_s=[1,10]"),
+                             ("time_offsets_s",)),
+    "figure7-one-antenna": (("figure7", "--axis", "num_antennas=1,2"),
+                            ("antenna counts",)),
+    "figure7-too-many-antennas": (("figure7", "--axis", "num_antennas=4,16"),
+                                  ("8 antennas",)),
+    "figure7-no-packets": (("figure7", "--param", "num_packets=0"),
+                           ("num_packets",)),
+    "roc-no-training": (("roc", "--param", "num_training_packets=0"),
+                        ("num_training_packets",)),
+    "roc-no-probes": (("roc", "--param", "num_probe_packets=0"),
+                      ("num_probe_packets",)),
+    "spoofing-no-training": (("spoofing_eval", "--param",
+                              "num_training_packets=0"),
+                             ("num_training_packets",)),
+    "spoofing-no-tests": (("spoofing_eval", "--param", "num_test_packets=0"),
+                          ("num_test_packets",)),
+    "fence-no-packets": (("fence_eval", "--param", "packets_per_transmitter=0"),
+                         ("packets_per_transmitter",)),
+    "mobility-one-sample": (("mobility", "--param", "num_samples=1",
+                             "--axis", "sample=0"), ("num_samples",)),
+    "mobility-no-interval": (("mobility", "--param", "packet_interval_s=0"),
+                             ("packet_interval_s",)),
+    "packets-per-signature-empty-training": (
+        ("packets_per_signature", "--axis", "training_size=0,2"),
+        ("training sizes",)),
+    "replay-no-training": (("replay_eval", "--param", "num_training_packets=0"),
+                           ("num_training_packets",)),
+    "reflector-no-tests": (("reflector_eval", "--param", "num_test_packets=0"),
+                           ("num_test_packets",)),
+    "swarm-no-tests": (("swarm_eval", "--param", "num_test_packets=0"),
+                       ("num_test_packets",)),
+    "cfo-drift-no-training": (("cfo_drift_eval", "--param",
+                               "num_training_packets=0"),
+                              ("num_training_packets",)),
+    "mobility-param-only": (("mobility", "--param", "num_samples=6"),
+                            ("num_samples", "sample axis")),
+    "mobility-axis-past-param": (("mobility", "--param", "num_samples=4",
+                                  "--axis", "sample=0,1,5"),
+                                 ("num_samples", "sample axis")),
+    "attack-matrix-scenario": (("replay_eval", "--param", "scenario=swarm"),
+                               ("scenario", "population axis")),
+    "unknown-axis": (("figure5", "--axis", "client=1,2"), ("axis", "client_id")),
+}
+
+
 class TestSpecChecks:
-    @pytest.mark.parametrize("argv,names", [
-        (("mobility", "--param", "num_samples=6"), ("num_samples", "sample axis")),
-        (("mobility", "--param", "num_samples=4", "--axis", "sample=0,1,5"),
-         ("num_samples", "sample axis")),
-        (("replay_eval", "--param", "scenario=swarm"),
-         ("scenario", "population axis")),
-        (("figure5", "--axis", "client=1,2"), ("axis", "client_id")),
-    ], ids=["mobility-param-only", "mobility-axis-past-param",
-            "attack-matrix-scenario", "unknown-axis"])
-    def test_a_parameter_the_axes_contradict_exits_with_one_line(
+    @pytest.mark.parametrize("argv,names", list(BAD_PARAMETERS.values()),
+                             ids=list(BAD_PARAMETERS))
+    def test_a_rejected_parameter_exits_with_one_line(
             self, tmp_path, argv, names):
         out = tmp_path / "campaign"
         with pytest.raises(SystemExit) as exit_info:

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from repro.channel.path import PathKind, PropagationPath, direct_path, strongest_path
+from repro.channel.path import PathKind, PropagationPath, direct_path
 from repro.channel.pathloss import free_space_path_loss_db, log_distance_path_loss_db
 from repro.channel.raytracer import RayTracer
 from repro.constants import SPEED_OF_LIGHT, wavelength
@@ -32,13 +32,11 @@ class TestPropagationPath:
         with pytest.raises(ValueError):
             PropagationPath(aoa_deg=float("nan"), length_m=1.0, gain_db=-60.0)
 
-    def test_helpers_pick_direct_and_strongest(self):
+    def test_direct_path_helper(self):
         direct = PropagationPath(aoa_deg=0.0, length_m=5.0, gain_db=-60.0)
         reflection = PropagationPath(aoa_deg=40.0, length_m=9.0, gain_db=-55.0,
                                      kind=PathKind.REFLECTED)
         assert direct_path([reflection, direct]) is direct
-        assert strongest_path([direct, reflection]) is reflection
-        assert strongest_path([]) is None
         assert direct_path([reflection]) is None
 
 

@@ -10,7 +10,6 @@ from repro.core.fence import FenceDecision, VirtualFence
 from repro.core.localization import (
     BearingObservation,
     LocationEstimate,
-    bearing_lines_intersection,
     triangulate_bearings,
 )
 from repro.core.policy import PacketVerdict, combine_evidence
@@ -58,12 +57,6 @@ class TestTriangulation:
     def test_single_bearing_rejected(self):
         with pytest.raises(ValueError):
             triangulate_bearings([BearingObservation(Point(0.0, 0.0), 10.0)])
-
-    def test_two_ap_convenience_wrapper(self):
-        target = Point(3.0, 2.0)
-        a = BearingObservation(Point(0.0, 0.0), Point(0.0, 0.0).bearing_to(target))
-        b = BearingObservation(Point(6.0, 0.0), Point(6.0, 0.0).bearing_to(target))
-        assert bearing_lines_intersection(a, b).distance_to(target) < 1e-6
 
     @given(coords, coords)
     @settings(max_examples=50)

@@ -1,5 +1,6 @@
 """Integration tests for the experiment runners (small configurations for speed)."""
 
+import numpy as np
 import pytest
 
 from repro.experiments.accuracy import evaluate_accuracy_claim
@@ -46,6 +47,11 @@ class TestFigure5:
     def test_invalid_packet_count_rejected(self):
         with pytest.raises(ValueError):
             run_figure5(num_packets=0)
+
+    def test_generator_seed_rejected(self):
+        # ``rng`` is the campaign's int seed; a generator cannot be one.
+        with pytest.raises(TypeError):
+            run_figure5(num_packets=1, client_ids=[1], rng=np.random.default_rng(0))
 
 
 class TestAccuracyClaim:

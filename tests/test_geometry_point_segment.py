@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.geometry.point import Point, Vector
-from repro.geometry.segment import Segment, path_length, reflect_direction
+from repro.geometry.segment import Segment
 
 coords = st.floats(min_value=-100.0, max_value=100.0, allow_nan=False, allow_infinity=False)
 
@@ -110,7 +110,8 @@ class TestSegment:
         assert bounce.y == pytest.approx(0.0, abs=1e-9)
         # Total path length equals the image-to-target distance.
         image = wall.mirror_point(source)
-        assert path_length(source, bounce, target) == pytest.approx(image.distance_to(target))
+        assert (source.distance_to(bounce) + bounce.distance_to(target)
+                == pytest.approx(image.distance_to(target)))
 
     def test_reflection_point_outside_segment_returns_none(self):
         wall = Segment(Point(0.0, 0.0), Point(1.0, 0.0))
@@ -120,13 +121,6 @@ class TestSegment:
         segment = Segment(Point(0.0, 0.0), Point(10.0, 0.0))
         assert segment.distance_to_point(Point(5.0, 3.0)) == pytest.approx(3.0)
         assert segment.distance_to_point(Point(-4.0, 3.0)) == pytest.approx(5.0)
-
-    def test_reflect_direction_off_horizontal_surface(self):
-        surface = Segment(Point(0.0, 0.0), Point(1.0, 0.0))
-        incoming = Vector(1.0, -1.0).normalized()
-        outgoing = reflect_direction(incoming, surface)
-        assert outgoing.dx == pytest.approx(incoming.dx)
-        assert outgoing.dy == pytest.approx(-incoming.dy)
 
     def test_contains_point(self):
         segment = Segment(Point(0.0, 0.0), Point(10.0, 10.0))

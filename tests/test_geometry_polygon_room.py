@@ -1,15 +1,11 @@
 """Tests for polygons, rooms, walls, and obstacles."""
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.geometry.point import Point
-from repro.geometry.polygon import Polygon, convex_hull
+from repro.geometry.polygon import Polygon
 from repro.geometry.room import Obstacle, Room, Wall, merge_rooms
 from repro.geometry.segment import Segment
-
-coords = st.floats(min_value=-50.0, max_value=50.0, allow_nan=False, allow_infinity=False)
 
 
 class TestPolygon:
@@ -47,21 +43,6 @@ class TestPolygon:
         missing = Segment(Point(-1.0, 5.0), Point(3.0, 5.0))
         assert rectangle.intersects_segment(crossing)
         assert not rectangle.intersects_segment(missing)
-
-    @given(st.lists(st.tuples(coords, coords), min_size=4, max_size=15, unique=True))
-    @settings(max_examples=50)
-    def test_convex_hull_contains_all_points(self, raw_points):
-        points = [Point(x, y) for x, y in raw_points]
-        xs = {p.x for p in points}
-        ys = {p.y for p in points}
-        if len(xs) < 2 or len(ys) < 2:
-            return
-        try:
-            hull = convex_hull(points)
-        except ValueError:
-            return  # collinear input
-        for point in points:
-            assert hull.contains(point) or hull.on_boundary(point, tolerance=1e-6)
 
 
 class TestRoomAndObstacles:

@@ -4,7 +4,7 @@ import pytest
 
 from repro.geometry.point import Point
 from repro.mac.address import MacAddress
-from repro.testbed.clients import client_bearings, make_clients
+from repro.testbed.clients import make_clients
 from repro.testbed.scenario import SimulatorConfig, TestbedSimulator
 from repro.utils.angles import angular_difference
 
@@ -73,11 +73,6 @@ class TestClients:
         moved = client.moved_to(Point(1.0, 1.0))
         assert moved.address == client.address
         assert moved.position == Point(1.0, 1.0)
-
-    def test_client_bearings_helper(self, environment):
-        clients = make_clients(environment)
-        bearings = client_bearings(environment, clients)
-        assert len(bearings) == len(clients)
 
 
 class TestTestbedSimulator:

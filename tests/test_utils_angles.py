@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from repro.utils.angles import (
     angular_difference,
-    bearing_between,
     circular_mean,
     circular_std,
     circular_to_linear_bearing,
@@ -117,16 +116,6 @@ class TestConfidenceInterval:
 
 
 class TestBearings:
-    def test_bearing_between_cardinal_directions(self):
-        assert bearing_between((0, 0), (1, 0)) == pytest.approx(0.0)
-        assert bearing_between((0, 0), (0, 1)) == pytest.approx(90.0)
-        assert bearing_between((0, 0), (-1, 0)) == pytest.approx(180.0)
-        assert bearing_between((0, 0), (0, -1)) == pytest.approx(270.0)
-
-    def test_bearing_between_coincident_points_raises(self):
-        with pytest.raises(ValueError):
-            bearing_between((1.0, 1.0), (1.0, 1.0))
-
     def test_circular_to_linear_folds_to_half_open_interval(self):
         assert float(circular_to_linear_bearing(270.0)) == pytest.approx(-90.0)
         assert float(circular_to_linear_bearing(180.0)) == pytest.approx(180.0)
