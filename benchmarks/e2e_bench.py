@@ -2,7 +2,7 @@
 
 Measures a Figure-5-style 64-packet burst (synthesis + analysis) two ways:
 
-* **streaming** — the per-packet path: ``Deployment.run`` over
+* **streaming** — the per-packet path: ``Deployment.process`` over
   ``client_packets`` (shares the vectorized kernels and caches with the
   batched engine).
 * **batched** — ``Deployment.run_batch`` over ``Deployment.traffic``: the
@@ -30,7 +30,6 @@ from __future__ import annotations
 import argparse
 import json
 import time
-from dataclasses import replace
 from typing import Dict, List
 
 import numpy as np
@@ -66,21 +65,15 @@ def build_info() -> Dict:
     return info
 
 
-def measure(num_packets: int = 64, repeats: int = 4,
-            precision: str = "float64") -> Dict:
+def measure(num_packets: int = 64, repeats: int = 4) -> Dict:
     """Time the streaming and batched paths and verify their outputs."""
     spec = ScenarioSpec(name="bench-e2e", seed=SEED)
-    if precision != "float64":
-        spec = replace(
-            spec,
-            simulator=replace(spec.simulator, precision=precision),
-            estimator=replace(spec.estimator, precision=precision))
 
     streaming_dep = Deployment(spec)
     batched_dep = Deployment(spec)
 
     def run_streaming():
-        return list(streaming_dep.run(
+        return list(streaming_dep.process(
             streaming_dep.client_packets(CLIENT_ID, num_packets=num_packets)))
 
     def run_batched():
@@ -115,7 +108,6 @@ def measure(num_packets: int = 64, repeats: int = 4,
         "benchmark": BENCH_NAME,
         "packets": num_packets,
         "seed": SEED,
-        "precision": precision,
         "build": build_info(),
         "streaming_ms": round(streaming_s * 1e3, 2),
         "batched_ms": round(batched_s * 1e3, 2),
@@ -150,8 +142,7 @@ def check_regression(result: Dict, baseline: Dict,
 def format_report(result: Dict) -> str:
     return "\n".join([
         f"packets:                 {result['packets']}",
-        f"precision:               {result['precision']}",
-        f"streaming path (run):    {result['streaming_ms']:8.1f} ms "
+        f"streaming (process):     {result['streaming_ms']:8.1f} ms "
         f"({result['packets_per_sec']['streaming']:7.0f} pkt/s)",
         f"batched path (run_batch):{result['batched_ms']:8.1f} ms "
         f"({result['packets_per_sec']['batched']:7.0f} pkt/s)",
@@ -164,8 +155,6 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--packets", type=int, default=64)
     parser.add_argument("--repeats", type=int, default=4)
-    parser.add_argument("--precision", type=str, default="float64",
-                        choices=("float64", "float32"))
     parser.add_argument("--out", type=str, default=None,
                         help="write the result JSON here")
     parser.add_argument("--check", type=str, default=None,
@@ -174,8 +163,7 @@ def main() -> int:
                         help="allowed fractional speedup regression vs baseline")
     args = parser.parse_args()
 
-    result = measure(num_packets=args.packets, repeats=args.repeats,
-                     precision=args.precision)
+    result = measure(num_packets=args.packets, repeats=args.repeats)
     print(format_report(result))
 
     if args.out:

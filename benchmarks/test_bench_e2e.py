@@ -4,7 +4,7 @@ The batched capture-synthesis engine plus the batched analysis engine make
 ``Deployment.run_batch`` over ``Deployment.traffic`` the fast path for whole
 bursts.  This benchmark measures a Figure-5-style 64-packet burst end to end
 (synthesis + analysis) against the **streaming path** —
-``Deployment.run`` over ``client_packets``, which shares the engine's
+``Deployment.process`` over ``client_packets``, which shares the engine's
 vectorized kernels and caches (the same code computes both, which is what
 makes them bit-identical).
 

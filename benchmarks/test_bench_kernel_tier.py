@@ -1,19 +1,16 @@
-"""Kernel-tier benchmark: per-kernel micro timings, precision, tracking.
+"""Kernel-tier benchmark: per-kernel micro timings and subspace tracking.
 
-Three layers of measurement, written together to
+Two layers of measurement, written together to
 ``bench-artifacts/BENCH_kernels.json`` (gitignored; uploaded as a CI
 artifact):
 
 * **micro** — each :data:`repro.kernels.kernels` kernel timed on
-  pipeline-shaped inputs, per precision;
+  pipeline-shaped inputs;
 * **streaming** — the eigh-per-packet streaming path versus the
   :class:`~repro.aoa.subspace.SubspaceTracker`, packets per second and
   accuracy against ground truth on the same capture stream (gated: the
   median of alternating timing pairs must show the tracker ≥ 1.3x faster,
-  at matched accuracy);
-* **precision** — the figure-5-style end-to-end run in float64 versus
-  float32 (synthesis + analysis), recording the measured speedup and the
-  accuracy delta.
+  at matched accuracy).
 
 Timing gates compare ratios measured in the same process on the same inputs,
 so they are machine-independent; absolute times are informational.
@@ -36,12 +33,10 @@ from repro.aoa.subspace import SubspaceTracker
 from repro.arrays.geometry import OctagonalArray
 from repro.kernels import kernels
 from repro.testbed.environment import figure4_environment
-from repro.testbed.scenario import SimulatorConfig
 from repro.testbed.scenario import TestbedSimulator as Simulator
 
 SEED = 42
 STREAM_PACKETS = 120
-E2E_PACKETS = 48
 OUTPUT_PATH = (Path(__file__).resolve().parents[1] / "bench-artifacts"
                / "BENCH_kernels.json")
 
@@ -53,7 +48,6 @@ TRACKER_MIN_SPEEDUP = 1.3
 #: independent best-of-3 timings drift apart with host load.
 TRACKER_TIMING_PAIRS = 9
 TRACKER_MAX_ACCURACY_LOSS_DEG = 0.5
-FLOAT32_MAX_ACCURACY_LOSS_DEG = 0.5
 
 
 def _best_of(fn, repeats: int = 3) -> float:
@@ -89,28 +83,25 @@ def _circular_error(a: float, b: float) -> float:
 
 
 # ---------------------------------------------------------------- micro layer
-def _micro_inputs(rng: np.random.Generator, dtype):
+def _micro_inputs(rng: np.random.Generator):
     """Pipeline-shaped kernel inputs: 8 antennas, 64-packet batches."""
-    cdtype = np.dtype(dtype)
     batch, n, t, angles = 64, 8, 1920, 360
-    samples = [(rng.standard_normal((n, t)) + 1j * rng.standard_normal((n, t))
-                ).astype(cdtype) for _ in range(batch)]
+    samples = [rng.standard_normal((n, t)) + 1j * rng.standard_normal((n, t))
+               for _ in range(batch)]
     x = (rng.standard_normal((batch, n, n))
-         + 1j * rng.standard_normal((batch, n, n))).astype(cdtype)
-    hermitian = (x @ x.conj().transpose(0, 2, 1)
-                 + n * np.eye(n, dtype=x.real.dtype)).astype(cdtype)
+         + 1j * rng.standard_normal((batch, n, n)))
+    hermitian = x @ x.conj().transpose(0, 2, 1) + n * np.eye(n)
     steering = (rng.standard_normal((n, angles))
-                + 1j * rng.standard_normal((n, angles))).astype(cdtype)
+                + 1j * rng.standard_normal((n, angles)))
     signal = (rng.standard_normal((batch, n, 2))
-              + 1j * rng.standard_normal((batch, n, 2))).astype(cdtype)
+              + 1j * rng.standard_normal((batch, n, 2)))
     waveforms = (rng.standard_normal((batch, 1, t))
-                 + 1j * rng.standard_normal((batch, 1, t))).astype(cdtype)
-    delays = (rng.random((batch, 3)) * 4).astype(
-        np.float32 if cdtype == np.complex64 else np.float64)
-    initials = (rng.random(batch * 3) * 2 * np.pi).astype(delays.dtype)
-    steps = (rng.standard_normal((batch * 3, t)) * 0.01).astype(delays.dtype)
+                 + 1j * rng.standard_normal((batch, 1, t)))
+    delays = rng.random((batch, 3)) * 4
+    initials = rng.random(batch * 3) * 2 * np.pi
+    steps = rng.standard_normal((batch * 3, t)) * 0.01
     spectra = (rng.standard_normal((batch, 64))
-               + 1j * rng.standard_normal((batch, 64))).astype(cdtype)
+               + 1j * rng.standard_normal((batch, 64)))
     return {
         "samples": samples, "hermitian": hermitian, "steering": steering,
         "signal": signal, "waveforms": waveforms, "delays": delays,
@@ -162,11 +153,7 @@ def kernel_tier_results():
         results["blas"] = {key: blas[key] for key in ("name", "version")
                            if key in blas}
 
-    # Micro kernels, per precision.
-    results["micro"] = {
-        "float64": _time_kernels(_micro_inputs(rng, np.complex128)),
-        "float32": _time_kernels(_micro_inputs(rng, np.complex64)),
-    }
+    results["micro"] = _time_kernels(_micro_inputs(rng))
 
     # Streaming: eigh-per-packet vs subspace tracking on one capture stream.
     environment = figure4_environment()
@@ -213,37 +200,6 @@ def kernel_tier_results():
         },
     }
 
-    # Precision: float64 vs float32, synthesis + analysis end to end.
-    def run_e2e(precision):
-        sim = Simulator(environment, OctagonalArray(), rng=SEED,
-                        config=SimulatorConfig(precision=precision))
-        batch = sim.capture_burst_batch(1, E2E_PACKETS, inter_packet_gap_s=0.01)
-        estimator = AoAEstimator(OctagonalArray(),
-                                 EstimatorConfig(precision=precision))
-        return estimator.process_batch(batch,
-                                       calibration=sim.calibration_table())
-
-    estimates64 = run_e2e("float64")
-    estimates32 = run_e2e("float32")
-    f64_s = _best_of(lambda: run_e2e("float64"))
-    f32_s = _best_of(lambda: run_e2e("float32"))
-    results["precision"] = {
-        "packets": E2E_PACKETS,
-        "float64_s": round(f64_s, 4),
-        "float32_s": round(f32_s, 4),
-        "speedup_float32": round(f64_s / f32_s, 3),
-        "mean_bearing_error_deg": {
-            "float64": round(mean_error(estimates64), 4),
-            "float32": round(mean_error(estimates32), 4),
-        },
-        "max_bearing_error_deg": {
-            "float64": round(max(_circular_error(e.bearing_deg, truth)
-                                 for e in estimates64), 4),
-            "float32": round(max(_circular_error(e.bearing_deg, truth)
-                                 for e in estimates32), 4),
-        },
-    }
-
     OUTPUT_PATH.parent.mkdir(exist_ok=True)
     OUTPUT_PATH.write_text(json.dumps(results, indent=2, sort_keys=True) + "\n")
     print_report(
@@ -254,26 +210,20 @@ def kernel_tier_results():
             f"streaming tracker:        "
             f"{results['streaming']['packets_per_sec']['subspace_tracker']:8.0f} pkt/s "
             f"({results['streaming']['speedup']:.2f}x)",
-            f"float32 e2e speedup:      {results['precision']['speedup_float32']:.2f}x",
             f"tracker mean error:       "
             f"{results['streaming']['mean_bearing_error_deg']['subspace_tracker']:.2f} deg "
             f"(exact {results['streaming']['mean_bearing_error_deg']['eigh_per_packet']:.2f})",
-            f"float32 mean error:       "
-            f"{results['precision']['mean_bearing_error_deg']['float32']:.2f} deg "
-            f"(float64 {results['precision']['mean_bearing_error_deg']['float64']:.2f})",
             f"wrote:                    bench-artifacts/{OUTPUT_PATH.name}",
         ]))
     return results
 
 
 # ---------------------------------------------------------------------- gates
-def test_bench_micro_kernels_cover_both_precisions(kernel_tier_results):
-    micro = kernel_tier_results["micro"]
-    for precision in ("float64", "float32"):
-        timings = micro[precision]
-        assert all(value >= 0 for value in timings.values()), precision
-        assert "correlation_stack_ms" in timings
-        assert "eigh_ms" in timings
+def test_bench_micro_kernels_timed(kernel_tier_results):
+    timings = kernel_tier_results["micro"]
+    assert all(value >= 0 for value in timings.values())
+    assert "correlation_stack_ms" in timings
+    assert "eigh_ms" in timings
 
 
 def test_bench_subspace_tracker_speedup_gate(kernel_tier_results):
@@ -289,15 +239,6 @@ def test_bench_subspace_tracker_matched_accuracy(kernel_tier_results):
     errors = kernel_tier_results["streaming"]["mean_bearing_error_deg"]
     assert errors["subspace_tracker"] <= (
         errors["eigh_per_packet"] + TRACKER_MAX_ACCURACY_LOSS_DEG)
-
-
-def test_bench_float32_accuracy_delta_recorded(kernel_tier_results):
-    precision = kernel_tier_results["precision"]
-    assert precision["speedup_float32"] > 0
-    delta = (precision["mean_bearing_error_deg"]["float32"]
-             - precision["mean_bearing_error_deg"]["float64"])
-    assert delta <= FLOAT32_MAX_ACCURACY_LOSS_DEG, (
-        f"float32 mean bearing error degraded by {delta:.2f} deg")
 
 
 def test_bench_json_artifact_written(kernel_tier_results):

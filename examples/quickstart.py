@@ -3,7 +3,7 @@
 
 A SecureAngle deployment is described declaratively by a ``ScenarioSpec``
 (fully serialisable to JSON), compiled by ``Deployment``, and driven by
-streaming packets through ``Deployment.run``:
+streaming packets through ``Deployment.process``:
 
 1. the default spec wires the Figure 4 office with one 8-antenna circular AP,
 2. compilation builds the simulator, calibrates the receiver (Section 2.2),
@@ -34,7 +34,7 @@ def main() -> None:
 
     truth = deployment.expected_bearing(client_id)
     print(f"ground-truth bearing: {truth:.1f} deg\n")
-    for event in deployment.run(
+    for event in deployment.process(
             deployment.client_packets(client_id, num_packets=5, start_s=60.0)):
         bearing = event.bearings_deg[deployment.primary_ap_name]
         print(f"  packet {event.index}: verdict={event.verdict:<7}"

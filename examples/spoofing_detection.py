@@ -16,7 +16,7 @@ from repro.mac.address import MacAddress
 
 def main() -> None:
     # One AP plus an indoor attacker at client 9's position, as one spec; the
-    # traffic itself streams through Deployment.run, one event per packet.
+    # traffic itself streams through Deployment.process, one event per packet.
     spec = ScenarioSpec(
         name="spoofing-demo",
         seed=11,
@@ -40,7 +40,7 @@ def main() -> None:
     legitimate = deployment.client_packets(5, num_packets=5,
                                            inter_packet_gap_s=10.0,
                                            start_s=60.0, source=victim_address)
-    for event in deployment.run(legitimate):
+    for event in deployment.process(legitimate):
         print(f"  packet {event.index}: verdict={event.verdict:<6} "
               f"similarity={event.decision.similarity:.2f} "
               f"bearing={event.decision.bearing_deg:.1f} deg")
@@ -51,7 +51,7 @@ def main() -> None:
     spoofed = deployment.attacker_packets("attacker-at-client-9", victim_address,
                                           num_packets=5, inter_packet_gap_s=10.0,
                                           start_s=200.0)
-    for event in deployment.run(spoofed):
+    for event in deployment.process(spoofed):
         print(f"  spoofed packet {event.index}: verdict={event.verdict:<6} "
               f"similarity={event.decision.similarity:.2f} "
               f"bearing={event.decision.bearing_deg:.1f} deg")

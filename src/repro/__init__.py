@@ -23,7 +23,7 @@ The public API is organised in layers:
   and the scripts that regenerate the paper's figures;
 * ``repro.api`` — the unified front door: declarative ``ScenarioSpec``
   (JSON-serialisable), component registries, and the ``Deployment`` facade
-  with its streaming ``run`` / batched ``run_batch`` sessions;
+  with its ``process`` packet front door (streaming or batched);
 * ``repro.campaign`` — sharded multi-process Monte-Carlo sweeps: declarative
   ``CampaignSpec`` grids over the experiments, a resumable on-disk result
   store, and the ``python -m repro`` command line.

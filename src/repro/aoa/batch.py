@@ -50,7 +50,7 @@ from repro.aoa.spectrum import (
 from repro.arrays.geometry import AntennaArray, UniformLinearArray
 from repro.calibration.table import CalibrationTable
 from repro.hardware.capture import Capture
-from repro.kernels.backend import complex_dtype, kernels
+from repro.kernels.backend import kernels
 from repro.phy.schmidl_cox import SchmidlCoxDetector
 
 
@@ -66,12 +66,12 @@ def _per_capture_tables(calibration: CalibrationArg,
 
 
 @lru_cache(maxsize=None)
-def _loading_terms(n: int, dtype: np.dtype) -> Tuple[np.ndarray, np.floating]:
+def _loading_terms(n: int) -> Tuple[np.ndarray, np.floating]:
     """Diagonal loading's read-only (n, n) identity and its power floor (the
-    dtype's smallest normal number), built once per size and dtype."""
-    eye = np.eye(n, dtype=dtype)
+    smallest normal float), built once per size."""
+    eye = np.eye(n)
     eye.flags.writeable = False
-    return eye, np.finfo(dtype).tiny
+    return eye, np.finfo(float).tiny
 
 
 class BatchAoAEstimator:
@@ -90,10 +90,6 @@ class BatchAoAEstimator:
         #: Scan arrays for spatially smoothed (shrunken) correlation matrices,
         #: keyed by subarray size, so their steering caches persist.
         self._scan_arrays: Dict[int, AntennaArray] = {}
-        self._cdtype = complex_dtype(self.config.precision)
-        #: Reduced-precision casts of the (cached, complex128) steering
-        #: matrices, keyed by matrix size, so float32 runs cast once.
-        self._steering_casts: Dict[int, np.ndarray] = {}
         #: ``||a(theta)||^2`` per grid angle of each steering matrix in use,
         #: keyed by matrix size and kept with the matrix it was computed from.
         self._steering_powers: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
@@ -137,7 +133,7 @@ class BatchAoAEstimator:
             # not commute with a matrix-level correction: calibrate samples.
             samples_list = [
                 samples if correction is None
-                else samples * correction.astype(samples.dtype, copy=False)[:, None]
+                else samples * correction[:, None]
                 for samples, correction in zip(samples_list, corrections)
             ]
             corrections = [None] * len(captures)
@@ -177,10 +173,7 @@ class BatchAoAEstimator:
             raise ValueError(
                 f"capture has {capture.num_antennas} antennas but the array has "
                 f"{self.array.num_elements} elements")
-        samples = capture.samples
-        if samples.dtype != self._cdtype:
-            samples = samples.astype(self._cdtype)
-        return samples, correction
+        return capture.samples, correction
 
     def _extract_packet(self, capture: Capture,
                         samples: np.ndarray) -> Tuple[np.ndarray, Optional[int]]:
@@ -212,15 +205,8 @@ class BatchAoAEstimator:
 
         scan_array = self._scan_array(n)
         grid = scan_array.angle_grid(config.resolution_deg)
-        steering = self._cast_steering(
-            scan_array.steering_matrix(resolution_deg=config.resolution_deg), n)
+        steering = scan_array.steering_matrix(resolution_deg=config.resolution_deg)
         values, metadata = self._spectra(matrices, eigenvectors, counts, steering, n)
-        # Peak extraction and Pseudospectrum stay float64 regardless of the
-        # estimation precision.
-        # Spectra are pinned to float64 by contract regardless of the
-        # precision mode (peak finding and Pseudospectrum compare across
-        # precisions); this is the documented cast point, not a leak.
-        values = values.astype(np.float64, copy=False)  # repro-lint: disable=precision-discipline
 
         # Vectorised peak extraction over the whole (B, A) stack, mirroring
         # Pseudospectrum.peak_bearings' defaults.  Each spectrum carries its
@@ -271,7 +257,7 @@ class BatchAoAEstimator:
         # Batched trace (diagonal gather, not a GEMM): no shared kernel
         # applies, and the O(B*N) sum is negligible next to the eigh.
         power = np.einsum("bii->b", matrices).real / n  # repro-lint: disable=seam-bypass
-        eye, tiny = _loading_terms(n, power.dtype)
+        eye, tiny = _loading_terms(n)
         load = loading_factor * np.maximum(power, tiny)
         return matrices + load[:, None, None] * eye
 
@@ -295,7 +281,7 @@ class BatchAoAEstimator:
                 f"subarray_size {subarray_size} exceeds the number of antennas {num_antennas}")
         num_subarrays = num_antennas - subarray_size + 1
         matrices = np.zeros((len(samples_list), subarray_size, subarray_size),
-                            dtype=self._cdtype)
+                            dtype=complex)
         for index, samples in enumerate(samples_list):
             for start in range(num_subarrays):
                 block = samples[start:start + subarray_size]
@@ -391,16 +377,6 @@ class BatchAoAEstimator:
             cached = (steering, np.sum(np.abs(steering) ** 2, axis=0))
             self._steering_powers[n] = cached
         return cached[1]
-
-    def _cast_steering(self, steering: np.ndarray, n: int) -> np.ndarray:
-        """The steering matrix in estimation precision (cast once, cached)."""
-        if steering.dtype == self._cdtype:
-            return steering
-        cached = self._steering_casts.get(n)
-        if cached is None or cached.shape != steering.shape:
-            cached = steering.astype(self._cdtype)
-            self._steering_casts[n] = cached
-        return cached
 
     # ---------------------------------------------------------- streaming path
     def _process_tracked(self, samples_list: List[np.ndarray],

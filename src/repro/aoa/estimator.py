@@ -25,7 +25,6 @@ from repro.arrays.geometry import AntennaArray
 from repro.calibration.table import CalibrationTable
 from repro.hardware.capture import Capture
 from repro.aoa.spectrum import Pseudospectrum
-from repro.kernels.backend import validate_precision
 
 #: Calibration for a batch: one table for every capture, or one table (or
 #: ``None``) per capture.
@@ -75,9 +74,6 @@ class EstimatorConfig:
     #: Refuse to process captures whose per-chain phase offsets have not been
     #: calibrated out.  The calibration ablation sets this to False.
     require_calibrated: bool = True
-    #: Estimation arithmetic precision: "float64" (bit-exact reference) or
-    #: "float32" (complex64 covariance/eigh/steering — faster, approximate).
-    precision: str = "float64"
     #: Replace the per-packet eigendecomposition with an incremental
     #: (PAST-style) subspace tracker on the streaming path.  MUSIC only; see
     #: :class:`repro.aoa.subspace.SubspaceTracker` for the warm-up and
@@ -106,7 +102,6 @@ class EstimatorConfig:
             raise ValueError("smoothing_subarray must be at least 2")
         if self.loading_factor < 0:
             raise ValueError("loading_factor must be non-negative")
-        validate_precision(self.precision)
         if self.subspace_tracking:
             if self.method != "music":
                 raise ValueError(

@@ -47,7 +47,7 @@ from repro.aoa.spectrum import (
     grid_peak_params,
 )
 from repro.arrays.geometry import AntennaArray, UniformLinearArray
-from repro.kernels.backend import complex_dtype, kernels, real_dtype
+from repro.kernels.backend import kernels
 
 #: Default forgetting factor of the running correlation (survives ~10 packets).
 DEFAULT_FORGETTING = 0.9
@@ -95,19 +95,17 @@ class SubspaceTracker:
         self.warmup_packets = int(warmup_packets)
         self.resync_interval = int(resync_interval)
         self.max_correlation_samples = int(max_correlation_samples)
-        self._cdtype = complex_dtype(config.precision)
         self._is_ula = isinstance(array, UniformLinearArray)
         # Scan-grid cache (the grid never changes for one tracker).
         n = array.num_elements
         self._grid = array.angle_grid(config.resolution_deg)
-        steering = array.steering_matrix(resolution_deg=config.resolution_deg)
-        self._steering = steering.astype(self._cdtype, copy=False)
+        self._steering = array.steering_matrix(resolution_deg=config.resolution_deg)
         self._steering_total = np.sum(np.abs(self._steering) ** 2, axis=0)
         self._wrap, self._min_separation = grid_peak_params(self._grid)
         self._num_elements = n
-        self._identity = np.eye(n, dtype=real_dtype(config.precision))
+        self._identity = np.eye(n)
         #: Relative column norm below which Gram-Schmidt forces a resync.
-        self._degenerate_norm = float(np.sqrt(np.finfo(self._cdtype).eps))
+        self._degenerate_norm = float(np.sqrt(np.finfo(float).eps))
         self.reset()
 
     # ------------------------------------------------------------------ state
@@ -132,12 +130,10 @@ class SubspaceTracker:
     def update(self, samples: np.ndarray,
                correction: Optional[np.ndarray] = None) -> AoAEstimate:
         """Fold one packet into the tracker and estimate its bearing."""
-        samples = np.asarray(samples)
+        samples = np.asarray(samples, dtype=complex)
         if samples.ndim != 2 or samples.shape[0] != self._num_elements:
             raise ValueError(
                 f"samples must be ({self._num_elements}, T), got shape {samples.shape}")
-        if samples.dtype != self._cdtype:
-            samples = samples.astype(self._cdtype)
         matrix = self._packet_correlation(samples, correction)
 
         if self._corr is None:
@@ -179,8 +175,7 @@ class SubspaceTracker:
             samples = np.ascontiguousarray(samples[:, ::stride])
         matrix = kernels.correlation_stack([samples])[0]
         if correction is not None:
-            factors = correction.astype(matrix.dtype, copy=False)
-            matrix = factors[:, None] * matrix * factors.conj()[None, :]
+            matrix = correction[:, None] * matrix * correction.conj()[None, :]
         if self.config.forward_backward and self._is_ula:
             matrix = 0.5 * (matrix + matrix[::-1, ::-1].conj())
         if self.config.loading_factor > 0:
@@ -239,9 +234,6 @@ class SubspaceTracker:
             self._basis[None], self._steering)[0]
         denominator = self._steering_total - power
         values = 1.0 / np.maximum(denominator, 1e-15)
-        # Spectra stay float64 regardless of the precision mode (same
-        # contract as the batched engine's spectrum construction).
-        values = values.astype(np.float64, copy=False)  # repro-lint: disable=precision-discipline
 
         peak_indices = find_peaks_batch(
             values[None], wrap=self._wrap,

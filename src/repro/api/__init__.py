@@ -5,15 +5,15 @@ with :class:`ScenarioSpec` (serialisable to/from JSON), name components via
 the registries (:data:`AOA_METHODS`, :data:`ARRAY_GEOMETRIES`,
 :data:`ATTACK_TYPES`, :data:`ENVIRONMENTS`), compile it with
 :class:`Deployment`, and drive packets through :meth:`Deployment.process`
-(``mode="stream"`` or ``mode="batch"``; :meth:`Deployment.run` /
-:meth:`Deployment.run_batch` are the v0 spellings).  Every decision is a
+(``mode="stream"`` or ``mode="batch"``; :meth:`Deployment.run_batch` is the
+v0 spelling of the batch mode).  Every decision is a
 versioned, JSON-round-trippable :class:`PacketEvent`
 (:data:`EVENT_SCHEMA_VERSION`) — the schema the live service
 (:mod:`repro.serve`) streams to network clients.
 
 >>> from repro.api import Deployment, ScenarioSpec
 >>> deployment = Deployment(ScenarioSpec(name="quickstart"))
->>> for event in deployment.run(deployment.client_packets(7, num_packets=3)):
+>>> for event in deployment.process(deployment.client_packets(7, num_packets=3)):
 ...     print(event.verdict, event.bearings_deg)
 
 The preset builders in :mod:`repro.api.scenarios` reproduce the paper's

@@ -414,8 +414,8 @@ class Deployment:
         modes (and across any batch partitioning) — only the latency fields
         and laziness differ.
 
-        :meth:`run` and :meth:`run_batch` are the v0 spellings of the two
-        modes, kept as shims over this contract.
+        :meth:`run_batch` is the v0 spelling of the batch mode, kept as a
+        shim over this contract.
         """
         if mode == "stream":
             return self._process_stream(packets, primary_ap, update_signatures)
@@ -424,16 +424,6 @@ class Deployment:
                                             update_signatures))
         raise ValueError(f"unknown processing mode {mode!r}; "
                          "expected 'stream' or 'batch'")
-
-    def run(self, packets: Iterable[Packet], primary_ap: Optional[str] = None,
-            update_signatures: bool = True) -> Iterator[PacketEvent]:
-        """Stream packets, yielding one event each (v0 spelling).
-
-        Shim over :meth:`process` with ``mode="stream"`` — see there for the
-        full contract.
-        """
-        return self.process(packets, mode="stream", primary_ap=primary_ap,
-                            update_signatures=update_signatures)
 
     def run_batch(self, packets: Iterable[Packet],
                   primary_ap: Optional[str] = None,

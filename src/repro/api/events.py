@@ -74,7 +74,7 @@ class PacketEvent(JsonSerializable):
     #: Virtual-fence outcome (``None`` when no fence applies).
     fence: Optional[FenceCheck]
     #: Wall-clock analysis time measured for THIS packet alone.  Set by the
-    #: streaming path (``mode="stream"`` / :meth:`Deployment.run`); ``None``
+    #: streaming path (``mode="stream"`` of :meth:`Deployment.process`); ``None``
     #: when the packet was decided inside a batch, where per-packet time is
     #: not individually measurable.
     packet_latency_s: Optional[float] = None

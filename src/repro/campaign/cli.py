@@ -313,6 +313,22 @@ def _cmd_list_scenarios(args: argparse.Namespace) -> int:
     return 0
 
 
+def _check_run_params(name: str, kwargs: Dict[str, Any]) -> None:
+    """Build and validate the campaign ``run <name>`` executes, as
+    ``campaign`` does, so a bad parameter exits with one line before any
+    shard runs; a failure inside a shard keeps its traceback."""
+    from repro.experiments.accuracy import accuracy_campaign
+
+    build = accuracy_campaign if name == "accuracy" else get_adapter(name).default_spec
+    params = {key: value for key, value in kwargs.items()
+              if key not in ("rng", "estimator_config")}
+    try:
+        spec = build(seed=kwargs.get("rng", 42), **params)
+        get_adapter(spec.experiment).validate(spec)
+    except (TypeError, ValueError) as error:
+        raise SystemExit(str(error)) from None
+
+
 def _cmd_run(args: argparse.Namespace) -> int:
     runners = serial_runners()
     if args.experiment not in runners:
@@ -321,6 +337,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     kwargs = _parse_assignments(args.param or (), "--param")
     if args.seed is not None:
         kwargs["rng"] = int(args.seed)
+    _check_run_params(args.experiment, kwargs)
     if args.profile:
         import cProfile
         import pstats

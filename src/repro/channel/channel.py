@@ -42,9 +42,7 @@ from repro.constants import (
 from repro.kernels.backend import (
     DELAY_EPSILON_SAMPLES as _DELAY_EPSILON_SAMPLES,
     DelayRampStore,
-    complex_dtype,
     kernels,
-    real_dtype,
 )
 from repro.utils.decibels import dbm_to_watts
 from repro.utils.rng import RngLike, ensure_rng
@@ -63,11 +61,11 @@ PROPAGATION_CHUNK = 8
 #: Path delay ramps each :class:`ArrayChannel` keeps (see
 #: :class:`~repro.kernels.backend.DelayRampStore`).  One slot holds one path's
 #: half-spectrum ramp, ``S//2 + 1`` complex values, so at the standard
-#: 1920-sample packet the block maps 192 x 961 x 16 B = 2.95 MB (1.48 MB in
-#: float32), resident only as far as rows are written: about 85 KB per stored
-#: row of 5-6 paths, 1.8 MB for the 20 clients and an attacker that one
-#: ``fence`` AP hears.  It holds the rows of about 30 transmitter positions of
-#: up to 7 paths (the direct path plus the default 6 reflections).
+#: 1920-sample packet the block maps 192 x 961 x 16 B = 2.95 MB, resident
+#: only as far as rows are written: about 85 KB per stored row of 5-6 paths,
+#: 1.8 MB for the 20 clients and an attacker that one ``fence`` AP hears.  It
+#: holds the rows of about 30 transmitter positions of up to 7 paths (the
+#: direct path plus the default 6 reflections).
 DELAY_RAMP_SLOTS = 192
 
 
@@ -112,23 +110,15 @@ class ArrayChannel:
         Channel model parameters.
     rng:
         Seed or generator for the stochastic parts of the model.
-    precision:
-        ``"float64"`` (the bit-exact reference) or ``"float32"`` (complex64
-        waveforms, float32 delay ramps and phase walks — faster, with a
-        documented rng-draw layout of its own).
     """
 
     def __init__(self, array: AntennaArray, orientation_deg: float = 0.0,
-                 config: Optional[ChannelConfig] = None, rng: RngLike = None,
-                 precision: str = "float64"):
+                 config: Optional[ChannelConfig] = None, rng: RngLike = None):
         config = config if config is not None else ChannelConfig()
         self.array = array
         self.orientation_deg = float(orientation_deg)
         self.config = config
         self._rng = ensure_rng(rng)
-        self.precision = precision
-        self._cdtype = complex_dtype(precision)
-        self._rdtype = real_dtype(precision)
         #: The delay ramps of the path geometries this link has carried.
         self.ramp_store = DelayRampStore(DELAY_RAMP_SLOTS)
 
@@ -195,7 +185,7 @@ class ArrayChannel:
         rngs:
             Optional per-packet generators for the stochastic phase walks.
         """
-        waveform_matrix = np.asarray(waveforms, dtype=self._cdtype)
+        waveform_matrix = np.asarray(waveforms, dtype=complex)
         if waveform_matrix.ndim != 2:
             raise ValueError(
                 f"waveforms must stack into a (B, S) matrix, got shape {waveform_matrix.shape}")
@@ -237,9 +227,9 @@ class ArrayChannel:
         # static client repeats one path set for the whole burst, so the
         # geometry-only quantities (steering, dry coefficients, delays) are
         # computed once per distinct path set and reused.
-        steering = np.zeros((batch_size, max_paths, num_antennas), dtype=self._cdtype)
-        coefficients = np.zeros((batch_size, max_paths), dtype=self._cdtype)
-        delays = np.zeros((batch_size, max_paths), dtype=self._rdtype)
+        steering = np.zeros((batch_size, max_paths, num_antennas), dtype=complex)
+        coefficients = np.zeros((batch_size, max_paths), dtype=complex)
+        delays = np.zeros((batch_size, max_paths))
         geometry_memo: dict = {}
         for index, paths in enumerate(paths_batch):
             count = len(paths)
@@ -279,7 +269,7 @@ class ArrayChannel:
         # Padded rows multiply zero-coefficient paths; any finite walk value
         # works, and 1.0 keeps them inert.
         padded = any(len(paths) != max_paths for paths in paths_batch)
-        signals = np.empty((batch_size, num_antennas, num_samples), dtype=self._cdtype)
+        signals = np.empty((batch_size, num_antennas, num_samples), dtype=complex)
         for start in range(0, batch_size, PROPAGATION_CHUNK):
             stop = min(start + PROPAGATION_CHUNK, batch_size)
             if self.config.apply_path_delays:
@@ -292,14 +282,14 @@ class ArrayChannel:
                     (stop - start, max_paths, num_samples))
             if self.config.path_phase_walk_std_rad > 0:
                 walks = np.empty((stop - start, max_paths, num_samples),
-                                 dtype=self._cdtype)
+                                 dtype=complex)
                 if padded:
                     walks[:] = 1.0
                 for row, index in enumerate(range(start, stop)):
                     count = len(paths_batch[index])
                     walks[row, :count] = phase_random_walk_batch(
                         count, num_samples, self.config.path_phase_walk_std_rad,
-                        generators[index], dtype=self._rdtype)
+                        generators[index])
                 modulated = modulated * walks
             signals[start:stop] = kernels.matmul(weighted[start:stop], modulated)
         return signals
@@ -318,8 +308,7 @@ class ArrayChannel:
         """Per-path steering vectors hoisted into one (P, N) matrix."""
         positions = self.array.element_positions
         angles = [path.aoa_deg - self.orientation_deg for path in paths]
-        stack = kernels.steering_stack(positions, angles, lambda_m)
-        return stack.astype(self._cdtype, copy=False)
+        return kernels.steering_stack(positions, angles, lambda_m)
 
     def _path_coefficients(self, paths: Sequence[PropagationPath],
                            tx_power_dbm: float, lambda_m: float) -> np.ndarray:
@@ -330,7 +319,7 @@ class ArrayChannel:
             carrier_phase = np.exp(-1j * path.carrier_phase_rad(lambda_m))
             amplitude = tx_amplitude * path.amplitude
             coefficients[index] = amplitude * carrier_phase
-        return coefficients.astype(self._cdtype, copy=False)
+        return coefficients
 
     def expected_local_bearing(self, global_bearing_deg: float) -> float:
         """Map a global bearing to the bearing the array's estimator reports.
@@ -393,20 +382,14 @@ def fractional_delay_batch(waveforms: np.ndarray,
     Each row is bit-identical to :func:`fractional_delay` on the same inputs:
     the FFT and inverse FFT process rows independently, the phase ramp is
     evaluated with the same operation order, and near-zero delays return the
-    waveform untouched instead of an FFT round trip.  complex64 waveforms and
-    float32 delays are honoured (the reduced-precision synthesis mode); all
-    other dtypes are promoted to complex128/float64 as before.  ``store``
-    keeps the ramps of delay rows seen before, as each channel does for its
-    link.
+    waveform untouched instead of an FFT round trip.  Waveforms are promoted
+    to complex128 and delays to float64.  ``store`` keeps the ramps of delay
+    rows seen before, as each channel does for its link.
     """
-    waveforms = np.asarray(waveforms)
-    if waveforms.dtype != np.complex64:
-        waveforms = waveforms.astype(complex, copy=False)
+    waveforms = np.asarray(waveforms, dtype=complex)
     if waveforms.ndim == 0 or waveforms.shape[-1] == 0:
         raise ValueError("waveforms must have at least one sample")
-    delays = np.asarray(delay_samples)
-    if delays.dtype != np.float32:
-        delays = delays.astype(float, copy=False)
+    delays = np.asarray(delay_samples, dtype=float)
     n = waveforms.shape[-1]
     lead_shape = np.broadcast_shapes(waveforms.shape[:-1], delays.shape)
     out_shape = lead_shape + (n,)
@@ -436,8 +419,7 @@ def phase_random_walk(num_samples: int, step_std_rad: float,
 
 def phase_random_walk_batch(num_walks: int, num_samples: int,
                             step_std_rad: float,
-                            rng: RngLike = None,
-                            dtype: np.dtype = float) -> np.ndarray:
+                            rng: RngLike = None) -> np.ndarray:
     """Stack of ``num_walks`` independent random-walk phase processes.
 
     Returns a ``(num_walks, num_samples)`` complex matrix.  The random draws
@@ -446,12 +428,6 @@ def phase_random_walk_batch(num_walks: int, num_samples: int,
     phase, then the step sequence), so the result is bit-identical to the
     scalar loop — but the cumulative sum and complex exponential, the actual
     compute, run once over the whole stack (through ``kernels.phase_walk``).
-
-    ``dtype=np.float32`` is the reduced-precision mode: initial phases and
-    steps are drawn as native float32 variates (roughly twice as fast), which
-    intentionally uses a *different* rng stream layout than the float64
-    reference — float32 synthesis trades bit-reproducibility against the
-    float64 pipeline for speed.
     """
     if num_walks <= 0:
         raise ValueError("num_walks must be positive")
@@ -463,18 +439,10 @@ def phase_random_walk_batch(num_walks: int, num_samples: int,
     # Draw order (per walk: initial phase, then steps) matches repeated calls
     # to phase_random_walk on the same generator; the Figure 6 stability
     # reproduction is pinned to this stream layout, so it must not change.
-    if np.dtype(dtype) == np.float32:
-        initials = np.empty(num_walks, dtype=np.float32)
-        steps = np.empty((num_walks, num_samples), dtype=np.float32)
-        for walk in range(num_walks):
-            initials[walk] = generator.random(dtype=np.float32) * (2.0 * np.pi)
-            steps[walk] = generator.standard_normal(
-                num_samples, dtype=np.float32) * step_std_rad
-    else:
-        initials = np.empty(num_walks)
-        steps = np.empty((num_walks, num_samples))
-        for walk in range(num_walks):
-            initials[walk] = generator.uniform(0.0, 2.0 * np.pi)
-            steps[walk] = generator.normal(0.0, step_std_rad, size=num_samples)
+    initials = np.empty(num_walks)
+    steps = np.empty((num_walks, num_samples))
+    for walk in range(num_walks):
+        initials[walk] = generator.uniform(0.0, 2.0 * np.pi)
+        steps[walk] = generator.normal(0.0, step_std_rad, size=num_samples)
     steps[:, 0] = 0.0
     return kernels.phase_walk(initials, steps)

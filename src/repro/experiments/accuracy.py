@@ -18,7 +18,8 @@ from typing import Dict, Optional, Sequence
 import numpy as np
 
 from repro.aoa.estimator import EstimatorConfig
-from repro.experiments.figure5 import run_figure5
+from repro.campaign.spec import CampaignSpec
+from repro.experiments.figure5 import figure5_campaign
 from repro.experiments.reporting import format_table
 from repro.utils.angles import angular_difference
 from repro.utils.serde import JsonSerializable
@@ -57,6 +58,16 @@ class AccuracyClaim(JsonSerializable):
         )
 
 
+def accuracy_campaign(num_packets: int = 10, confidence: float = 0.95,
+                      client_ids: Optional[Sequence[int]] = None,
+                      seed: int = 42) -> CampaignSpec:
+    """The Figure 5 campaign whose per-packet bearings the claim reduces."""
+    if not 0.0 < confidence < 1.0:
+        raise ValueError("confidence must be in (0, 1)")
+    return figure5_campaign(num_packets=num_packets, client_ids=client_ids,
+                            seed=seed)
+
+
 def evaluate_accuracy_claim(num_packets: int = 10,
                             confidence: float = 0.95,
                             client_ids: Optional[Sequence[int]] = None,
@@ -67,10 +78,11 @@ def evaluate_accuracy_claim(num_packets: int = 10,
     A reduction of :func:`run_figure5`'s per-packet bearings: each client's
     ``confidence`` quantile of its single-packet bearing errors.
     """
-    if not 0.0 < confidence < 1.0:
-        raise ValueError("confidence must be in (0, 1)")
-    figure5 = run_figure5(num_packets=num_packets, client_ids=client_ids,
-                          estimator_config=estimator_config, rng=rng)
+    from repro.campaign.engine import run_serial
+
+    figure5 = run_serial(
+        accuracy_campaign(num_packets, confidence, client_ids, seed=rng),
+        estimator_config)
     per_client: Dict[int, float] = {
         row.client_id: float(np.quantile(
             [float(angular_difference(bearing, row.ground_truth_deg))

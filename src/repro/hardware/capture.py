@@ -48,11 +48,7 @@ class Capture:
     metadata: Dict[str, Any] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        # complex64 captures (the reduced-precision synthesis mode) keep
-        # their dtype; everything else is promoted to complex128 as before.
-        samples = np.asarray(self.samples)
-        if samples.dtype != np.complex64:
-            samples = np.asarray(samples, dtype=complex)
+        samples = np.asarray(self.samples, dtype=complex)
         if samples.ndim != 2:
             raise ValueError(
                 f"samples must be (num_antennas, num_samples), got shape {samples.shape}")
@@ -90,9 +86,6 @@ class Capture:
 
     def with_samples(self, samples: np.ndarray, calibrated: Optional[bool] = None) -> "Capture":
         """Return a copy of the capture with different samples."""
-        samples = np.asarray(samples)
-        if samples.dtype != np.complex64:
-            samples = np.asarray(samples, dtype=complex)
         return replace(self, samples=samples,
                        calibrated=self.calibrated if calibrated is None else calibrated)
 

@@ -26,7 +26,6 @@ from repro.hardware.oscillator import OscillatorBank
 from repro.hardware.radiochain import RadioChain, RadioChainConfig
 from repro.hardware.reference import CalibrationSource
 from repro.hardware.switch import RFSwitch, SwitchPosition
-from repro.kernels.backend import complex_dtype
 from repro.utils.rng import RngLike, ensure_rng, spawn_rng
 from repro.utils.validation import require_positive, require_positive_int
 
@@ -48,22 +47,15 @@ class ReceiverConfig:
 
 
 class ArrayReceiver:
-    """An N-chain phase-locked receiver attached to an antenna array.
-
-    ``precision`` selects the capture sample dtype: ``"float64"`` (complex128,
-    the bit-exact reference) or ``"float32"`` (complex64 captures with native
-    float32 noise draws — faster, its own rng-draw layout).
-    """
+    """An N-chain phase-locked receiver attached to an antenna array."""
 
     def __init__(self, array: AntennaArray,
                  config: Optional[ReceiverConfig] = None,
                  phase_offsets_rad: Optional[Sequence[float]] = None,
-                 rng: RngLike = None, precision: str = "float64"):
+                 rng: RngLike = None):
         self.array = array
         self.config = config = config if config is not None else ReceiverConfig()
         self._rng = ensure_rng(rng)
-        self.precision = precision
-        self._cdtype = complex_dtype(precision)
         num_chains = array.num_elements
         self.oscillators = OscillatorBank(
             num_chains,
@@ -124,7 +116,7 @@ class ArrayReceiver:
         received in.  The switches are not thrown here: they rest in the
         antenna position, and only :meth:`capture_calibration` moves them.
         """
-        signals = np.asarray(antenna_signals, dtype=self._cdtype)
+        signals = np.asarray(antenna_signals, dtype=complex)
         if signals.ndim != 3 or signals.shape[1] != self.num_chains:
             raise ValueError(
                 f"expected (B, {self.num_chains}, T) antenna signals, "
@@ -218,7 +210,6 @@ class ArrayReceiver:
                                                   self.config.sample_rate_hz)
             gains = np.array([chain.gain_linear for chain in self.chains])
             frontend = gains[:, None] * mixers
-            frontend = frontend.astype(self._cdtype, copy=False)
             frontend.flags.writeable = False
             self._frontend_cache_key = num_samples
             self._frontend_cache = frontend
@@ -234,24 +225,7 @@ class ArrayReceiver:
         """
         sigmas = [chain.noise_sigma for chain in self.chains]
         noise = out if out is not None else np.empty(
-            (self.num_chains, num_samples), dtype=self._cdtype)
-        if noise.real.dtype == np.float32:
-            # Reduced precision: native float32 variates are roughly twice as
-            # fast to draw.  This intentionally uses a different rng stream
-            # layout than the float64 reference — the float32 mode trades
-            # bit-reproducibility for speed.
-            shape = (self.num_chains, num_samples)
-            if len(set(sigmas)) == 1:
-                noise.real = generator.standard_normal(shape, dtype=np.float32) * sigmas[0]
-                noise.imag = generator.standard_normal(shape, dtype=np.float32) * sigmas[0]
-            else:
-                for index, sigma in enumerate(sigmas):
-                    noise.real[index] = generator.standard_normal(
-                        num_samples, dtype=np.float32) * sigma
-                for index, sigma in enumerate(sigmas):
-                    noise.imag[index] = generator.standard_normal(
-                        num_samples, dtype=np.float32) * sigma
-            return noise
+            (self.num_chains, num_samples), dtype=complex)
         if len(set(sigmas)) == 1:
             shape = (self.num_chains, num_samples)
             noise.real = generator.normal(0.0, sigmas[0], shape)

@@ -1,26 +1,9 @@
-"""The raw-speed kernel tier: one numpy kernel module and precision modes.
+"""The raw-speed kernel tier: one numpy kernel module.
 
 See :mod:`repro.kernels.backend` for the :data:`kernels` instance the hot
-numerical kernels route through, and the ``precision`` helpers the
-reduced-precision (complex64/float32) mode is built on.
+numerical kernels route through.
 """
 
-from repro.kernels.backend import (
-    NumpyBackend,
-    PRECISIONS,
-    complex_dtype,
-    delay_ramps,
-    kernels,
-    real_dtype,
-    validate_precision,
-)
+from repro.kernels.backend import NumpyBackend, delay_ramps, kernels
 
-__all__ = [
-    "NumpyBackend",
-    "PRECISIONS",
-    "complex_dtype",
-    "delay_ramps",
-    "kernels",
-    "real_dtype",
-    "validate_precision",
-]
+__all__ = ["NumpyBackend", "delay_ramps", "kernels"]

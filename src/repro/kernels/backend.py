@@ -20,59 +20,17 @@ from functools import lru_cache
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
-
-try:
-    from scipy.linalg.blas import cherk as _cherk, zherk as _zherk
-except ImportError:  # pragma: no cover - scipy is a hard dependency
-    _cherk = None
-    _zherk = None
+from scipy.linalg.blas import zherk
 
 from repro.arrays.steering import plane_wave_response, validated_positions
 
-__all__ = [
-    "DELAY_EPSILON_SAMPLES",
-    "DelayRampStore",
-    "NumpyBackend",
-    "PRECISIONS",
-    "complex_dtype",
-    "delay_ramps",
-    "kernels",
-    "real_dtype",
-    "validate_precision",
-]
-
-#: Supported reduced-precision modes.
-PRECISIONS = ("float64", "float32")
+__all__ = ["DELAY_EPSILON_SAMPLES", "DelayRampStore", "NumpyBackend",
+           "delay_ramps", "kernels"]
 
 #: Delays smaller than this (in samples) skip the FFT delay filter entirely,
 #: so the undelayed reference path is returned untouched rather than put
 #: through a lossless-but-rounding FFT round trip.
 DELAY_EPSILON_SAMPLES = 1e-12
-
-
-def validate_precision(precision: str) -> str:
-    """Validate a ``precision`` knob value and return it."""
-    if precision not in PRECISIONS:
-        raise ValueError(
-            f"unknown precision {precision!r}; expected one of {PRECISIONS}")
-    return precision
-
-
-def real_dtype(precision: str) -> np.dtype:
-    """The real floating dtype of a precision mode."""
-    validate_precision(precision)
-    return np.dtype(np.float32 if precision == "float32" else np.float64)
-
-
-def complex_dtype(precision: str) -> np.dtype:
-    """The complex floating dtype of a precision mode."""
-    validate_precision(precision)
-    return np.dtype(np.complex64 if precision == "float32" else np.complex128)
-
-
-def _complex_for(real: np.dtype) -> np.dtype:
-    """The complex dtype matching a real dtype (float32 -> complex64)."""
-    return np.dtype(np.complex64 if np.dtype(real) == np.float32 else np.complex128)
 
 
 @lru_cache(maxsize=None)
@@ -116,7 +74,7 @@ class NumpyBackend:
 
         An explicit loop of per-item BLAS calls on views beats stacking the
         raw samples first: it avoids two (B, N, T)-sized copies (stack +
-        conj).  ``zherk``/``cherk`` compute the Hermitian product writing one
+        conj).  ``zherk`` computes the Hermitian product writing one
         triangle only (half the gemm flops, no materialised conjugate);
         ``trans=2`` feeds the C-ordered samples as their Fortran-ordered
         transpose view, yielding ``(X^T)^H X^T = (X X^H)^T = conj(X X^H)`` —
@@ -127,21 +85,14 @@ class NumpyBackend:
         strict triangle makes it +0.0 again.
         """
         n = samples_list[0].shape[0]
-        dtype = np.result_type(*(samples.dtype for samples in samples_list))
-        herk = {np.dtype(np.complex128): _zherk,
-                np.dtype(np.complex64): _cherk}.get(dtype)
-        matrices = np.empty((len(samples_list), n, n), dtype=dtype)
-        if herk is not None:
-            for index, samples in enumerate(samples_list):
-                matrices[index] = herk(1.0, samples.T, trans=2, lower=0)
-            below, on_or_below = _triangle_masks(n)
-            zero = np.zeros(1, dtype=dtype)
-            upper = np.where(below, zero, matrices)
-            strict_upper = np.where(on_or_below, zero, matrices)
-            matrices = upper.conj() + strict_upper.transpose(0, 2, 1)
-        else:
-            for index, samples in enumerate(samples_list):
-                np.matmul(samples, samples.conj().T, out=matrices[index])
+        matrices = np.empty((len(samples_list), n, n), dtype=complex)
+        for index, samples in enumerate(samples_list):
+            matrices[index] = zherk(1.0, samples.T, trans=2, lower=0)
+        below, on_or_below = _triangle_masks(n)
+        zero = np.zeros(1, dtype=complex)
+        upper = np.where(below, zero, matrices)
+        strict_upper = np.where(on_or_below, zero, matrices)
+        matrices = upper.conj() + strict_upper.transpose(0, 2, 1)
         lengths = np.array([samples.shape[1] for samples in samples_list], dtype=float)
         matrices /= lengths[:, None, None]
         return matrices
@@ -197,7 +148,7 @@ class NumpyBackend:
         phases = initials[:, None] + np.cumsum(steps, axis=1)
         # cos + 1j*sin of the real phase is bit-identical to exp(1j*phase)
         # and roughly twice as fast (no complex-exp scalar loop).
-        walks = np.empty(phases.shape, dtype=_complex_for(phases.dtype))
+        walks = np.empty(phases.shape, dtype=complex)
         walks.real = np.cos(phases)
         walks.imag = np.sin(phases)
         return walks
@@ -217,8 +168,7 @@ def delay_ramps(delays: np.ndarray, n: int,
     evaluated with the same operand grouping as ``fractional_delay``
     (``(-2*pi*f) * d``), and ``cos + 1j*sin`` of a real phase is bit-identical
     to ``exp`` of the equivalent purely imaginary argument, so every row
-    matches the scalar helper exactly.  float32 delays yield float32 phases
-    and complex64 ramps (the reduced-precision synthesis mode).
+    matches the scalar helper exactly.
 
     Only bins ``0..n//2`` are evaluated; the rest are their conjugate
     mirror images, ``ramp[n-k] = conj(ramp[k])``.  That is exact:
@@ -235,8 +185,8 @@ def delay_ramps(delays: np.ndarray, n: int,
         unique, inverse = rows, None
     else:
         unique, inverse = np.unique(rows, axis=0, return_inverse=True)
-    slopes = _half_phase_slopes(n, delays.dtype)
-    half = np.empty(unique.shape + slopes.shape, dtype=_complex_for(delays.dtype))
+    slopes = _half_phase_slopes(n)
+    half = np.empty(unique.shape + slopes.shape, dtype=complex)
     if store is None:
         _half_ramps(unique, slopes, half)
     else:
@@ -256,10 +206,10 @@ def delay_ramps(delays: np.ndarray, n: int,
 
 
 @lru_cache(maxsize=16)
-def _half_phase_slopes(n: int, dtype: np.dtype) -> np.ndarray:
+def _half_phase_slopes(n: int) -> np.ndarray:
     """``-2*pi*f`` for the ``n//2 + 1`` non-mirrored FFT bins (read-only)."""
     frequencies = np.fft.fftfreq(n)[:n // 2 + 1]
-    slopes = (-2.0 * np.pi * frequencies).astype(dtype, copy=False)
+    slopes = -2.0 * np.pi * frequencies
     slopes.flags.writeable = False
     return slopes
 
@@ -290,9 +240,9 @@ class DelayRampStore:
     geometries (a training burst, a moving transmitter) then cost no memory
     and never displace the rows that recur.  The ramps live in one block of
     ``slots`` path rows, allocated at the first stored row for its sample
-    count and dtype and afterwards only written in place; when it is full,
-    the least recently used rows are overwritten.  Rows of another sample
-    count or dtype, and rows with more paths than ``slots``, bypass it.
+    count and afterwards only written in place; when it is full, the least
+    recently used rows are overwritten.  Rows of another sample count, and
+    rows with more paths than ``slots``, bypass it.
 
     The block is an anonymous memory map, outside the malloc heap: a
     long-lived block inside the heap would pin it, and every later
@@ -325,8 +275,7 @@ class DelayRampStore:
                    out: np.ndarray) -> None:
         """Write one delay row's half-spectrum ramps ``(P, n//2 + 1)`` to ``out``."""
         block = self._block
-        if block is not None and (block.shape[1] != slopes.size
-                                  or block.dtype != out.dtype):
+        if block is not None and block.shape[1] != slopes.size:
             _half_ramps(row, slopes, out)
             return
         key = (row.dtype.str, row.size, row.tobytes())

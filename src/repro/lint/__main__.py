@@ -18,8 +18,7 @@ from repro.lint.rules import RULES, all_rules
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.lint",
-        description=("Project-specific static analysis: bit-identity, RNG, "
-                     "seam, and precision invariants."))
+        description="Project-specific static analysis of repro's invariants.")
     parser.add_argument(
         "paths", nargs="*", default=["src"],
         help="files or directories to lint (default: src)")

@@ -174,6 +174,16 @@ def _parse_file(path: Path, root: Path) -> Tuple[Optional[FileContext],
                        pragmas=parse_pragmas(lines)), None
 
 
+def _unknown_pragmas(context: FileContext) -> Iterable[Violation]:
+    """Pragmas naming no registered rule: a typo, or a rule since deleted."""
+    for line, names in sorted(context.pragmas.items()):
+        for name in sorted(names - RULES.keys() - {"all"}):
+            yield Violation(
+                rule="unknown-pragma", path=context.relpath, line=line, col=0,
+                message=f"pragma disables {name!r}, which is no registered "
+                        "rule; fix the name or delete the pragma")
+
+
 def lint_paths(paths: Sequence[Path], root: Optional[Path] = None,
                allowlist: Optional[Allowlist] = None,
                rules: Optional[Sequence[Rule]] = None) -> LintReport:
@@ -228,6 +238,8 @@ def lint_paths(paths: Sequence[Path], root: Optional[Path] = None,
             suppressed_allowlist += 1
             continue
         violations.append(violation)
+    for context in contexts:
+        violations.extend(_unknown_pragmas(context))
 
     violations.sort(key=lambda item: (item.path, item.line, item.col, item.rule))
     return LintReport(

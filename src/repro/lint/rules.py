@@ -247,65 +247,6 @@ def check_rng_discipline(context: FileContext) -> Iterator[Violation]:
                 "layout")
 
 
-# ------------------------------------------------------ precision-discipline
-#: Helper names whose import marks a module as precision-parameterised.
-_PRECISION_HELPERS = frozenset({"real_dtype", "complex_dtype",
-                                "validate_precision"})
-
-#: Hard-precision dtype attributes forbidden in precision-threaded modules.
-_FIXED_DTYPES = ("complex128", "float64")
-
-
-def _is_precision_threaded(tree: ast.Module) -> bool:
-    """Does this module thread a ``precision=`` knob (param, field, helper)?"""
-    for node in ast.walk(tree):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            arguments = node.args
-            if any(arg.arg == "precision"
-                   for arg in (arguments.args + arguments.kwonlyargs
-                               + arguments.posonlyargs)):
-                return True
-        elif isinstance(node, ast.AnnAssign):
-            if isinstance(node.target, ast.Name) and node.target.id == "precision":
-                return True
-        elif (isinstance(node, ast.ImportFrom) and node.module
-                and node.module.startswith("repro.kernels")
-                and any(item.name in _PRECISION_HELPERS for item in node.names)):
-            return True
-    return False
-
-
-@rule(
-    "precision-discipline",
-    "modules threaded with a precision= knob must not hard-code "
-    "complex128/float64 dtypes; use repro.kernels.complex_dtype/real_dtype "
-    "(or document why a value is pinned to full precision)")
-def check_precision_discipline(context: FileContext) -> Iterator[Violation]:
-    if _in_file(context, _SEAM_MODULE):
-        return  # the seam module defines the precision helpers themselves
-    if not _is_precision_threaded(context.tree):
-        return
-    aliases = numpy_aliases(context.tree)
-    for node in ast.walk(context.tree):
-        if isinstance(node, ast.Attribute):
-            name = dotted_name(node)
-            if _is_numpy_call(name, aliases, _FIXED_DTYPES):
-                yield context.violation(
-                    "precision-discipline", node,
-                    f"hard-coded {name} in a precision-parameterised module; "
-                    "derive the dtype from the precision knob "
-                    "(repro.kernels.real_dtype/complex_dtype) or document "
-                    "why this value is pinned")
-        elif (isinstance(node, ast.keyword) and node.arg == "dtype"
-                and isinstance(node.value, ast.Constant)
-                and node.value.value in _FIXED_DTYPES):
-            yield context.violation(
-                "precision-discipline", node.value,
-                f"hard-coded dtype={node.value.value!r} in a "
-                "precision-parameterised module; derive it from the "
-                "precision knob or document why it is pinned")
-
-
 # ---------------------------------------------------------------- atomic-write
 #: Packages whose on-disk artifacts other processes watch: campaign stores
 #: are shared across workers that may die mid-write, and the serve announce

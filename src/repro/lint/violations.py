@@ -10,7 +10,7 @@ from typing import Any, Dict, FrozenSet, List, Optional, Tuple
 
 __all__ = ["FileContext", "ProjectContext", "Violation", "parse_pragmas"]
 
-#: ``# repro-lint: disable=rule-a,rule-b`` (or ``disable=all``) on the
+#: ``# repro-lint: disable=<rule>[,<rule>...]`` (or ``disable=all``) on the
 #: offending physical line suppresses those rules for that line.
 _PRAGMA_PATTERN = re.compile(r"#\s*repro-lint:\s*disable=([A-Za-z0-9_,\-\s]+)")
 

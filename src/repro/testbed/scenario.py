@@ -32,7 +32,6 @@ from repro.calibration.procedure import calibrate_receiver
 from repro.calibration.table import CalibrationTable
 from repro.mac.frames import Dot11Frame
 from repro.phy.packet import PhyPacket, make_packet_waveform, make_packet_waveforms
-from repro.kernels.backend import validate_precision
 from repro.testbed.environment import TestbedEnvironment
 from repro.utils.rng import RngLike, derive_seed, ensure_rng, keyed_rng, spawn_rng
 from repro.utils.validation import require_finite_non_negative
@@ -71,9 +70,6 @@ class SimulatorConfig:
     #: packet, which is a distinct cache key by design.  Bounded by
     #: ``path_cache_size`` entries (FIFO eviction).
     reuse_waveforms: bool = False
-    #: Synthesis arithmetic precision: "float64" (bit-exact reference) or
-    #: "float32" (complex64 waveforms/captures — faster, its own rng layout).
-    precision: str = "float64"
 
     def __post_init__(self) -> None:
         if self.max_reflections < 0:
@@ -82,7 +78,6 @@ class SimulatorConfig:
             raise ValueError("payload_symbols must be at least 1")
         if self.path_cache_size < 1:
             raise ValueError("path_cache_size must be at least 1")
-        validate_precision(self.precision)
 
 
 @dataclass(frozen=True)
@@ -127,11 +122,9 @@ class TestbedSimulator:
             max_reflections=config.max_reflections,
         )
         self.channel = ArrayChannel(array, orientation_deg=orientation_deg,
-                                    config=config.channel, rng=spawn_rng(self._rng, 11),
-                                    precision=config.precision)
+                                    config=config.channel, rng=spawn_rng(self._rng, 11))
         self.receiver = ArrayReceiver(array, config=config.receiver,
-                                      rng=spawn_rng(self._rng, 12),
-                                      precision=config.precision)
+                                      rng=spawn_rng(self._rng, 12))
         self.dynamics = EnvironmentDynamics(config.dynamics, rng=spawn_rng(self._rng, 13))
         # Captures are keyed by (root, ordinal, stream); after this, only the
         # lazy calibration spawn (14) draws from ``self._rng``.

@@ -95,7 +95,7 @@ class TestStreaming:
         client_id = 7
         address = deployment.clients[client_id].address
         deployment.train(address, client_id, num_packets=4)
-        events = list(deployment.run(
+        events = list(deployment.process(
             deployment.client_packets(client_id, num_packets=3, start_s=30.0)))
         assert [event.index for event in events] == [0, 1, 2]
         truth = deployment.expected_bearing(client_id)
@@ -110,7 +110,7 @@ class TestStreaming:
 
     def test_untrained_address_is_flagged(self, single_ap_deployment):
         deployment = single_ap_deployment
-        events = list(deployment.run(
+        events = list(deployment.process(
             deployment.client_packets(3, num_packets=1),
             update_signatures=False))
         assert events[0].verdict == "flag"
@@ -164,7 +164,7 @@ class TestStreaming:
     def test_run_and_run_batch_agree_exactly(self, fenced_deployment):
         deployment = fenced_deployment
         packets = list(deployment.client_packets(7, num_packets=3, start_s=200.0))
-        streamed = list(deployment.run(packets, update_signatures=False))
+        streamed = list(deployment.process(packets, update_signatures=False))
         batched = deployment.run_batch(packets, update_signatures=False)
         assert [event.bearings_deg for event in streamed] == \
             [event.bearings_deg for event in batched]
@@ -189,7 +189,7 @@ class TestStreaming:
                                 timestamp_s=packet.timestamp_s)
                    for packet in packets]
         with pytest.raises(ValueError, match="primary AP"):
-            list(fenced_deployment.run(trimmed, primary_ap="ap-main"))
+            list(fenced_deployment.process(trimmed, primary_ap="ap-main"))
 
     def test_empty_batch_is_empty(self, single_ap_deployment):
         assert single_ap_deployment.run_batch([]) == []
@@ -200,6 +200,6 @@ class TestFromJson:
         text = ScenarioSpec(name="json-built").to_json()
         deployment = Deployment.from_json(text)
         assert deployment.spec.name == "json-built"
-        events = list(deployment.run(deployment.client_packets(5, num_packets=1),
+        events = list(deployment.process(deployment.client_packets(5, num_packets=1),
                                      update_signatures=False))
         assert len(events) == 1

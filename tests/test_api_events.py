@@ -6,8 +6,8 @@ The redesigned API's promises, each pinned here:
   version (fail loudly, never misread);
 * a full event — decision, spoofing/fence verdicts, triangulated location —
   survives ``to_json``/``from_json`` exactly;
-* ``process()`` is the one contract; ``run``/``run_batch`` are faithful v0
-  shims of its two modes.
+* ``process()`` is the one contract; ``run_batch`` is a faithful v0 shim of
+  its batch mode.
 """
 
 import dataclasses
@@ -76,7 +76,7 @@ class TestJsonRoundTrip:
 
     def test_streamed_event_round_trips_with_packet_latency(self):
         deployment = Deployment(ScenarioSpec(name="events-stream"))
-        events = list(deployment.run(
+        events = list(deployment.process(
             deployment.client_packets(7, num_packets=1, start_s=30.0),
             update_signatures=False))
         rebuilt = PacketEvent.from_json(events[0].to_json())
@@ -116,13 +116,10 @@ class TestProcessContract:
                                              update_signatures=False))
             outcomes[mode] = events
         deployment, packets = build()
-        run_events = list(deployment.run(packets, update_signatures=False))
-        deployment, packets = build()
         batch_events = deployment.run_batch(packets, update_signatures=False)
 
         strip = lambda e: dataclasses.replace(e, packet_latency_s=None,
                                               batch_latency_s=None)
-        assert [strip(e) for e in outcomes["stream"]] == [strip(e) for e in run_events]
         assert [strip(e) for e in outcomes["batch"]] == [strip(e) for e in batch_events]
         # And the modes agree with each other (the invariance guarantee).
         assert [strip(e) for e in outcomes["stream"]] == \

@@ -83,12 +83,14 @@ class TestSpecValidation:
             ScenarioSpec.from_dict(bad)
         with pytest.raises(ValueError, match="unknown field"):
             ScenarioSpec.from_dict({"fence": {"margin": 5.0}})
-        # The removed compute-backend knob fails loudly in old documents.
+        # The removed compute-backend and precision knobs fail loudly in old
+        # documents.
         for section in ("simulator", "estimator"):
-            stale = dict(good)
-            stale[section] = dict(good[section], backend="numpy")
-            with pytest.raises(ValueError, match="unknown field.*'backend'"):
-                ScenarioSpec.from_dict(stale)
+            for knob, value in (("backend", "numpy"), ("precision", "float32")):
+                stale = dict(good)
+                stale[section] = dict(good[section], **{knob: value})
+                with pytest.raises(ValueError, match=f"unknown field.*'{knob}'"):
+                    ScenarioSpec.from_dict(stale)
 
 
 class TestSpecRoundTrip:

@@ -10,7 +10,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.campaign import CampaignSpec, ResultStore
+from repro.campaign import CampaignSpec, ResultStore, engine
+from repro.campaign import cli
 from repro.campaign.cli import main
 from repro.experiments.figure5 import run_figure5
 
@@ -147,6 +148,15 @@ BAD_PARAMETERS = {
     "unknown-axis": (("figure5", "--axis", "client=1,2"), ("axis", "client_id")),
 }
 
+#: The ``--param``-only rows as ``run`` argv, checked for the parameter's
+#: name.  ``mobility-param-only`` is no error for ``run``: the mobility
+#: campaign it builds sizes its sample axis from ``num_samples``.
+RUN_BAD_PARAMETERS = {
+    case: (argv, names[:1]) for case, (argv, names) in BAD_PARAMETERS.items()
+    if "--axis" not in argv and case != "mobility-param-only"}
+RUN_BAD_PARAMETERS["unknown-keyword"] = (("figure5", "--param", "bogus=1"),
+                                         ("bogus",))
+
 
 class TestSpecChecks:
     @pytest.mark.parametrize("argv,names", list(BAD_PARAMETERS.values()),
@@ -171,6 +181,28 @@ class TestSpecChecks:
         merged = json.loads(ResultStore(out).merged_path.read_text())
         serial = run_mobility_tracking(num_samples=3)
         assert merged["results"][0] == serial.to_dict()
+
+    @pytest.mark.parametrize("argv,names", list(RUN_BAD_PARAMETERS.values()),
+                             ids=list(RUN_BAD_PARAMETERS))
+    def test_a_rejected_run_parameter_exits_with_one_line(
+            self, monkeypatch, argv, names):
+        def no_shards(*args, **kwargs):
+            raise AssertionError("a shard ran before the parameters were checked")
+
+        monkeypatch.setattr(engine, "run_campaign", no_shards)
+        with pytest.raises(SystemExit) as exit_info:
+            run_cli("run", *argv)
+        message = str(exit_info.value.code)
+        assert all(name in message for name in names)
+        assert "\n" not in message
+
+    def test_a_failure_inside_the_run_keeps_its_traceback(self, monkeypatch):
+        def failing(**kwargs):
+            raise ValueError("shard fault")
+
+        monkeypatch.setattr(cli, "serial_runners", lambda: {"figure5": failing})
+        with pytest.raises(ValueError, match="shard fault"):
+            run_cli("run", "figure5", "--param", "num_packets=1")
 
 
 REPO_SRC = str(Path(__file__).resolve().parent.parent / "src")

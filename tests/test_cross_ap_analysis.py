@@ -147,7 +147,6 @@ def _octagon_pair(**first):
 
 UNGROUPED = {
     "resolution": _octagon_pair(resolution_deg=0.5),
-    "precision": _octagon_pair(precision="float32"),
     "array class": ((OctagonalArray(), EstimatorConfig()),
                     (UniformCircularArray(radius_m=OctagonalArray().radius),
                      EstimatorConfig())),

@@ -2,8 +2,8 @@
 
 * ``delay_ramps`` evaluates cosine and sine for bins ``0..n//2`` only and
   mirrors the rest as conjugates; the result must be bitwise the full-spectrum
-  ``cos + 1j*sin`` formula, for even and odd lengths, sub-epsilon and negative
-  delays, and float32 rows, and equal in value to ``fractional_delay``'s
+  ``cos + 1j*sin`` formula, for even and odd lengths and sub-epsilon and
+  negative delays, and equal in value to ``fractional_delay``'s
   ``np.exp(-2j*pi*f*d)``.  (Only in value: where the phase is a signed zero,
   ``exp`` returns a +0.0 imaginary part and ``sin`` the zero's own sign, as
   the full-spectrum formula always did; multiplying a spectrum by either
@@ -56,25 +56,23 @@ def bits_equal(a: np.ndarray, b: np.ndarray) -> bool:
 
 
 def full_spectrum_ramps(delays: np.ndarray, n: int) -> np.ndarray:
-    """The reference: phases ``(-2*pi*f) * d`` in the delays' dtype for every
-    bin, no mirroring, then ``cos + 1j*sin``."""
-    phases = (-2.0 * np.pi * np.fft.fftfreq(n)).astype(delays.dtype) * delays[..., None]
-    ramps = np.empty(phases.shape,
-                     dtype=np.complex64 if delays.dtype == np.float32 else complex)
+    """The reference: phases ``(-2*pi*f) * d`` for every bin, no mirroring,
+    then ``cos + 1j*sin``."""
+    phases = (-2.0 * np.pi * np.fft.fftfreq(n)) * delays[..., None]
+    ramps = np.empty(phases.shape, dtype=complex)
     ramps.real = np.cos(phases)
     ramps.imag = np.sin(phases)
     return ramps
 
 
-def delay_rows(rng: np.random.Generator, rows: int, paths: int,
-               dtype=np.float64) -> np.ndarray:
+def delay_rows(rng: np.random.Generator, rows: int, paths: int) -> np.ndarray:
     """Delays in +-40 samples: fractional, whole, zero, -0.0 and sub-epsilon."""
     delays = rng.uniform(-40.0, 40.0, size=(rows, paths))
     delays[:, 0] = 0.0
     delays[:, 1] = -0.0
     delays[:, 2] = np.round(delays[:, 2])
     delays[:, 3] = DELAY_EPSILON_SAMPLES * rng.uniform(-0.9, 0.9, size=rows)
-    return delays.astype(dtype)
+    return delays
 
 
 def collect_ramps(store: DelayRampStore, delays: np.ndarray, n: int, calls: int):
@@ -84,19 +82,17 @@ def collect_ramps(store: DelayRampStore, delays: np.ndarray, n: int, calls: int)
 # ------------------------------------------------------------- mirrored ramps
 class TestMirroredRamps:
     @pytest.mark.parametrize("n", [1920, 96, 127])
-    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
-    def test_bitwise_equal_to_the_full_spectrum(self, n, dtype):
-        delays = delay_rows(np.random.default_rng(n), 200, 7, dtype)
+    def test_bitwise_equal_to_the_full_spectrum(self, n):
+        delays = delay_rows(np.random.default_rng(n), 200, 7)
         expected = full_spectrum_ramps(delays, n)
         # Stacked rows (np.unique dedupe), one row, and one delay at a time.
         assert bits_equal(delay_ramps(delays, n), expected)
         assert bits_equal(delay_ramps(delays[:1], n), expected[:1])
         for delay, row in zip(delays[:3, 4], expected[:3, 4]):
             assert bits_equal(delay_ramps(np.asarray(delay), n), row)
-        if dtype == np.float64:
-            frequencies = np.fft.fftfreq(n)
-            assert np.array_equal(delay_ramps(delays, n),
-                                  np.exp(-2j * np.pi * frequencies * delays[..., None]))
+        frequencies = np.fft.fftfreq(n)
+        assert np.array_equal(delay_ramps(delays, n),
+                              np.exp(-2j * np.pi * frequencies * delays[..., None]))
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_tiny_lengths(self, n):
@@ -106,9 +102,8 @@ class TestMirroredRamps:
 
 # ------------------------------------------------------------------ the store
 class TestDelayRampStore:
-    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
-    def test_a_hit_gives_the_bytes_of_a_miss(self, dtype):
-        delays = delay_rows(np.random.default_rng(5), 1, 7, dtype)
+    def test_a_hit_gives_the_bytes_of_a_miss(self):
+        delays = delay_rows(np.random.default_rng(5), 1, 7)
         store = DelayRampStore(32)
         first, second, hit = collect_ramps(store, delays, 1920, 3)
         # Stored at the second sighting, recalled at the third.
@@ -148,7 +143,7 @@ class TestDelayRampStore:
         for _ in range(3):
             delay_ramps(row, 64, store)
         long_row = delay_rows(rng, 1, 6)
-        for n, delays in ((48, row), (64, long_row), (64, row.astype(np.float32))):
+        for n, delays in ((48, row), (64, long_row)):
             for _ in range(3):
                 assert bits_equal(delay_ramps(delays, n, store), delay_ramps(delays, n))
         assert store.block.shape == (4, 33) and len(store) == 1

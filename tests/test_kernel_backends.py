@@ -1,4 +1,4 @@
-"""The kernel tier: the numpy kernel module and the precision helpers.
+"""The kernel tier: the numpy kernel module.
 
 The kernels are the literal inline numpy code the call sites used to carry,
 so these tests assert byte-level agreement with the direct numpy
@@ -19,14 +19,8 @@ from repro.channel.channel import (
     fractional_delay_batch,
     phase_random_walk_batch,
 )
-from repro.kernels import (
-    NumpyBackend,
-    complex_dtype,
-    delay_ramps,
-    kernels,
-    real_dtype,
-    validate_precision,
-)
+from repro.hardware.receiver import ArrayReceiver
+from repro.kernels import NumpyBackend, delay_ramps, kernels
 from repro.phy.ofdm import OfdmModulator
 from repro.phy.packet import make_packet_waveform, make_packet_waveforms
 from repro.testbed.scenario import SimulatorConfig
@@ -78,24 +72,17 @@ class TestSingleImplementation:
         assert bound.__func__ is vars(NumpyBackend)[name]
 
     @pytest.mark.parametrize("target", [
-        EstimatorConfig, SimulatorConfig, ArrayChannel, OfdmModulator,
-        make_packet_waveform, make_packet_waveforms, fractional_delay_batch,
-        phase_random_walk_batch,
+        EstimatorConfig, SimulatorConfig, ArrayChannel, ArrayReceiver,
+        OfdmModulator, make_packet_waveform, make_packet_waveforms,
+        fractional_delay_batch, phase_random_walk_batch,
     ], ids=lambda target: target.__name__)
     def test_no_compute_backend_knob(self, target):
-        assert "backend" not in inspect.signature(target).parameters
-
-
-# ----------------------------------------------------------------- precision
-class TestPrecision:
-    def test_precision_helpers(self):
-        assert validate_precision("float64") == "float64"
-        with pytest.raises(ValueError, match="unknown precision"):
-            validate_precision("float16")
-        assert real_dtype("float32") == np.float32
-        assert complex_dtype("float32") == np.complex64
-        assert real_dtype("float64") == np.float64
-        assert complex_dtype("float64") == np.complex128
+        # Neither a compute backend nor an arithmetic precision is selectable:
+        # every path runs the one float64 numpy pipeline.
+        parameters = inspect.signature(target).parameters
+        assert "backend" not in parameters
+        assert "precision" not in parameters
+        assert "dtype" not in parameters
 
 
 # ------------------------------------------------------------- numpy kernels
@@ -123,15 +110,6 @@ class TestNumpyKernels:
                                        rtol=1e-12)
             # Hermitian by construction (the conjugate triangle fill).
             assert np.array_equal(stack[index], stack[index].conj().T)
-
-    def test_correlation_stack_complex64(self, numpy_backend, rng):
-        samples = [(rng.standard_normal((4, 64))
-                    + 1j * rng.standard_normal((4, 64))).astype(np.complex64)]
-        stack = numpy_backend.correlation_stack(samples)
-        assert stack.dtype == np.complex64
-        np.testing.assert_allclose(
-            stack[0], (samples[0] @ samples[0].conj().T / 64).astype(np.complex64),
-            rtol=1e-5)
 
     def test_music_and_beamscan_contractions(self, numpy_backend, rng):
         steering = rng.standard_normal((6, 19)) + 1j * rng.standard_normal((6, 19))
@@ -181,11 +159,9 @@ class TestNumpyKernels:
         assert np.array_equal(numpy_backend.ifft(spectra),
                               np.fft.ifft(spectra, axis=-1))
 
-    def test_delay_ramps_dedup_and_dtype(self):
+    def test_delay_ramps_dedup(self):
         delays = np.array([[1.5, 0.25], [1.5, 0.25]])
         ramps = delay_ramps(delays, 32)
         # One unique row: a broadcast view, not two materialised copies.
         assert ramps.shape == (2, 2, 32)
         assert np.array_equal(ramps[0], ramps[1])
-        ramps32 = delay_ramps(delays.astype(np.float32), 32)
-        assert ramps32.dtype == np.complex64

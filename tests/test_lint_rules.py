@@ -152,47 +152,6 @@ class TestRngDiscipline:
         assert report.violations == []
 
 
-# ---------------------------------------------------- precision-discipline
-class TestPrecisionDiscipline:
-    def test_fixed_dtype_in_precision_module_fires(self, tmp_path):
-        report = run_lint(tmp_path, {"src/repro/hardware/thing.py": """
-            import numpy as np
-
-            def capture(samples, precision="float64"):
-                return np.asarray(samples, dtype=np.complex128)
-            """}, rule="precision-discipline")
-        assert len(rule_hits(report, "precision-discipline")) == 1
-
-    def test_string_dtype_keyword_fires(self, tmp_path):
-        report = run_lint(tmp_path, {"src/repro/hardware/thing.py": """
-            import numpy as np
-            from repro.kernels.backend import complex_dtype
-
-            def f(x):
-                return np.zeros(3, dtype="complex128") + x
-            """}, rule="precision-discipline")
-        assert len(rule_hits(report, "precision-discipline")) == 1
-
-    def test_module_without_precision_knob_is_free(self, tmp_path):
-        report = run_lint(tmp_path, {"src/repro/geometry/thing.py": """
-            import numpy as np
-
-            def f(x):
-                return np.asarray(x, dtype=np.float64)
-            """}, rule="precision-discipline")
-        assert report.violations == []
-
-    def test_derived_dtype_passes(self, tmp_path):
-        report = run_lint(tmp_path, {"src/repro/hardware/thing.py": """
-            import numpy as np
-            from repro.kernels.backend import complex_dtype
-
-            def f(x, precision):
-                return np.asarray(x, dtype=complex_dtype(precision))
-            """}, rule="precision-discipline")
-        assert report.violations == []
-
-
 # ----------------------------------------------------------- atomic-write
 class TestAtomicWrite:
     def test_bare_open_write_in_campaign_fires(self, tmp_path):
@@ -505,6 +464,23 @@ class TestSuppression:
             """}, rule="seam-bypass")
         assert len(report.violations) == 1
 
+    def test_pragma_naming_no_registered_rule_is_a_violation(self, tmp_path):
+        # A typo, or a rule since deleted: the pragma suppresses nothing and
+        # must not linger.  Reported whichever rules run, and "all" is known.
+        report = run_lint(tmp_path, {"src/repro/aoa/thing.py": """
+            import numpy as np
+
+            def f(m):
+                x = m + 1  # repro-lint: disable=precision-discipline
+                y = m + 2  # repro-lint: disable=all
+                return np.linalg.eigh(m)  # repro-lint: disable=seam-bypass,seam-bypas
+            """}, rule="rng-discipline")
+        assert [(v.rule, v.line) for v in report.violations] == [
+            ("unknown-pragma", 5), ("unknown-pragma", 7)]
+        assert "'precision-discipline'" in report.violations[0].message
+        assert "'seam-bypas'" in report.violations[1].message
+        assert report.exit_code == 1
+
     def test_allowlist_suppresses_whole_file(self, tmp_path):
         write_tree(tmp_path, {"src/repro/aoa/thing.py": """
             import numpy as np
@@ -604,11 +580,11 @@ class TestCli:
 
 # -------------------------------------------------------------- self-check
 class TestSelfCheck:
-    def test_rule_registry_has_the_documented_seven(self):
-        expected = {"seam-bypass", "rng-discipline", "precision-discipline",
-                    "atomic-write", "frozen-config-mutation",
-                    "registry-completeness", "async-blocking"}
-        assert expected <= set(RULES)
+    def test_rule_registry_has_the_documented_six(self):
+        expected = {"seam-bypass", "rng-discipline", "atomic-write",
+                    "frozen-config-mutation", "registry-completeness",
+                    "async-blocking"}
+        assert expected == set(RULES)
         for rule in RULES.values():
             assert rule.description
 

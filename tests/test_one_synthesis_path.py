@@ -25,7 +25,7 @@ from repro.hardware.switch import SwitchPosition
 from repro.kernels.backend import delay_ramps
 from repro.phy.ofdm import OfdmModulator
 from repro.testbed import scenario as scenario_module
-from repro.testbed.scenario import CaptureRequest, SimulatorConfig
+from repro.testbed.scenario import CaptureRequest
 from repro.testbed.scenario import TestbedSimulator as Simulator
 
 
@@ -137,12 +137,9 @@ class TestScalarEntryPointsAreBatchesOfOne:
 
 
 class TestScalarCapturesMatchBatchItems:
-    @pytest.mark.parametrize("precision", ["float64", "float32"])
-    def test_capture_from_position_equals_one_item_batch(self, environment,
-                                                         precision):
-        config = SimulatorConfig(precision=precision)
-        scalar_sim = Simulator(environment, OctagonalArray(), config=config, rng=8)
-        batch_sim = Simulator(environment, OctagonalArray(), config=config, rng=8)
+    def test_capture_from_position_equals_one_item_batch(self, environment):
+        scalar_sim = Simulator(environment, OctagonalArray(), rng=8)
+        batch_sim = Simulator(environment, OctagonalArray(), rng=8)
         positions = [environment.client_position(cid) for cid in (1, 6, 9)]
         scalar = [scalar_sim.capture_from_position(position, elapsed_s=index)
                   for index, position in enumerate(positions)]
@@ -199,10 +196,9 @@ class TestCaptureBuffers:
 
 # ------------------------------------------------------------------ kernels
 class TestDelayRampsOneRow:
-    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
-    def test_one_row_equals_its_row_of_a_two_row_call(self, dtype):
+    def test_one_row_equals_its_row_of_a_two_row_call(self):
         rows = np.array([[0.0, 0.37, 2.5, 1e-13],
-                         [0.0, 1.25, 0.5, 3.75]], dtype=dtype)
+                         [0.0, 1.25, 0.5, 3.75]])
         both = delay_ramps(rows, 96)
         for index in range(2):
             single = delay_ramps(rows[index:index + 1], 96)

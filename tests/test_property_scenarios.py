@@ -229,7 +229,7 @@ class TestScenarioDynamics:
         packets_a = deployment_a.traffic(client_id, num_packets=2)
         packets_b = deployment_b.traffic(client_id, num_packets=2)
         via_run = [_strip_latency(e).to_json()
-                   for e in deployment_a.run(iter(packets_a))]
+                   for e in deployment_a.process(iter(packets_a))]
         via_run_batch = [_strip_latency(e).to_json()
                          for e in deployment_b.run_batch(packets_b)]
         assert via_run == via_run_batch

@@ -450,7 +450,7 @@ class TestDeploymentTraffic:
         spec = ScenarioSpec(name="e2e", seed=1234)
         scalar_dep = Deployment(spec)
         batch_dep = Deployment(spec)
-        scalar_events = list(scalar_dep.run(
+        scalar_events = list(scalar_dep.process(
             scalar_dep.client_packets(1, num_packets=8)))
         batch_events = batch_dep.run_batch(batch_dep.traffic(1, num_packets=8))
         for scalar_event, batch_event in zip(scalar_events, batch_events):
@@ -460,14 +460,14 @@ class TestDeploymentTraffic:
 
     def test_latency_semantics_are_pinned(self):
         # v1 events resolve the old latency_s ambiguity into explicit
-        # fields: run() measures each packet's own analysis time
+        # fields: process() measures each packet's own analysis time
         # (packet_latency_s), run_batch() attributes the batch mean
         # (batch_latency_s); exactly one of the two is set per path.  Both
         # are positive, so 1 / mean(decision_latency_s) is a comparable
         # packets-per-second figure either way.
         spec = ScenarioSpec(name="latency", seed=5)
         dep = Deployment(spec)
-        streaming = list(dep.run(dep.client_packets(1, num_packets=4)))
+        streaming = list(dep.process(dep.client_packets(1, num_packets=4)))
         assert all(event.packet_latency_s > 0 for event in streaming)
         assert all(event.batch_latency_s is None for event in streaming)
         assert len({event.packet_latency_s for event in streaming}) > 1
