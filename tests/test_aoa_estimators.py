@@ -182,6 +182,18 @@ class TestEstimatorFacade:
         assert float(angular_difference(estimate.bearing_deg, 75.0)) <= 2.0
         assert estimate.pseudospectrum.metadata["estimator"] == "music"
 
+    def test_complex64_samples_are_analysed_in_float64(self, octagon_array):
+        # One arithmetic precision: narrow samples are widened exactly, so
+        # they give the estimate of their complex128 values.
+        samples = _plane_wave_samples(octagon_array, [75.0]).astype(np.complex64)
+        estimator = AoAEstimator(octagon_array, EstimatorConfig())
+        narrow = estimator.process_samples(samples)
+        wide = estimator.process_samples(samples.astype(complex))
+        assert narrow.pseudospectrum.values.dtype == np.float64
+        assert narrow.bearing_deg == wide.bearing_deg
+        assert np.array_equal(narrow.pseudospectrum.values,
+                              wide.pseudospectrum.values)
+
     def test_capture_antenna_count_must_match_the_array(self, octagon_array):
         estimator = AoAEstimator(octagon_array, EstimatorConfig())
         capture = Capture(samples=np.ones((4, 64), dtype=complex), calibrated=True)

@@ -94,6 +94,12 @@ class TestMirroredRamps:
         assert np.array_equal(delay_ramps(delays, n),
                               np.exp(-2j * np.pi * frequencies * delays[..., None]))
 
+    def test_float32_rows_give_the_ramps_of_their_float64_values(self):
+        delays = delay_rows(np.random.default_rng(4), 200, 7).astype(np.float32)
+        ramps = delay_ramps(delays, 96)
+        assert ramps.dtype == np.complex128
+        assert bits_equal(ramps, delay_ramps(delays.astype(np.float64), 96))
+
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_tiny_lengths(self, n):
         delays = delay_rows(np.random.default_rng(n), 3, 5)
@@ -147,6 +153,16 @@ class TestDelayRampStore:
             for _ in range(3):
                 assert bits_equal(delay_ramps(delays, n, store), delay_ramps(delays, n))
         assert store.block.shape == (4, 33) and len(store) == 1
+
+    def test_a_float32_row_is_stored_under_its_own_key(self):
+        # The float32 copy of a row has other bytes, so it is another key:
+        # it neither hits the float64 entry nor overwrites it.
+        row = delay_rows(np.random.default_rng(6), 1, 4)
+        store = DelayRampStore(8)
+        for _ in range(3):
+            for delays in (row, row.astype(np.float32)):
+                assert bits_equal(delay_ramps(delays, 64, store), delay_ramps(delays, 64))
+        assert len(store) == 2
 
     def test_writing_into_a_delayed_array_cannot_change_the_store(self):
         rng = np.random.default_rng(9)

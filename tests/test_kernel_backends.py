@@ -111,6 +111,14 @@ class TestNumpyKernels:
             # Hermitian by construction (the conjugate triangle fill).
             assert np.array_equal(stack[index], stack[index].conj().T)
 
+    def test_correlation_stack_widens_complex64_input(self, numpy_backend, rng):
+        samples = (rng.standard_normal((4, 64))
+                   + 1j * rng.standard_normal((4, 64))).astype(np.complex64)
+        stack = numpy_backend.correlation_stack([samples])
+        assert stack.dtype == np.complex128
+        wide = numpy_backend.correlation_stack([samples.astype(complex)])
+        assert stack.tobytes() == wide.tobytes()
+
     def test_music_and_beamscan_contractions(self, numpy_backend, rng):
         steering = rng.standard_normal((6, 19)) + 1j * rng.standard_normal((6, 19))
         signal = rng.standard_normal((2, 6, 2)) + 1j * rng.standard_normal((2, 6, 2))

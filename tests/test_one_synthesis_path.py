@@ -157,6 +157,12 @@ class TestCaptureBuffers:
         with pytest.raises(ValueError):
             capture.samples[0, 0] = 0.0
 
+    def test_scalar_and_burst_captures_are_complex128(self, environment):
+        simulator = Simulator(environment, OctagonalArray(), rng=7)
+        captures = [simulator.capture_from_client(1),
+                    *simulator.capture_burst_batch(1, 2)]
+        assert [capture.samples.dtype for capture in captures] == [np.complex128] * 3
+
     def test_scalar_receiver_captures_are_read_only(self):
         receiver = ArrayReceiver(OctagonalArray(), rng=0)
         capture = receiver.capture(np.zeros((8, 32), dtype=complex))
