@@ -97,8 +97,9 @@ def test_phase_random_walk_batch_speed_and_equivalence():
             f"batched:       {batch_s * 1e3:8.2f} ms",
             f"speedup:       {loop_s / batch_s:8.2f}x",
         ]))
-    # Both sides are dominated by the (pinned, per-walk) gaussian draws, so
-    # the batch form only has to keep up, not win.
+    # The draws stay per walk, one generator call per walk on both sides, but
+    # at knot rate they no longer dominate: the loop pays a kernel call per
+    # walk.  The batch form still only has to keep up, not win.
     assert batch_s <= loop_s * 1.25, "batched phase walk slower than the loop"
 
 

@@ -46,7 +46,7 @@ from repro.kernels.backend import (
 )
 from repro.utils.decibels import dbm_to_watts
 from repro.utils.rng import RngLike, ensure_rng
-from repro.utils.validation import require_positive
+from repro.utils.validation import require_finite_non_negative, require_positive
 
 #: Packets whose (packets, paths, samples) stacks ``propagate_batch`` builds
 #: at once.  For a whole 64-packet burst each such temporary would be about
@@ -57,6 +57,10 @@ from repro.utils.validation import require_positive
 #: stack near 2 MiB.  Packets are propagated independently, so the chunking
 #: changes no byte.
 PROPAGATION_CHUNK = 8
+
+#: Samples between the knots of a path's phase walk: it is drawn at the knots
+#: and linear in between (see :func:`phase_random_walk_batch`).
+PHASE_WALK_KNOT_SPACING = 16
 
 #: Path delay ramps each :class:`ArrayChannel` keeps (see
 #: :class:`~repro.kernels.backend.DelayRampStore`).  One slot holds one path's
@@ -77,8 +81,9 @@ class ChannelConfig:
     carrier_frequency_hz: float = DEFAULT_CARRIER_FREQUENCY_HZ
     #: Complex baseband sampling rate (Hz).
     sample_rate_hz: float = DEFAULT_SAMPLE_RATE_HZ
-    #: Standard deviation (radians) of the per-sample random-walk phase applied
-    #: independently to each path.  Zero disables the mechanism.
+    #: Per-sample std (radians) of each path's random-walk phase, exact at its
+    #: knots every :data:`PHASE_WALK_KNOT_SPACING` samples and linear between
+    #: them (see :func:`phase_random_walk_batch`).  Zero disables the walk.
     path_phase_walk_std_rad: float = 0.02
     #: Whether to apply each path's fractional sample delay (FFT-domain).
     apply_path_delays: bool = True
@@ -86,8 +91,8 @@ class ChannelConfig:
     def __post_init__(self) -> None:
         require_positive(self.carrier_frequency_hz, "carrier_frequency_hz")
         require_positive(self.sample_rate_hz, "sample_rate_hz")
-        if self.path_phase_walk_std_rad < 0:
-            raise ValueError("path_phase_walk_std_rad must be non-negative")
+        require_finite_non_negative(self.path_phase_walk_std_rad,
+                                    "path_phase_walk_std_rad")
 
     @property
     def wavelength(self) -> float:
@@ -399,50 +404,37 @@ def fractional_delay_batch(waveforms: np.ndarray,
 
 def phase_random_walk(num_samples: int, step_std_rad: float,
                       rng: RngLike = None) -> np.ndarray:
-    """Unit-magnitude random-walk phase process of length ``num_samples``.
-
-    Models per-path phase dynamics (residual CFO, scatterer micro-motion) over
-    the duration of one packet.  The walk starts from a uniformly random
-    initial phase so different paths are mutually incoherent.
-    """
-    if num_samples <= 0:
-        raise ValueError("num_samples must be positive")
-    if step_std_rad < 0:
-        raise ValueError("step_std_rad must be non-negative")
-    generator = ensure_rng(rng)
-    initial = generator.uniform(0.0, 2.0 * np.pi)
-    steps = generator.normal(0.0, step_std_rad, size=num_samples)
-    steps[0] = 0.0
-    phase = initial + np.cumsum(steps)
-    return np.exp(1j * phase)
+    """One walk of :func:`phase_random_walk_batch`: ``batch(1, ...)[0]``."""
+    return phase_random_walk_batch(1, num_samples, step_std_rad, rng)[0]
 
 
 def phase_random_walk_batch(num_walks: int, num_samples: int,
                             step_std_rad: float,
                             rng: RngLike = None) -> np.ndarray:
-    """Stack of ``num_walks`` independent random-walk phase processes.
+    """Stack of ``num_walks`` independent unit-magnitude random-walk phases.
 
-    Returns a ``(num_walks, num_samples)`` complex matrix.  The random draws
-    are made walk by walk in the same order as repeated calls to
-    :func:`phase_random_walk` on the same generator (one uniform initial
-    phase, then the step sequence), so the result is bit-identical to the
-    scalar loop — but the cumulative sum and complex exponential, the actual
-    compute, run once over the whole stack (through ``kernels.phase_walk``).
+    Returns a ``(num_walks, num_samples)`` complex matrix.  Each walk models
+    one path's residual CFO and scatterer micro-motion over a packet, from a
+    uniform initial phase.  Knots are ``K`` = :data:`PHASE_WALK_KNOT_SPACING`
+    samples apart, each a step of std ``step_std_rad * sqrt(K)`` (the first
+    is zero), so the knot phases are exact: variance ``step_std_rad**2 * lag``
+    as for one ``step_std_rad`` step per sample.  Between knots the phase is
+    linear.  Draws go walk by walk (initial phase, then knot steps), so a
+    batch equals repeated :func:`phase_random_walk` calls on one generator.
     """
     if num_walks <= 0:
         raise ValueError("num_walks must be positive")
     if num_samples <= 0:
         raise ValueError("num_samples must be positive")
-    if step_std_rad < 0:
-        raise ValueError("step_std_rad must be non-negative")
+    require_finite_non_negative(step_std_rad, "step_std_rad")
     generator = ensure_rng(rng)
-    # Draw order (per walk: initial phase, then steps) matches repeated calls
-    # to phase_random_walk on the same generator; the Figure 6 stability
-    # reproduction is pinned to this stream layout, so it must not change.
+    spacing = PHASE_WALK_KNOT_SPACING
+    num_knots = -(-(num_samples - 1) // spacing) + 1  # ceil, plus knot 0
     initials = np.empty(num_walks)
-    steps = np.empty((num_walks, num_samples))
+    steps = np.empty((num_walks, num_knots))
     for walk in range(num_walks):
         initials[walk] = generator.uniform(0.0, 2.0 * np.pi)
-        steps[walk] = generator.normal(0.0, step_std_rad, size=num_samples)
+        steps[walk] = generator.normal(0.0, step_std_rad * np.sqrt(spacing),
+                                       size=num_knots)
     steps[:, 0] = 0.0
-    return kernels.phase_walk(initials, steps)
+    return kernels.phase_walk(initials, steps, spacing)[:, :num_samples]

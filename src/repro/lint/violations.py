@@ -3,15 +3,17 @@
 from __future__ import annotations
 
 import ast
+import io
 import re
+import tokenize
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, FrozenSet, List, Optional, Tuple
 
 __all__ = ["FileContext", "ProjectContext", "Violation", "parse_pragmas"]
 
-#: ``# repro-lint: disable=<rule>[,<rule>...]`` (or ``disable=all``) on the
-#: offending physical line suppresses those rules for that line.
+#: ``# repro-lint: disable=<rule>[,<rule>...]`` (or ``disable=all``) in a
+#: comment on the offending line suppresses those rules for that line.
 _PRAGMA_PATTERN = re.compile(r"#\s*repro-lint:\s*disable=([A-Za-z0-9_,\-\s]+)")
 
 
@@ -36,16 +38,21 @@ class Violation:
 
 
 def parse_pragmas(lines: List[str]) -> Dict[int, FrozenSet[str]]:
-    """Map 1-based line numbers to the rule names disabled on that line."""
+    """Map 1-based line numbers to the rule names disabled on that line.
+
+    Only comment tokens are searched, so pragma text inside a string literal
+    suppresses nothing.
+    """
     pragmas: Dict[int, FrozenSet[str]] = {}
-    for number, text in enumerate(lines, start=1):
-        match = _PRAGMA_PATTERN.search(text)
-        if match is None:
+    readline = io.StringIO("\n".join(lines) + "\n").readline
+    for token in tokenize.generate_tokens(readline):
+        match = _PRAGMA_PATTERN.search(token.string)
+        if token.type != tokenize.COMMENT or match is None:
             continue
         names = frozenset(
             name.strip() for name in match.group(1).split(",") if name.strip())
         if names:
-            pragmas[number] = names
+            pragmas[token.start[0]] = names
     return pragmas
 
 

@@ -464,6 +464,19 @@ class TestSuppression:
             """}, rule="seam-bypass")
         assert len(report.violations) == 1
 
+    def test_quoted_pragma_suppresses_nothing(self, tmp_path):
+        report = run_lint(tmp_path, {"src/repro/aoa/thing.py": """
+            import numpy as np
+
+            def f(m):
+                return np.linalg.eigh(m), "# repro-lint: disable=seam-bypass"
+
+            def g(m):
+                return np.linalg.eigh(m), "#"  # repro-lint: disable=seam-bypass
+            """}, rule="seam-bypass")
+        assert [v.line for v in report.violations] == [5]
+        assert report.suppressed_by_pragma == 1
+
     def test_pragma_naming_no_registered_rule_is_a_violation(self, tmp_path):
         # A typo, or a rule since deleted: the pragma suppresses nothing and
         # must not linger.  Reported whichever rules run, and "all" is known.
