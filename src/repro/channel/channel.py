@@ -41,6 +41,7 @@ from repro.constants import (
 )
 from repro.kernels.backend import (
     DELAY_EPSILON_SAMPLES as _DELAY_EPSILON_SAMPLES,
+    PHASE_WALK_KNOT_SPACING,
     DelayRampStore,
     kernels,
 )
@@ -57,10 +58,6 @@ from repro.utils.validation import require_finite_non_negative, require_positive
 #: stack near 2 MiB.  Packets are propagated independently, so the chunking
 #: changes no byte.
 PROPAGATION_CHUNK = 8
-
-#: Samples between the knots of a path's phase walk: it is drawn at the knots
-#: and linear in between (see :func:`phase_random_walk_batch`).
-PHASE_WALK_KNOT_SPACING = 16
 
 #: Path delay ramps each :class:`ArrayChannel` keeps (see
 #: :class:`~repro.kernels.backend.DelayRampStore`).  One slot holds one path's
@@ -437,4 +434,4 @@ def phase_random_walk_batch(num_walks: int, num_samples: int,
         steps[walk] = generator.normal(0.0, step_std_rad * np.sqrt(spacing),
                                        size=num_knots)
     steps[:, 0] = 0.0
-    return kernels.phase_walk(initials, steps, spacing)[:, :num_samples]
+    return kernels.phase_walk(initials, steps)[:, :num_samples]

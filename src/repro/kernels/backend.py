@@ -25,12 +25,16 @@ from scipy.linalg.blas import zherk
 from repro.arrays.steering import plane_wave_response, validated_positions
 
 __all__ = ["DELAY_EPSILON_SAMPLES", "DelayRampStore", "NumpyBackend",
-           "delay_ramps", "kernels"]
+           "PHASE_WALK_KNOT_SPACING", "delay_ramps", "kernels"]
 
 #: Delays smaller than this (in samples) skip the FFT delay filter entirely,
 #: so the undelayed reference path is returned untouched rather than put
 #: through a lossless-but-rounding FFT round trip.
 DELAY_EPSILON_SAMPLES = 1e-12
+
+#: Samples between the knots of a path's phase walk: it is drawn at the knots
+#: and linear in between (see :meth:`NumpyBackend.phase_walk`).
+PHASE_WALK_KNOT_SPACING = 16
 
 
 @lru_cache(maxsize=None)
@@ -143,14 +147,15 @@ class NumpyBackend:
             delayed[passthrough] = np.broadcast_to(waveforms, out_shape)[passthrough]
         return delayed
 
-    def phase_walk(self, initials: np.ndarray, steps: np.ndarray,
-                   spacing: int = 1) -> np.ndarray:
+    def phase_walk(self, initials: np.ndarray, steps: np.ndarray) -> np.ndarray:
         """Unit-magnitude walks through knots ``exp(1j*(initial + cumsum(steps)))``.
 
-        Knot ``j`` is sample ``j*spacing``; the walks end at the last knot.
-        Sample ``r`` past knot ``j`` is the knot times ``exp(1j*steps[j+1]/
-        spacing)**r`` (linear phase), the powers built by doubling multiplies.
+        Knot ``j`` is sample ``j*K``, ``K`` = :data:`PHASE_WALK_KNOT_SPACING`;
+        the walks end at the last knot.  Sample ``r`` past knot ``j`` is the
+        knot times ``exp(1j*steps[j+1]/K)**r`` (linear phase), the powers
+        built by doubling multiplies.
         """
+        spacing = PHASE_WALK_KNOT_SPACING
         phases = initials[:, None] + np.cumsum(steps, axis=1)
         angles = np.zeros(phases.shape)  # 0 past the last knot: cut off below
         angles[:, :-1] = steps[:, 1:] / spacing

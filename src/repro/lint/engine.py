@@ -171,7 +171,7 @@ def _parse_file(path: Path, root: Path) -> Tuple[Optional[FileContext],
             message=f"could not parse file: {error}")
     lines = source.splitlines()
     return FileContext(path=path, relpath=relpath, tree=tree, lines=lines,
-                       pragmas=parse_pragmas(lines)), None
+                       pragmas=parse_pragmas(source)), None
 
 
 def _unknown_pragmas(context: FileContext) -> Iterable[Violation]:

@@ -37,14 +37,10 @@ class Violation:
                 "col": self.col, "message": self.message}
 
 
-def parse_pragmas(lines: List[str]) -> Dict[int, FrozenSet[str]]:
-    """Map 1-based line numbers to the rule names disabled on that line.
-
-    Only comment tokens are searched, so pragma text inside a string literal
-    suppresses nothing.
-    """
+def parse_pragmas(source: str) -> Dict[int, FrozenSet[str]]:
+    """Map 1-based line numbers to the rule names a comment there disables."""
     pragmas: Dict[int, FrozenSet[str]] = {}
-    readline = io.StringIO("\n".join(lines) + "\n").readline
+    readline = io.StringIO(source).readline
     for token in tokenize.generate_tokens(readline):
         match = _PRAGMA_PATTERN.search(token.string)
         if token.type != tokenize.COMMENT or match is None:

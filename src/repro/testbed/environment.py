@@ -48,6 +48,11 @@ class TestbedEnvironment:
         origin = self.ap_position if ap_position is None else ap_position
         return origin.bearing_to(self.client_position(client_id))
 
+    def ground_truth_distance(self, client_id: int, ap_position: Point = None) -> float:
+        """Ground-truth distance (metres) from the AP to a client."""
+        origin = self.ap_position if ap_position is None else ap_position
+        return origin.distance_to(self.client_position(client_id))
+
     def is_inside_building(self, point: Point) -> bool:
         """True when ``point`` falls within the building outline."""
         return self.building_boundary.contains(point)

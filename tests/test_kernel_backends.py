@@ -21,6 +21,7 @@ from repro.channel.channel import (
 )
 from repro.hardware.receiver import ArrayReceiver
 from repro.kernels import NumpyBackend, delay_ramps, kernels
+from repro.kernels.backend import PHASE_WALK_KNOT_SPACING
 from repro.phy.ofdm import OfdmModulator
 from repro.phy.packet import make_packet_waveform, make_packet_waveforms
 from repro.testbed.scenario import SimulatorConfig
@@ -154,13 +155,17 @@ class TestNumpyKernels:
                                    rtol=1e-9, atol=1e-12)
 
     def test_phase_walk_unit_magnitude(self, numpy_backend, rng):
+        # Knot-rate contract: knot j is sample j*K, exactly cos/sin of the
+        # cumulative phase, and the walk ends at the last knot.
         initials = rng.random(3) * 2 * np.pi
         steps = rng.standard_normal((3, 50)) * 0.01
         steps[:, 0] = 0.0
         walks = numpy_backend.phase_walk(initials, steps)
+        assert walks.shape == (3, 49 * PHASE_WALK_KNOT_SPACING + 1)
         np.testing.assert_allclose(np.abs(walks), 1.0, rtol=1e-12)
         phases = initials[:, None] + np.cumsum(steps, axis=1)
-        assert np.array_equal(walks, np.cos(phases) + 1j * np.sin(phases))
+        assert np.array_equal(walks[:, ::PHASE_WALK_KNOT_SPACING],
+                              np.cos(phases) + 1j * np.sin(phases))
 
     def test_ifft(self, numpy_backend, rng):
         spectra = rng.standard_normal((2, 64)) + 1j * rng.standard_normal((2, 64))

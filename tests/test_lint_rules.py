@@ -477,6 +477,25 @@ class TestSuppression:
         assert [v.line for v in report.violations] == [5]
         assert report.suppressed_by_pragma == 1
 
+    @pytest.mark.parametrize("separator", ["\x0c", "\x1c", "\x85", "\u2028"])
+    def test_line_separator_in_a_string_keeps_pragma_lines(self, tmp_path,
+                                                            separator):
+        # str.splitlines breaks on these, Python's tokenizer does not: the
+        # pragma must stay on the line the violation is reported on.
+        report = run_lint(tmp_path, {"src/repro/aoa/thing.py": f"""
+            import numpy as np
+
+            LABEL = "a{separator}b"
+
+            def f(m):
+                return np.linalg.eigh(m)  # repro-lint: disable=seam-bypass
+
+            def g(m):
+                return np.linalg.eigh(m)
+            """}, rule="seam-bypass")
+        assert [v.line for v in report.violations] == [10]
+        assert report.suppressed_by_pragma == 1
+
     def test_pragma_naming_no_registered_rule_is_a_violation(self, tmp_path):
         # A typo, or a rule since deleted: the pragma suppresses nothing and
         # must not linger.  Reported whichever rules run, and "all" is known.

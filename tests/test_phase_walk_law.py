@@ -12,11 +12,11 @@ import pytest
 from scipy.stats import chi2
 
 from repro.channel.channel import (
-    PHASE_WALK_KNOT_SPACING as K,
     ChannelConfig,
     phase_random_walk,
     phase_random_walk_batch,
 )
+from repro.kernels.backend import PHASE_WALK_KNOT_SPACING as K
 
 SIGMA = 0.02
 
