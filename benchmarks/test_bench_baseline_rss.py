@@ -10,12 +10,12 @@ past the RSS check far more often than past the AoA check.
 from conftest import print_report
 
 from repro.experiments.reporting import format_table
-from repro.experiments.spoofing_eval import run_spoofing_evaluation
+from repro.experiments.attack_matrix import run_attack_matrix
 
 
 def test_bench_rss_baseline(benchmark):
     evaluation = benchmark.pedantic(
-        run_spoofing_evaluation,
+        run_attack_matrix, args=("spoofing",),
         kwargs={"num_training_packets": 10, "num_test_packets": 20, "rng": 7},
         iterations=1, rounds=1)
     rows = [(outcome.attacker_name, outcome.rss_detection_rate, outcome.detection_rate)

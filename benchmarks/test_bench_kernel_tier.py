@@ -32,6 +32,7 @@ from repro.aoa import AoAEstimator, EstimatorConfig
 from repro.aoa.subspace import SubspaceTracker
 from repro.arrays.geometry import OctagonalArray
 from repro.kernels import kernels
+from repro.kernels.backend import PHASE_WALK_KNOT_SPACING
 from repro.testbed.environment import figure4_environment
 from repro.testbed.scenario import TestbedSimulator as Simulator
 
@@ -99,7 +100,9 @@ def _micro_inputs(rng: np.random.Generator):
                  + 1j * rng.standard_normal((batch, 1, t)))
     delays = rng.random((batch, 3)) * 4
     initials = rng.random(batch * 3) * 2 * np.pi
-    steps = rng.standard_normal((batch * 3, t)) * 0.01
+    # The knot steps of a t-sample walk: ceil((t - 1) / K) + 1 knots.
+    knots = -(-(t - 1) // PHASE_WALK_KNOT_SPACING) + 1
+    steps = rng.standard_normal((batch * 3, knots)) * 0.01
     spectra = (rng.standard_normal((batch, 64))
                + 1j * rng.standard_normal((batch, 64)))
     return {

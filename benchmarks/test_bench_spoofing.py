@@ -9,12 +9,12 @@ separates attacker from client better than the RSS-signalprint baseline
 
 from conftest import print_report
 
-from repro.experiments.spoofing_eval import run_spoofing_evaluation
+from repro.experiments.attack_matrix import run_attack_matrix
 
 
 def test_bench_spoofing_detection(benchmark):
     evaluation = benchmark.pedantic(
-        run_spoofing_evaluation,
+        run_attack_matrix, args=("spoofing",),
         kwargs={"num_training_packets": 10, "num_test_packets": 20, "rng": 42},
         iterations=1, rounds=1)
     print_report(

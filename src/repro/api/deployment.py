@@ -99,11 +99,6 @@ class Deployment:
         self._attackers: Optional[Dict[str, Attacker]] = None
 
     @classmethod
-    def from_spec(cls, spec: ScenarioSpec, rng: RngLike = None) -> "Deployment":
-        """Compile a scenario spec (alias of the constructor)."""
-        return cls(spec, rng=rng)
-
-    @classmethod
     def from_json(cls, text: str, rng: RngLike = None) -> "Deployment":
         """Compile a deployment straight from a JSON scenario document."""
         return cls(ScenarioSpec.from_json(text), rng=rng)

@@ -131,8 +131,7 @@ def _attack_family_scenario(name: str,
 
     Identical stream layout to :func:`spoofing_scenario` (one octagonal AP on
     stream 1, attacker addresses from stream 4), so the attack-matrix
-    experiment and its campaign shards share capture-skip arithmetic with the
-    spoofing evaluation.
+    experiment runs every attack scenario with one capture-skip arithmetic.
     """
     return ScenarioSpec(
         name=name,

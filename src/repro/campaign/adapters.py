@@ -14,6 +14,7 @@ it, with the registries' usual did-you-mean errors.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Any, Callable, Optional, Sequence, Tuple, Type
 
 from repro.api.registry import Registry
@@ -44,13 +45,10 @@ from repro.experiments.ablations import (
 from repro.experiments.attack_matrix import (
     AttackMatrixResult,
     AttackMatrixShard,
-    cfo_drift_eval_campaign,
+    attack_matrix_campaign,
     check_attack_matrix_params,
     merge_attack_matrix,
-    reflector_eval_campaign,
-    replay_eval_campaign,
     run_attack_matrix_shard,
-    swarm_eval_campaign,
 )
 from repro.experiments.beamforming_eval import (
     BeamformingResult,
@@ -107,14 +105,6 @@ from repro.experiments.roc import (
     roc_campaign,
     run_roc_shard,
 )
-from repro.experiments.spoofing_eval import (
-    SpoofingEvalShard,
-    SpoofingEvaluation,
-    check_spoofing_eval_params,
-    merge_spoofing_eval,
-    run_spoofing_eval_shard,
-    spoofing_eval_campaign,
-)
 
 __all__ = ["CAMPAIGNS", "CampaignAdapter"]
 
@@ -167,6 +157,21 @@ class CampaignAdapter:
 
 CAMPAIGNS: Registry[CampaignAdapter] = Registry("campaign experiment")
 
+
+def _attack_matrix_adapter(scenario: str) -> CampaignAdapter:
+    """The attack matrix run on one scenario: experiment ``<scenario>_eval``."""
+    return CampaignAdapter(
+        name=f"{scenario}_eval",
+        run_shard=run_attack_matrix_shard,
+        merge=merge_attack_matrix,
+        shard_type=AttackMatrixShard,
+        result_type=AttackMatrixResult,
+        default_spec=partial(attack_matrix_campaign, scenario),
+        axis_names=("population",),
+        check_params=check_attack_matrix_params,
+    )
+
+
 CAMPAIGNS.register("figure5", CampaignAdapter(
     name="figure5",
     run_shard=run_figure5_shard,
@@ -207,16 +212,8 @@ CAMPAIGNS.register("roc", CampaignAdapter(
     axis_names=("population",),
     check_params=check_roc_params,
 ), aliases=("spoofing_roc",))
-CAMPAIGNS.register("spoofing_eval", CampaignAdapter(
-    name="spoofing_eval",
-    run_shard=run_spoofing_eval_shard,
-    merge=merge_spoofing_eval,
-    shard_type=SpoofingEvalShard,
-    result_type=SpoofingEvaluation,
-    default_spec=spoofing_eval_campaign,
-    axis_names=("population",),
-    check_params=check_spoofing_eval_params,
-), aliases=("spoofing",))
+CAMPAIGNS.register("spoofing_eval", _attack_matrix_adapter("spoofing"),
+                   aliases=("spoofing",))
 CAMPAIGNS.register("calibration_ablation", CampaignAdapter(
     name="calibration_ablation",
     run_shard=run_calibration_shard,
@@ -274,46 +271,14 @@ CAMPAIGNS.register("mobility", CampaignAdapter(
     axis_names=("sample",),
     check_params=check_mobility_params,
 ))
-CAMPAIGNS.register("replay_eval", CampaignAdapter(
-    name="replay_eval",
-    run_shard=run_attack_matrix_shard,
-    merge=merge_attack_matrix,
-    shard_type=AttackMatrixShard,
-    result_type=AttackMatrixResult,
-    default_spec=replay_eval_campaign,
-    axis_names=("population",),
-    check_params=check_attack_matrix_params,
-), aliases=("replay",))
-CAMPAIGNS.register("reflector_eval", CampaignAdapter(
-    name="reflector_eval",
-    run_shard=run_attack_matrix_shard,
-    merge=merge_attack_matrix,
-    shard_type=AttackMatrixShard,
-    result_type=AttackMatrixResult,
-    default_spec=reflector_eval_campaign,
-    axis_names=("population",),
-    check_params=check_attack_matrix_params,
-), aliases=("reflector", "multipath_mirror_eval"))
-CAMPAIGNS.register("swarm_eval", CampaignAdapter(
-    name="swarm_eval",
-    run_shard=run_attack_matrix_shard,
-    merge=merge_attack_matrix,
-    shard_type=AttackMatrixShard,
-    result_type=AttackMatrixResult,
-    default_spec=swarm_eval_campaign,
-    axis_names=("population",),
-    check_params=check_attack_matrix_params,
-), aliases=("swarm", "coordinated_swarm_eval"))
-CAMPAIGNS.register("cfo_drift_eval", CampaignAdapter(
-    name="cfo_drift_eval",
-    run_shard=run_attack_matrix_shard,
-    merge=merge_attack_matrix,
-    shard_type=AttackMatrixShard,
-    result_type=AttackMatrixResult,
-    default_spec=cfo_drift_eval_campaign,
-    axis_names=("population",),
-    check_params=check_attack_matrix_params,
-), aliases=("cfo_eval",))
+CAMPAIGNS.register("replay_eval", _attack_matrix_adapter("replay"),
+                   aliases=("replay",))
+CAMPAIGNS.register("reflector_eval", _attack_matrix_adapter("reflector"),
+                   aliases=("reflector", "multipath_mirror_eval"))
+CAMPAIGNS.register("swarm_eval", _attack_matrix_adapter("swarm"),
+                   aliases=("swarm", "coordinated_swarm_eval"))
+CAMPAIGNS.register("cfo_drift_eval", _attack_matrix_adapter("cfo_drift"),
+                   aliases=("cfo_eval",))
 CAMPAIGNS.register("beamforming", CampaignAdapter(
     name="beamforming",
     run_shard=run_beamforming_shard,

@@ -17,8 +17,7 @@ One entry point for the whole results pipeline:
   (:mod:`repro.serve`): named tenants, JSON-lines TCP + websocket endpoints,
   micro-batched ingest (verify a live stream with
   ``python -m repro.serve.smoke``);
-* ``list-scenarios`` — the registered scenarios, campaign experiments, and
-  serial runners.
+* ``list-scenarios`` — the registered scenarios and experiments.
 
 Parameter overrides use ``key=value`` with JSON-literal values
 (``--param num_packets=2 --axis client_id=1,2,3``), so anything a campaign
@@ -34,7 +33,7 @@ import signal
 import sys
 from pathlib import Path
 from types import FrameType
-from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence
+from typing import Any, Dict, Iterator, List, Optional, Sequence
 
 from repro.api import SCENARIOS
 from repro.campaign.adapters import CAMPAIGNS, get_adapter
@@ -50,44 +49,10 @@ from repro.campaign.spec import CampaignSpec
 from repro.campaign.store import ResultStore, ShardRecord
 from repro.utils.validation import require_non_negative_int
 
-__all__ = ["main", "serial_runners"]
+__all__ = ["main"]
 
 #: Rows printed by ``run --profile``'s cumulative-time summary.
 PROFILE_TOP_N = 15
-
-
-def serial_runners() -> Dict[str, Callable[..., Any]]:
-    """The ``run_*`` experiment runners, by campaign-compatible name (each
-    its campaign at one worker), plus the accuracy claim."""
-    from repro import experiments
-    from repro.experiments.attack_matrix import (
-        run_cfo_drift_eval,
-        run_reflector_eval,
-        run_replay_eval,
-        run_swarm_eval,
-    )
-    from repro.experiments.fence_eval import run_fence_evaluation
-    from repro.experiments.mobility import run_mobility_tracking
-
-    return {
-        "replay_eval": run_replay_eval,
-        "reflector_eval": run_reflector_eval,
-        "swarm_eval": run_swarm_eval,
-        "cfo_drift_eval": run_cfo_drift_eval,
-        "figure5": experiments.run_figure5,
-        "figure6": experiments.run_figure6,
-        "figure7": experiments.run_figure7,
-        "accuracy": experiments.evaluate_accuracy_claim,
-        "roc": experiments.run_spoofing_roc,
-        "spoofing_eval": experiments.run_spoofing_evaluation,
-        "fence_eval": run_fence_evaluation,
-        "mobility": run_mobility_tracking,
-        "beamforming": experiments.run_beamforming_evaluation,
-        "calibration_ablation": experiments.run_calibration_ablation,
-        "estimator_comparison": experiments.run_estimator_comparison,
-        "snr_sweep": experiments.run_snr_sweep,
-        "packets_per_signature": experiments.run_packets_per_signature_sweep,
-    }
 
 
 # ------------------------------------------------------------------- parsing
@@ -304,40 +269,39 @@ def _cmd_list_scenarios(args: argparse.Namespace) -> int:
     _print("scenarios (repro.api.SCENARIOS):")
     for name in SCENARIOS.names():
         _print(f"  {name}")
-    _print("campaign experiments (python -m repro campaign <name>):")
+    _print("experiments (python -m repro run|campaign <name>):")
     for name in CAMPAIGNS.names():
         _print(f"  {name}")
-    _print("serial experiments (python -m repro run <name>):")
-    for name in sorted(serial_runners()):
-        _print(f"  {name}")
+    _print("  accuracy (run only: a reduction of figure5)")
     return 0
 
 
-def _check_run_params(name: str, kwargs: Dict[str, Any]) -> None:
-    """Build and validate the campaign ``run <name>`` executes, as
-    ``campaign`` does, so a bad parameter exits with one line before any
-    shard runs; a failure inside a shard keeps its traceback."""
-    from repro.experiments.accuracy import accuracy_campaign
+def _cmd_run(args: argparse.Namespace) -> int:
+    """Run one experiment's campaign in-process at one worker.
 
+    The spec is built and validated, as ``campaign`` does, so a bad
+    parameter exits with one line before any shard runs; a failure inside a
+    shard keeps its traceback.  ``accuracy`` runs the Figure 5 campaign and
+    reduces its per-packet bearings.
+    """
+    from repro.campaign.engine import run_serial
+    from repro.experiments.accuracy import (
+        DEFAULT_CONFIDENCE,
+        accuracy_campaign,
+        accuracy_claim,
+    )
+
+    name = args.experiment
+    if name != "accuracy" and name not in CAMPAIGNS:
+        known = ", ".join(sorted(["accuracy", *CAMPAIGNS.names()]))
+        raise SystemExit(f"unknown experiment {name!r}; known: {known}")
+    params = _parse_assignments(args.param or (), "--param")
     build = accuracy_campaign if name == "accuracy" else get_adapter(name).default_spec
-    params = {key: value for key, value in kwargs.items()
-              if key not in ("rng", "estimator_config")}
     try:
-        spec = build(seed=kwargs.get("rng", 42), **params)
+        spec = build(seed=42 if args.seed is None else args.seed, **params)
         get_adapter(spec.experiment).validate(spec)
     except (TypeError, ValueError) as error:
         raise SystemExit(str(error)) from None
-
-
-def _cmd_run(args: argparse.Namespace) -> int:
-    runners = serial_runners()
-    if args.experiment not in runners:
-        known = ", ".join(sorted(runners))
-        raise SystemExit(f"unknown experiment {args.experiment!r}; known: {known}")
-    kwargs = _parse_assignments(args.param or (), "--param")
-    if args.seed is not None:
-        kwargs["rng"] = int(args.seed)
-    _check_run_params(args.experiment, kwargs)
     if args.profile:
         import cProfile
         import pstats
@@ -345,7 +309,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         profiler = cProfile.Profile()
         profiler.enable()
         try:
-            result = runners[args.experiment](**kwargs)
+            result = run_serial(spec)
         finally:
             profiler.disable()
         profile_path = Path(args.profile)
@@ -362,8 +326,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
             _print(f"  {cumulative:9.4f}s  {calls:>8} calls  "
                    f"{filename}:{lineno}({function})")
     else:
-        result = runners[args.experiment](**kwargs)
-    _print_result(result, f"--- {args.experiment} ---")
+        result = run_serial(spec)
+    if name == "accuracy":
+        result = accuracy_claim(result, params.get("confidence", DEFAULT_CONFIDENCE))
+    _print_result(result, f"--- {name} ---")
     if args.json:
         path = Path(args.json)
         result.save_json(path)

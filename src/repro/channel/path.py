@@ -94,10 +94,6 @@ class PropagationPath:
         """Return a copy of the path with ``offset_db`` added to its gain."""
         return replace(self, gain_db=self.gain_db + offset_db)
 
-    def with_aoa(self, aoa_deg: float) -> "PropagationPath":
-        """Return a copy of the path arriving from a different angle."""
-        return replace(self, aoa_deg=float(aoa_deg))
-
     def __repr__(self) -> str:
         label = self.kind.value
         if self.reflector:

@@ -21,7 +21,11 @@ from repro.calibration.table import CalibrationTable
 from repro.core.database import SignatureDatabase
 from repro.core.localization import BearingObservation
 from repro.core.policy import PacketDecision, combine_evidence
-from repro.core.signature import AoASignature, signatures_from_pseudospectra
+from repro.core.signature import (
+    AoASignature,
+    certified_signature,
+    signatures_from_pseudospectra,
+)
 from repro.core.spoofing import (
     SpoofingCheck,
     SpoofingDetector,
@@ -111,13 +115,7 @@ class SecureAngleAP:
     def train_client(self, address: MacAddress, captures) -> AoASignature:
         """Train the certified signature for ``address`` from one or more captures."""
         captures = list(captures)
-        if not captures:
-            raise ValueError("training requires at least one capture")
-        observations = self.signatures_from_captures(captures)
-        signature = observations[0]
-        for observation in observations[1:]:
-            signature = signature.merged_with(
-                observation, weight=1.0 / (signature.num_packets + 1))
+        signature = certified_signature(self.signatures_from_captures(captures))
         self.database.train(address, signature, timestamp_s=captures[-1].timestamp_s)
         return signature
 

@@ -110,6 +110,18 @@ class AoASignature:
                 f"t={self.captured_at_s:.1f} s)")
 
 
+def certified_signature(observations: Sequence[AoASignature]) -> AoASignature:
+    """Fold per-packet observations, in order, into one certified signature;
+    each enters with weight ``1 / (packets already folded + 1)``."""
+    if not observations:
+        raise ValueError("training requires at least one capture")
+    signature = observations[0]
+    for observation in observations[1:]:
+        signature = signature.merged_with(
+            observation, weight=1.0 / (signature.num_packets + 1))
+    return signature
+
+
 def signatures_from_pseudospectra(spectra: Sequence[Pseudospectrum],
                                   captured_at_s: Optional[Sequence[float]] = None,
                                   max_peaks: int = 4,

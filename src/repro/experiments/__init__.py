@@ -6,7 +6,9 @@ as a :class:`~repro.campaign.spec.CampaignSpec`, a shard runner
 into the result.  The ``run_*`` entry points run that campaign in-process at
 one worker (:func:`repro.campaign.engine.run_serial`);
 :func:`evaluate_accuracy_claim` reduces :func:`run_figure5`'s per-packet
-bearings.
+bearings.  The paper's spoofing evaluation is :func:`run_attack_matrix` on
+the ``spoofing`` scenario; the attack families are the same experiment on
+their own scenarios.
 """
 
 from repro.experiments.figure5 import Figure5Result, figure5_campaign, run_figure5
@@ -14,11 +16,6 @@ from repro.experiments.accuracy import AccuracyClaim, evaluate_accuracy_claim
 from repro.experiments.figure6 import Figure6Result, figure6_campaign, run_figure6
 from repro.experiments.figure7 import Figure7Result, figure7_campaign, run_figure7
 from repro.experiments.fence_eval import FenceEvaluation, run_fence_evaluation
-from repro.experiments.spoofing_eval import (
-    SpoofingEvaluation,
-    run_spoofing_evaluation,
-    spoofing_eval_campaign,
-)
 from repro.experiments.ablations import (
     calibration_ablation_campaign,
     estimator_comparison_campaign,
@@ -55,8 +52,6 @@ __all__ = [
     "run_figure7",
     "FenceEvaluation",
     "run_fence_evaluation",
-    "SpoofingEvaluation",
-    "run_spoofing_evaluation",
     "AttackMatrixResult",
     "run_attack_matrix",
     "attack_matrix_campaign",
@@ -68,7 +63,6 @@ __all__ = [
     "figure6_campaign",
     "figure7_campaign",
     "roc_campaign",
-    "spoofing_eval_campaign",
     "calibration_ablation_campaign",
     "estimator_comparison_campaign",
     "snr_sweep_campaign",

@@ -21,7 +21,7 @@ from repro.aoa.estimator import AoAEstimator, EstimatorConfig
 from repro.api import AOA_METHODS, Deployment, single_ap_scenario
 from repro.campaign.spec import CampaignSpec, ShardSpec
 from repro.core.metrics import signature_similarity
-from repro.core.signature import AoASignature
+from repro.core.signature import AoASignature, certified_signature
 from repro.experiments.reporting import format_table
 from repro.utils.angles import angular_difference
 from repro.utils.serde import JsonSerializable
@@ -385,10 +385,8 @@ def _training_size_similarity(deployment: Deployment, training_size: int,
         estimate = ap.analyze(capture)
         return AoASignature.from_pseudospectrum(estimate.pseudospectrum, captured_at_s=elapsed_s)
 
-    trained = signature_of(victim_client_id, 0.0)
-    for index in range(1, training_size):
-        trained = trained.merged_with(signature_of(victim_client_id, index * 0.5),
-                                      weight=1.0 / (index + 1))
+    trained = certified_signature([signature_of(victim_client_id, index * 0.5)
+                                   for index in range(training_size)])
     legit_similarities = []
     attacker_similarities = []
     for probe in range(num_probe_packets):

@@ -19,7 +19,7 @@ import numpy as np
 
 from repro.aoa.estimator import EstimatorConfig
 from repro.campaign.spec import CampaignSpec
-from repro.experiments.figure5 import figure5_campaign
+from repro.experiments.figure5 import Figure5Result, figure5_campaign
 from repro.experiments.reporting import format_table
 from repro.utils.angles import angular_difference
 from repro.utils.serde import JsonSerializable
@@ -58,7 +58,12 @@ class AccuracyClaim(JsonSerializable):
         )
 
 
-def accuracy_campaign(num_packets: int = 10, confidence: float = 0.95,
+#: The claim's confidence level (Section 2.3.1: "with 95 % confidence").
+DEFAULT_CONFIDENCE = 0.95
+
+
+def accuracy_campaign(num_packets: int = 10,
+                      confidence: float = DEFAULT_CONFIDENCE,
                       client_ids: Optional[Sequence[int]] = None,
                       seed: int = 42) -> CampaignSpec:
     """The Figure 5 campaign whose per-packet bearings the claim reduces."""
@@ -68,21 +73,10 @@ def accuracy_campaign(num_packets: int = 10, confidence: float = 0.95,
                             seed=seed)
 
 
-def evaluate_accuracy_claim(num_packets: int = 10,
-                            confidence: float = 0.95,
-                            client_ids: Optional[Sequence[int]] = None,
-                            estimator_config: Optional[EstimatorConfig] = None,
-                            rng: int = 42) -> AccuracyClaim:
-    """Measure the Section 2.3.1 single-packet bearing-accuracy claim.
-
-    A reduction of :func:`run_figure5`'s per-packet bearings: each client's
-    ``confidence`` quantile of its single-packet bearing errors.
-    """
-    from repro.campaign.engine import run_serial
-
-    figure5 = run_serial(
-        accuracy_campaign(num_packets, confidence, client_ids, seed=rng),
-        estimator_config)
+def accuracy_claim(figure5: Figure5Result,
+                   confidence: float = DEFAULT_CONFIDENCE) -> AccuracyClaim:
+    """Each client's ``confidence`` quantile of its single-packet bearing
+    errors in ``figure5``."""
     per_client: Dict[int, float] = {
         row.client_id: float(np.quantile(
             [float(angular_difference(bearing, row.ground_truth_deg))
@@ -90,4 +84,19 @@ def evaluate_accuracy_claim(num_packets: int = 10,
         for row in figure5.rows
     }
     return AccuracyClaim(per_client_quantile_error_deg=per_client,
-                         confidence=confidence, num_packets=num_packets)
+                         confidence=confidence, num_packets=figure5.num_packets)
+
+
+def evaluate_accuracy_claim(num_packets: int = 10,
+                            confidence: float = DEFAULT_CONFIDENCE,
+                            client_ids: Optional[Sequence[int]] = None,
+                            estimator_config: Optional[EstimatorConfig] = None,
+                            rng: int = 42) -> AccuracyClaim:
+    """Measure the Section 2.3.1 single-packet bearing-accuracy claim:
+    :func:`accuracy_claim` of :func:`run_figure5`'s per-packet bearings."""
+    from repro.campaign.engine import run_serial
+
+    figure5 = run_serial(
+        accuracy_campaign(num_packets, confidence, client_ids, seed=rng),
+        estimator_config)
+    return accuracy_claim(figure5, confidence)

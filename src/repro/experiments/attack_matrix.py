@@ -1,19 +1,26 @@
-"""The extended attack-family evaluation (the scenario diversity engine).
+"""The address-spoofing evaluation (Sections 2.3.2 and 3.2) and its attack
+families.
 
-One experiment, parameterised by scenario, measuring every attack family of
-:mod:`repro.attacks.families` against the trained SecureAngle detector: a
-legitimate client trains its certified signature, then each attacker of the
-scenario replays/mirrors/swarms/drifts the victim's address and the
-evaluation counts detections.  The wiring deliberately mirrors
-:mod:`repro.experiments.spoofing_eval` (same victim, same packet epochs, the
-same one-AP stream layout) so the two evaluations are directly comparable —
-but it drives captures through the attacker seams: ``transmit_position`` per
+One experiment, parameterised by scenario.  A legitimate client trains its
+certified signature at the access point; each attacker of the scenario then
+injects frames carrying the client's MAC address.  The evaluation measures,
+over many packets:
+
+* the **detection rate** — how often each attacker's spoofed frames are
+  flagged;
+* the **false-alarm rate** — how often the legitimate client's own
+  subsequent frames are wrongly flagged (the environment keeps evolving
+  between packets, so this exercises signature tracking too); and
+* the same two numbers for the RSS-signalprint baseline, which the paper
+  argues is coarser and subvertible with directional antennas.
+
+The ``spoofing`` scenario holds the paper's threat model (omnidirectional,
+directional antenna aimed at the AP, antenna array).  The attack-family
+scenarios (``replay``, ``reflector``, ``swarm``, ``cfo_drift``) go through
+the attacker seams the same measurement uses: ``transmit_position`` per
 packet (swarms), waveform shaping (replay, CFO), and path shaping
-(reflectors).
-
-Each family is exposed as its own campaign experiment (``replay_eval``,
-``reflector_eval``, ``swarm_eval``, ``cfo_drift_eval``) so the campaign
-conformance gate covers all four; they share this module's runner.
+(reflectors).  Each scenario is its own campaign experiment,
+``<scenario>_eval``.
 """
 
 from __future__ import annotations
@@ -28,6 +35,7 @@ from repro.api import SCENARIOS, Deployment
 from repro.api.spec import ScenarioSpec
 from repro.attacks.attacker import Attacker
 from repro.attacks.spoofing_attack import SpoofingAttack
+from repro.baselines.rss_signalprint import RssSignalprint, RssSpoofingDetector
 from repro.campaign.spec import (
     CampaignSpec,
     ShardSpec,
@@ -36,20 +44,19 @@ from repro.campaign.spec import (
 )
 from repro.core.spoofing import SpoofingVerdict
 from repro.experiments.reporting import format_table
-from repro.experiments.spoofing_eval import _train_and_track
 from repro.geometry.point import Point
 from repro.mac.address import MacAddress
 from repro.utils.rng import ensure_rng, spawn_rng
 from repro.utils.serde import JsonSerializable
 
-#: Defaults of the campaign builders, their shards and their merge (kept
-#: equal to the spoofing evaluation's, for comparability).
+#: Defaults of the campaign builders, their shards and their merge.
 DEFAULT_VICTIM_CLIENT = 5
 DEFAULT_TRAINING_PACKETS = 10
 DEFAULT_TEST_PACKETS = 20
 
-#: The scenario presets this experiment runs (canonical registry names).
-ATTACK_MATRIX_SCENARIOS = ("replay", "reflector", "swarm", "cfo_drift")
+#: The scenario presets this experiment runs (canonical registry names):
+#: the paper's threat model, then the attack families.
+ATTACK_MATRIX_SCENARIOS = ("spoofing", "replay", "reflector", "swarm", "cfo_drift")
 
 
 @dataclass(frozen=True)
@@ -60,16 +67,18 @@ class AttackOutcome(JsonSerializable):
     attack_type: str
     attacker_position: Point
     detection_rate: float
+    rss_detection_rate: float
     mean_similarity: float
 
 
 @dataclass(frozen=True)
 class AttackMatrixResult(JsonSerializable):
-    """Results of one attack-family evaluation."""
+    """Results of one spoofing-attack evaluation."""
 
     scenario: str
     victim_client_id: int
     false_alarm_rate: float
+    rss_false_alarm_rate: float
     attackers: List[AttackOutcome]
 
     @property
@@ -81,15 +90,17 @@ class AttackMatrixResult(JsonSerializable):
     def as_table(self) -> str:
         """Text rendering of the per-attacker outcomes."""
         rows = [("legitimate client (false alarms)", "-", "-",
-                 self.false_alarm_rate, "-")]
+                 self.false_alarm_rate, self.rss_false_alarm_rate, "-")]
         rows.extend(
             (outcome.attacker_name, outcome.attack_type,
              f"({outcome.attacker_position.x:.1f}, {outcome.attacker_position.y:.1f})",
-             outcome.detection_rate, outcome.mean_similarity)
+             outcome.detection_rate, outcome.rss_detection_rate,
+             outcome.mean_similarity)
             for outcome in self.attackers
         )
         return format_table(
-            ["transmitter", "attack", "position", "flag rate", "mean similarity"],
+            ["transmitter", "attack", "position", "SecureAngle flag rate",
+             "RSS flag rate", "mean similarity"],
             rows,
         )
 
@@ -104,7 +115,7 @@ def _resolve_scenario(scenario: str,
 def run_attack_matrix(scenario: str,
                       estimator_config: Optional[EstimatorConfig] = None,
                       rng: int = 42, **params: Any) -> AttackMatrixResult:
-    """Run one attack-family scenario against the trained detector.
+    """Run one scenario's attackers against the trained detector.
 
     :func:`attack_matrix_campaign` run in-process at one worker; ``params``
     are its keyword arguments, ``rng`` its seed.
@@ -115,20 +126,65 @@ def run_attack_matrix(scenario: str,
                       estimator_config)
 
 
+def _train_and_track(deployment: Deployment, victim_address: MacAddress,
+                     victim_client_id: int, num_training_packets: int,
+                     num_test_packets: int):
+    """Train the certified signature, then stream the victim's later packets.
+
+    Returns ``(false_alarms, rss_false_alarms, rss_detector)``.  Mutates the
+    AP's detector/tracker state, which the attacker measurements depend on,
+    so every shard replays this before measuring its attacker.  The RSS
+    baseline draws no randomness.
+    """
+    simulator = deployment.simulator()
+    ap = deployment.ap()
+    rss_detector = RssSpoofingDetector(match_threshold_db=6.0)
+
+    # ----------------------------------------------------------------- training
+    training_captures = [
+        simulator.capture_from_client(victim_client_id, elapsed_s=index * 0.5,
+                                      timestamp_s=index * 0.5)
+        for index in range(num_training_packets)
+    ]
+    ap.train_client(victim_address, training_captures)
+    rss_detector.train(victim_address, RssSignalprint.from_capture_power(
+        [np.mean([c.power_dbm() for c in training_captures])]))
+
+    # ----------------------------------------------- legitimate client, later on
+    false_alarms = 0
+    rss_false_alarms = 0
+    probe_captures = [
+        simulator.capture_from_client(victim_client_id, elapsed_s=60.0 + index * 5.0,
+                                      timestamp_s=60.0 + index * 5.0)
+        for index in range(num_test_packets)
+    ]
+    probe_observations = ap.signatures_from_captures(probe_captures)
+    for capture, observation in zip(probe_captures, probe_observations):
+        check = ap.check_packet(victim_address, observation, capture.timestamp_s)
+        if check.verdict is SpoofingVerdict.SPOOFED:
+            false_alarms += 1
+        if not rss_detector.matches(victim_address,
+                                    RssSignalprint.from_capture_power([capture.power_dbm()])):
+            rss_false_alarms += 1
+    return false_alarms, rss_false_alarms, rss_detector
+
+
 def _attacker_outcome(deployment: Deployment, attacker: Attacker,
                       victim_address: MacAddress, ap_address: MacAddress,
-                      num_test_packets: int) -> AttackOutcome:
+                      num_test_packets: int,
+                      rss_detector: RssSpoofingDetector) -> AttackOutcome:
     """Measure one attacker (consumes its captures; resets the detector).
 
-    Unlike the spoofing evaluation's inner loop, captures go through the
-    attacker seams: the transmit position is asked per packet (swarm members
-    rotate) and waveform/path shaping is applied by the simulator.
+    Captures go through the attacker seams: the transmit position is asked
+    per packet (swarm members rotate) and waveform/path shaping is applied
+    by the simulator.
     """
     simulator = deployment.simulator()
     ap = deployment.ap()
     attack = SpoofingAttack(attacker=attacker, victim_address=victim_address,
                             ap_address=ap_address, num_frames=num_test_packets)
     detections = 0
+    rss_detections = 0
     similarities: List[float] = []
     attack_captures = [
         simulator.capture_from_position(
@@ -139,17 +195,21 @@ def _attacker_outcome(deployment: Deployment, attacker: Attacker,
         for index, _frame in enumerate(attack.iter_frames())
     ]
     attack_observations = ap.signatures_from_captures(attack_captures)
-    for _capture, observation in zip(attack_captures, attack_observations):
+    for capture, observation in zip(attack_captures, attack_observations):
         check = ap.detector.check(victim_address, observation)
         similarities.append(check.similarity)
         if check.verdict is SpoofingVerdict.SPOOFED:
             detections += 1
+        if not rss_detector.matches(
+                victim_address, RssSignalprint.from_capture_power([capture.power_dbm()])):
+            rss_detections += 1
     ap.detector.reset(victim_address)
     return AttackOutcome(
         attacker_name=attacker.name,
         attack_type=type(attacker).__name__,
         attacker_position=attacker.position,
         detection_rate=detections / num_test_packets,
+        rss_detection_rate=rss_detections / num_test_packets,
         mean_similarity=float(np.mean(similarities)),
     )
 
@@ -157,10 +217,15 @@ def _attacker_outcome(deployment: Deployment, attacker: Attacker,
 # ------------------------------------------------------------------- campaign
 @dataclass(frozen=True)
 class AttackMatrixShard(JsonSerializable):
-    """One attack-matrix shard: the legitimate client or one attacker."""
+    """One attack-matrix shard.
+
+    The ``legitimate`` shard carries the false-alarm rates; each
+    ``attacker`` shard carries its attacker's outcome.
+    """
 
     role: str
     false_alarm_rate: Optional[float] = None
+    rss_false_alarm_rate: Optional[float] = None
     outcome: Optional[AttackOutcome] = None
 
     def __post_init__(self) -> None:
@@ -174,12 +239,12 @@ def attack_matrix_campaign(scenario: str,
                            num_test_packets: int = DEFAULT_TEST_PACKETS,
                            seed: int = 42,
                            name: Optional[str] = None) -> CampaignSpec:
-    """One attack-family evaluation as a campaign: a shard per transmitter.
+    """One scenario's evaluation as a campaign: a shard per transmitter.
 
     Point 0 measures the legitimate client's false alarms; the following
     points measure the scenario's attackers in declaration order, each shard
-    skipping to its own slice of captures after replaying the training and
-    tracking prefix.
+    skipping to its attacker's slice of captures after replaying the
+    training and tracking prefix.
     """
     canonical = SCENARIOS.canonical(scenario)
     spec = _resolve_scenario(canonical, None)
@@ -201,9 +266,11 @@ def attack_matrix_campaign(scenario: str,
 
 
 def check_attack_matrix_params(spec: CampaignSpec) -> None:
-    """Reject empty packet counts, and a ``scenario`` whose attackers the
-    population axis does not name.
+    """Reject empty packet counts, a population axis without exactly one
+    legitimate entry, and a ``scenario`` whose attackers the axis does not
+    name.
 
+    The merge reads the false-alarm rates from the one legitimate shard.
     The axis lists the scenario's attackers by index and name, so a
     ``scenario`` override without a matching axis would run some other
     scenario's attackers, or index past them.
@@ -212,11 +279,18 @@ def check_attack_matrix_params(spec: CampaignSpec) -> None:
     require_param_at_least(spec, "num_test_packets", DEFAULT_TEST_PACKETS)
     scenario = SCENARIOS.canonical(str(spec.param("scenario", "replay")))
     if scenario not in ATTACK_MATRIX_SCENARIOS:
-        raise ValueError(f"scenario={scenario!r} is not an attack-family "
+        raise ValueError(f"scenario={scenario!r} is not an attack-matrix "
                          f"scenario; known: {list(ATTACK_MATRIX_SCENARIOS)}")
+    populations = spec.axes.get("population", ())
+    legitimate = sum(isinstance(population, dict)
+                     and population.get("role") == "legitimate"
+                     for population in populations)
+    if legitimate != 1:
+        raise ValueError("the population axis needs exactly one "
+                         f"legitimate entry, not {legitimate}")
     attackers = [attacker_spec.effective_name()
                  for attacker_spec in _resolve_scenario(scenario, None).attackers]
-    for population in spec.axes.get("population", ()):
+    for population in populations:
         if not isinstance(population, dict) or population.get("role") != "attacker":
             continue
         index = population.get("attacker_index")
@@ -236,91 +310,50 @@ def run_attack_matrix_shard(spec: CampaignSpec,
     num_test = int(spec.param("num_test_packets", DEFAULT_TEST_PACKETS))
     victim_client = int(spec.param("victim_client_id", DEFAULT_VICTIM_CLIENT))
     generator = ensure_rng(shard.seed)
+    # The deployment compiles the AP from stream 1 of the seed's generator;
+    # the addresses come from streams 2 and 3, the attackers' lazily from 4.
     deployment = Deployment(
         _resolve_scenario(scenario, estimator_from_params(spec.base)),
         rng=generator)
-    # Same address-draw order as the spoofing evaluation: AP from stream 2,
-    # victim from stream 3, attacker addresses lazily from stream 4.
     ap_address = MacAddress.random(spawn_rng(generator, 2))
     victim_address = MacAddress.random(spawn_rng(generator, 3))
 
-    false_alarms, _, _ = _train_and_track(deployment, victim_address,
-                                          victim_client, num_training, num_test)
+    false_alarms, rss_false_alarms, rss_detector = _train_and_track(
+        deployment, victim_address, victim_client, num_training, num_test)
     population = shard.params["population"]
     if population["role"] == "legitimate":
-        return AttackMatrixShard(role="legitimate",
-                                 false_alarm_rate=false_alarms / num_test)
+        return AttackMatrixShard(
+            role="legitimate",
+            false_alarm_rate=false_alarms / num_test,
+            rss_false_alarm_rate=rss_false_alarms / num_test,
+        )
 
     attackers = list(deployment.attackers.values())
     attacker_index = int(population["attacker_index"])
-    if shard.point > 1:
+    if attacker_index > 0:
         # Each attacker's measurement resets the victim's mismatch streak
         # when it ends, so every attacker but the first starts from a clean
         # one.
         deployment.ap().detector.reset(victim_address)
     deployment.simulator().skip_captures(attacker_index * num_test)
     outcome = _attacker_outcome(deployment, attackers[attacker_index],
-                                victim_address, ap_address, num_test)
+                                victim_address, ap_address, num_test,
+                                rss_detector)
     return AttackMatrixShard(role="attacker", outcome=outcome)
 
 
 def merge_attack_matrix(spec: CampaignSpec,
                         records: Sequence[AttackMatrixShard]) -> AttackMatrixResult:
-    """Reduce the per-transmitter shards into the evaluation."""
-    legitimate = [record for record in records if record.role == "legitimate"]
-    if len(legitimate) != 1:
-        raise ValueError(
-            "an attack-matrix campaign needs exactly one legitimate shard")
+    """Reduce the per-transmitter shards into the evaluation (the axis has
+    one legitimate entry: :func:`check_attack_matrix_params`)."""
+    legitimate = next(record for record in records
+                      if record.role == "legitimate")
     return AttackMatrixResult(
         scenario=SCENARIOS.canonical(str(spec.param("scenario", "replay"))),
         victim_client_id=int(spec.param("victim_client_id",
                                         DEFAULT_VICTIM_CLIENT)),
-        false_alarm_rate=legitimate[0].false_alarm_rate,
+        false_alarm_rate=legitimate.false_alarm_rate,
+        rss_false_alarm_rate=legitimate.rss_false_alarm_rate,
         attackers=[record.outcome for record in records
                    if record.role == "attacker"],
     )
-
-
-# ------------------------------------------------- per-family campaign wiring
-# The campaign registry, the CLI, and the conformance gate all key on the
-# experiment name, so each family gets thin named wrappers over the shared
-# runner.  (The wrappers — not functools.partial — keep the signatures
-# introspectable and the registry entries picklable for process backends.)
-def replay_eval_campaign(**kwargs: object) -> CampaignSpec:
-    """The replay evaluation's default campaign spec."""
-    return attack_matrix_campaign("replay", **kwargs)  # type: ignore[arg-type]
-
-
-def reflector_eval_campaign(**kwargs: object) -> CampaignSpec:
-    """The reflector evaluation's default campaign spec."""
-    return attack_matrix_campaign("reflector", **kwargs)  # type: ignore[arg-type]
-
-
-def swarm_eval_campaign(**kwargs: object) -> CampaignSpec:
-    """The swarm evaluation's default campaign spec."""
-    return attack_matrix_campaign("swarm", **kwargs)  # type: ignore[arg-type]
-
-
-def cfo_drift_eval_campaign(**kwargs: object) -> CampaignSpec:
-    """The CFO-drift evaluation's default campaign spec."""
-    return attack_matrix_campaign("cfo_drift", **kwargs)  # type: ignore[arg-type]
-
-
-def run_replay_eval(**kwargs: object) -> AttackMatrixResult:
-    """The replay evaluation at one worker (see :func:`run_attack_matrix`)."""
-    return run_attack_matrix("replay", **kwargs)  # type: ignore[arg-type]
-
-
-def run_reflector_eval(**kwargs: object) -> AttackMatrixResult:
-    """The reflector evaluation at one worker (see :func:`run_attack_matrix`)."""
-    return run_attack_matrix("reflector", **kwargs)  # type: ignore[arg-type]
-
-
-def run_swarm_eval(**kwargs: object) -> AttackMatrixResult:
-    """The swarm evaluation at one worker (see :func:`run_attack_matrix`)."""
-    return run_attack_matrix("swarm", **kwargs)  # type: ignore[arg-type]
-
-
-def run_cfo_drift_eval(**kwargs: object) -> AttackMatrixResult:
-    """The CFO-drift evaluation at one worker (see :func:`run_attack_matrix`)."""
-    return run_attack_matrix("cfo_drift", **kwargs)  # type: ignore[arg-type]

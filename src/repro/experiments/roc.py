@@ -25,7 +25,7 @@ from repro.campaign.spec import (
     require_param_at_least,
 )
 from repro.core.metrics import signature_similarity
-from repro.core.signature import AoASignature
+from repro.core.signature import AoASignature, certified_signature
 from repro.experiments.reporting import format_table
 from repro.utils.serde import JsonSerializable
 
@@ -178,11 +178,8 @@ def run_roc_shard(spec: CampaignSpec, shard: ShardSpec) -> RocShardScores:
 
     # Training always replays first: every shard scores against the same
     # certified signature, from the same capture draws.
-    training = signatures_of(victim,
-                             [index * 0.5 for index in range(num_training)])
-    certified = training[0]
-    for index, observation in enumerate(training[1:], start=1):
-        certified = certified.merged_with(observation, weight=1.0 / (index + 1))
+    certified = certified_signature(signatures_of(
+        victim, [index * 0.5 for index in range(num_training)]))
 
     # Jump past the earlier populations' probe captures.
     simulator.skip_captures(shard.point * num_probe)

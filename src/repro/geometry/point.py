@@ -10,8 +10,6 @@ import math
 from dataclasses import dataclass
 from typing import Iterator, Tuple
 
-import numpy as np
-
 
 @dataclass(frozen=True)
 class Point:
@@ -39,14 +37,6 @@ class Point:
         if math.isclose(dx, 0.0, abs_tol=1e-15) and math.isclose(dy, 0.0, abs_tol=1e-15):
             raise ValueError("bearing is undefined for coincident points")
         return math.degrees(math.atan2(dy, dx)) % 360.0
-
-    def translated(self, dx: float, dy: float) -> "Point":
-        """Return a new point offset by ``(dx, dy)``."""
-        return Point(self.x + dx, self.y + dy)
-
-    def to_array(self) -> np.ndarray:
-        """Return the point as a length-2 numpy array."""
-        return np.array([self.x, self.y], dtype=float)
 
     def as_tuple(self) -> Tuple[float, float]:
         """Return the point as an ``(x, y)`` tuple."""

@@ -106,10 +106,6 @@ class Room:
         """Add an obstacle to the room."""
         self.obstacles.append(obstacle)
 
-    def add_wall(self, wall: Wall) -> None:
-        """Add a wall to the room."""
-        self.walls.append(wall)
-
     def reflective_surfaces(self) -> List[Segment]:
         """All segments that can act as single-bounce reflectors."""
         surfaces = [wall.segment for wall in self.walls]

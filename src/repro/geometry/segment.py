@@ -41,11 +41,6 @@ class Segment:
         """Unit vector perpendicular to the segment."""
         return self.direction.perpendicular()
 
-    @property
-    def midpoint(self) -> Point:
-        """Midpoint of the segment."""
-        return Point((self.start.x + self.end.x) / 2.0, (self.start.y + self.end.y) / 2.0)
-
     def intersection(self, other: "Segment") -> Optional[Point]:
         """Return the intersection point with ``other`` or ``None``.
 

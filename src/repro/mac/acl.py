@@ -53,16 +53,6 @@ class AccessControlList:
             return True
         return self.default_allow
 
-    @property
-    def allowed_addresses(self) -> Set[MacAddress]:
-        """Copy of the allow list."""
-        return set(self._allowed)
-
-    @property
-    def denied_addresses(self) -> Set[MacAddress]:
-        """Copy of the deny list."""
-        return set(self._denied)
-
     def __len__(self) -> int:
         return len(self._allowed) + len(self._denied)
 

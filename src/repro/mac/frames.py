@@ -109,7 +109,3 @@ class Dot11Frame:
         address on the attacker's own packets.
         """
         return replace(self, source=claimed_source)
-
-    def with_sequence(self, sequence_number: int) -> "Dot11Frame":
-        """Return a copy with an updated sequence number."""
-        return replace(self, sequence_number=sequence_number)

@@ -51,11 +51,6 @@ class OfdmConfig:
             raise ValueError("occupied subcarriers must be unique")
 
     @property
-    def symbol_length(self) -> int:
-        """OFDM symbol length in samples, including the cyclic prefix."""
-        return self.fft_size + self.cyclic_prefix
-
-    @property
     def num_occupied(self) -> int:
         """Number of occupied subcarriers."""
         return len(tuple(self.occupied_subcarriers))

@@ -31,7 +31,9 @@ from repro.hardware.reference import CalibrationSource
 from repro.calibration.procedure import calibrate_receiver
 from repro.calibration.table import CalibrationTable
 from repro.mac.frames import Dot11Frame
-from repro.phy.packet import PhyPacket, make_packet_waveform, make_packet_waveforms
+# make_packet_waveform has no caller here; it stays importable because the
+# perfbench stage tracer wraps both waveform entry points in this namespace.
+from repro.phy.packet import make_packet_waveform, make_packet_waveforms  # noqa: F401
 from repro.testbed.environment import TestbedEnvironment
 from repro.utils.rng import RngLike, derive_seed, ensure_rng, keyed_rng, spawn_rng
 from repro.utils.validation import require_finite_non_negative
@@ -60,16 +62,6 @@ class SimulatorConfig:
     #: Maximum number of cached path sets before the least recently used
     #: is evicted.
     path_cache_size: int = 1024
-    #: Reuse one modulated waveform per (frame, payload length) instead of
-    #: drawing fresh random payload/padding bits for every packet.  This is a
-    #: throughput mode that *changes the rng semantics* (repeated packets
-    #: share payload bits), so it is off by default; captures stay
-    #: independent of how requests are batched either way.  It only pays
-    #: off for repeated identical frames (frameless probe bursts, a fixed
-    #: training frame) — client uplink mints a fresh sequence number per
-    #: packet, which is a distinct cache key by design.  Bounded by
-    #: ``path_cache_size`` entries (FIFO eviction).
-    reuse_waveforms: bool = False
 
     def __post_init__(self) -> None:
         if self.max_reflections < 0:
@@ -140,7 +132,6 @@ class TestbedSimulator:
             OrderedDict()
         self._path_cache_hits = 0
         self._path_cache_misses = 0
-        self._waveform_cache: "OrderedDict[tuple, PhyPacket]" = OrderedDict()
 
     # -------------------------------------------------------------- calibration
     def calibration_table(self, num_samples: int = 4096) -> CalibrationTable:
@@ -193,9 +184,8 @@ class TestbedSimulator:
 
         One waveform per request, keyed by the ordinal the next
         :meth:`capture_batch` will give that request: payload bits and
-        padding from substream 21 (or the ``reuse_waveforms`` cache),
-        modulated with one stacked IFFT, then the attacker's waveform
-        shaping from substream 25.  Draws no other stream and does not
+        padding from substream 21, modulated with one stacked IFFT, then the
+        attacker's waveform shaping from substream 25.  Draws no other stream and does not
         advance the ordinal, so a :class:`~repro.api.Deployment` can transmit
         a packet once on its primary AP and hand the same waveforms to every
         AP's :meth:`capture_batch`.
@@ -207,18 +197,12 @@ class TestbedSimulator:
         first_ordinal = self._next_ordinal
         waveform_rngs = [keyed_rng(root, ordinal, 21) for ordinal
                          in range(first_ordinal, first_ordinal + len(requests))]
-        if self.config.reuse_waveforms:
-            waveforms = [
-                self._reused_waveform(request.frame, rng=generator).waveform
-                for request, generator in zip(requests, waveform_rngs)
-            ]
-        else:
-            waveforms = [
-                packet.waveform for packet in make_packet_waveforms(
-                    [request.frame for request in requests],
-                    num_payload_symbols=self.config.payload_symbols,
-                    rngs=waveform_rngs)
-            ]
+        waveforms = [
+            packet.waveform for packet in make_packet_waveforms(
+                [request.frame for request in requests],
+                num_payload_symbols=self.config.payload_symbols,
+                rngs=waveform_rngs)
+        ]
         sample_rate_hz = self.config.channel.sample_rate_hz
         for index, request in enumerate(requests):
             if request.attacker is not None:
@@ -369,9 +353,8 @@ class TestbedSimulator:
         }
 
     def clear_path_cache(self) -> None:
-        """Drop all cached path sets (and the waveform reuse cache)."""
+        """Drop all cached path sets."""
         self._path_cache.clear()
-        self._waveform_cache.clear()
         self._path_cache_hits = 0
         self._path_cache_misses = 0
 
@@ -425,23 +408,6 @@ class TestbedSimulator:
         self._path_cache[key] = list(paths)
         while len(self._path_cache) > self.config.path_cache_size:
             self._path_cache.popitem(last=False)
-
-    def _reused_waveform(self, frame: Optional[Dot11Frame],
-                         rng: RngLike) -> PhyPacket:
-        """The ``reuse_waveforms`` mode: one modulated packet per (frame, length).
-
-        The caller always passes the packet's waveform substream; it is drawn
-        from only when the key is not cached yet.
-        """
-        key = (frame, self.config.payload_symbols)
-        packet = self._waveform_cache.get(key)
-        if packet is None:
-            packet = make_packet_waveform(
-                frame, num_payload_symbols=self.config.payload_symbols, rng=rng)
-            self._waveform_cache[key] = packet
-            while len(self._waveform_cache) > self.config.path_cache_size:
-                self._waveform_cache.popitem(last=False)
-        return packet
 
     def _capture_metadata(self, position: Point, frame: Optional[Dot11Frame],
                           attacker: Optional[Attacker],

@@ -6,12 +6,13 @@ import signal
 import subprocess
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
-from repro.campaign import CampaignSpec, ResultStore, engine
-from repro.campaign import cli
+from repro.campaign import CampaignSpec, ResultStore, ShardFailure, engine, get_adapter
+from repro.campaign.faults import FaultPlan, FaultSpec
 from repro.campaign.cli import main
 from repro.experiments.figure5 import run_figure5
 
@@ -145,6 +146,14 @@ BAD_PARAMETERS = {
                                  ("num_samples", "sample axis")),
     "attack-matrix-scenario": (("replay_eval", "--param", "scenario=swarm"),
                                ("scenario", "population axis")),
+    "population-no-legitimate": (
+        ("spoofing_eval", "--axis", 'population=[{"role": "attacker", '
+         '"attacker_index": 0, "attacker": "omni-indoor"}]'),
+        ("legitimate",)),
+    "population-two-legitimate": (
+        ("spoofing", "--axis",
+         'population=[{"role": "legitimate"}, {"role": "legitimate"}]'),
+        ("legitimate",)),
     "unknown-axis": (("figure5", "--axis", "client=1,2"), ("axis", "client_id")),
 }
 
@@ -197,11 +206,13 @@ class TestSpecChecks:
         assert "\n" not in message
 
     def test_a_failure_inside_the_run_keeps_its_traceback(self, monkeypatch):
-        def failing(**kwargs):
+        def failing(spec, shard):
             raise ValueError("shard fault")
 
-        monkeypatch.setattr(cli, "serial_runners", lambda: {"figure5": failing})
-        with pytest.raises(ValueError, match="shard fault"):
+        real_get_adapter = engine.get_adapter
+        monkeypatch.setattr(engine, "get_adapter", lambda name: replace(
+            real_get_adapter(name), run_shard=failing))
+        with pytest.raises(ShardFailure, match="shard fault"):
             run_cli("run", "figure5", "--param", "num_packets=1")
 
 
@@ -221,7 +232,14 @@ def _children(pid):
                     reason="needs /proc to find the coordinator's workers")
 class TestTermination:
     def test_sigterm_reaps_workers_and_removes_the_private_store(self, tmp_path):
-        env = dict(os.environ, TMPDIR=str(tmp_path), PYTHONPATH=REPO_SRC)
+        # Every shard hangs for ~30 s before it runs, so the campaign is
+        # still running when the SIGTERM lands.
+        plan = tmp_path / "hang-plan.json"
+        num_shards = get_adapter("figure5").default_spec().num_shards
+        FaultPlan(faults=(FaultSpec(kind="hang", shard=None, times=num_shards,
+                                    delay_s=30.0),)).save_json(plan)
+        env = dict(os.environ, TMPDIR=str(tmp_path), PYTHONPATH=REPO_SRC,
+                   REPRO_FAULT_PLAN=str(plan))
         coordinator = subprocess.Popen(
             [sys.executable, "-m", "repro", "campaign", "figure5",
              "--param", "num_packets=6", "--workers", "2", "--quiet"],

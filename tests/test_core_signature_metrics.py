@@ -13,7 +13,7 @@ from repro.core.metrics import (
     signature_similarity,
     spectral_correlation,
 )
-from repro.core.signature import AoASignature
+from repro.core.signature import AoASignature, certified_signature
 
 
 def _gaussian_spectrum(peaks, widths=None, amplitudes=None, grid=None):
@@ -60,6 +60,21 @@ class TestAoASignature:
     def test_invalid_num_packets(self):
         with pytest.raises(ValueError):
             AoASignature(spectrum=_gaussian_spectrum([10.0]), num_packets=0)
+
+
+class TestCertifiedSignature:
+    def test_folds_each_observation_in_with_its_running_mean_weight(self):
+        observations = [_signature([bearing]) for bearing in (100.0, 104.0, 98.0)]
+        expected = observations[0]
+        for count, observation in enumerate(observations[1:], start=1):
+            expected = expected.merged_with(observation, weight=1.0 / (count + 1))
+        certified = certified_signature(observations)
+        assert np.array_equal(certified.values, expected.values)
+        assert certified.num_packets == 3
+
+    def test_no_observations_rejected(self):
+        with pytest.raises(ValueError, match="at least one"):
+            certified_signature([])
 
 
 class TestCosineSimilarity:

@@ -10,12 +10,12 @@ from repro.experiments.ablations import (
     run_packets_per_signature_sweep,
     run_snr_sweep,
 )
+from repro.experiments.attack_matrix import run_attack_matrix
 from repro.experiments.fence_eval import run_fence_evaluation
 from repro.experiments.figure5 import run_figure5
 from repro.experiments.figure6 import run_figure6
 from repro.experiments.figure7 import run_figure7
 from repro.experiments.reporting import format_table
-from repro.experiments.spoofing_eval import run_spoofing_evaluation
 
 
 class TestReporting:
@@ -112,7 +112,8 @@ class TestApplications:
         assert "transmitter" in evaluation.as_table()
 
     def test_spoofing_detection_beats_the_false_alarm_rate(self):
-        evaluation = run_spoofing_evaluation(num_training_packets=4, num_test_packets=6, rng=42)
+        evaluation = run_attack_matrix("spoofing", num_training_packets=4,
+                                       num_test_packets=6, rng=42)
         assert evaluation.false_alarm_rate <= 0.25
         assert evaluation.mean_detection_rate >= 0.75
         # Every attacker type must be detected more often than the legitimate
@@ -125,7 +126,7 @@ class TestApplications:
         with pytest.raises(ValueError):
             run_fence_evaluation(packets_per_transmitter=0)
         with pytest.raises(ValueError):
-            run_spoofing_evaluation(num_training_packets=0)
+            run_attack_matrix("spoofing", num_training_packets=0)
 
 
 class TestAblations:

@@ -107,8 +107,11 @@ def test_every_attack_family_is_fully_wired():
 
     for family in ATTACK_MATRIX_SCENARIOS:
         assert family in SCENARIOS.names()
-        assert ATTACK_TYPES.canonical(family) == family
         assert f"{family}_eval" in CAMPAIGNS.names()
+        # The paper's threat model runs as the "spoofing" scenario; its
+        # attackers are the omnidirectional/directional/array types.
+        if family != "spoofing":
+            assert ATTACK_TYPES.canonical(family) == family
 
 
 class TestAttackCatalogErrorPaths:

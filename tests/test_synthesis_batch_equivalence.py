@@ -373,20 +373,6 @@ class TestSimulatorEquivalence:
         assert all(captures_equal(a, b) for a, b in zip(scalar, batch))
         assert batch_sim.path_cache_info()["size"] == 0
 
-    def test_reuse_waveforms_mode_is_batch_scalar_consistent(self, environment):
-        # The throughput mode changes what is synthesised (payload bits are
-        # reused across packets) but batch and scalar must still agree.
-        config = SimulatorConfig(reuse_waveforms=True)
-        scalar_sim = Simulator(environment, OctagonalArray(),
-                                      config=config, rng=11)
-        batch_sim = Simulator(environment, OctagonalArray(),
-                                     config=config, rng=11)
-        scalar = _client_loop(scalar_sim, 1, 6)
-        batch = batch_sim.capture_burst_batch(1, 6)
-        assert all(captures_equal(a, b) for a, b in zip(scalar, batch))
-        # And it must actually reuse: one cached waveform for the burst.
-        assert len(batch_sim._waveform_cache) == 1
-
     def test_interleaved_scalar_then_batch_keeps_stream_alignment(self, environment):
         # A batch consumes the master generator exactly like the equivalent
         # scalar packets, so scalar and batched calls can be mixed freely.
