@@ -78,14 +78,6 @@ class LocalOscillator:
             self._mixer_cache = mixer
         return self._mixer_cache
 
-    def downconvert(self, samples: np.ndarray, sample_rate_hz: float) -> np.ndarray:
-        """Apply the oscillator's phase (and any frequency error) to ``samples``."""
-        samples = np.asarray(samples, dtype=complex)
-        if samples.ndim != 1:
-            raise ValueError("samples must be 1-D (a single chain's signal)")
-        mixer = self.mixer_conjugate(samples.size, sample_rate_hz)
-        return samples * mixer
-
     @property
     def is_phase_locked(self) -> bool:
         """True when the oscillator runs at exactly the reference frequency."""

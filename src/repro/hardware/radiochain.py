@@ -46,7 +46,11 @@ class RadioChainConfig:
 
 
 class RadioChain:
-    """One antenna's receive chain: gain, downconversion, thermal noise."""
+    """One antenna's receive chain: its gain, oscillator and noise level.
+
+    :class:`~repro.hardware.receiver.ArrayReceiver` applies them, for every
+    chain of a packet at once.
+    """
 
     def __init__(self, oscillator: LocalOscillator,
                  config: Optional[RadioChainConfig] = None,
@@ -54,11 +58,9 @@ class RadioChain:
                  rng: RngLike = None):
         self.oscillator = oscillator
         self.config = config = config if config is not None else RadioChainConfig()
-        generator = ensure_rng(rng)
         if gain_db is None:
-            gain_db = float(generator.normal(0.0, config.gain_mismatch_std_db))
+            gain_db = float(ensure_rng(rng).normal(0.0, config.gain_mismatch_std_db))
         self.gain_db = float(gain_db)
-        self._rng = generator
 
     @property
     def gain_linear(self) -> float:
@@ -69,37 +71,6 @@ class RadioChain:
     def noise_sigma(self) -> float:
         """Per-quadrature thermal-noise standard deviation at the chain input."""
         return float(np.sqrt(self.config.noise_power_watts / 2.0))
-
-    def sample_noise(self, num_samples: int, rng: RngLike = None) -> np.ndarray:
-        """Draw one packet's complex thermal-noise vector for this chain.
-
-        Used by :meth:`receive` for standalone (single-chain) use.  Note that
-        :class:`~repro.hardware.receiver.ArrayReceiver` draws its noise per
-        *packet* (all chains in two block draws, see
-        ``ArrayReceiver._packet_noise``), not per chain through this method,
-        so the two layouts consume their generators differently.
-        """
-        generator = ensure_rng(rng) if rng is not None else self._rng
-        sigma = self.noise_sigma
-        # Filling real/imag parts directly is bit-identical to
-        # ``normal(...) + 1j * normal(...)`` and skips two temporaries.
-        noise = np.empty(num_samples, dtype=complex)
-        noise.real = generator.normal(0.0, sigma, num_samples)
-        noise.imag = generator.normal(0.0, sigma, num_samples)
-        return noise
-
-    def receive(self, samples: np.ndarray, sample_rate_hz: float,
-                add_noise: bool = True, rng: RngLike = None) -> np.ndarray:
-        """Pass ``samples`` (one antenna's noiseless signal) through the chain."""
-        samples = np.asarray(samples, dtype=complex)
-        if samples.ndim != 1:
-            raise ValueError("a radio chain processes a single antenna's 1-D signal")
-        generator = ensure_rng(rng) if rng is not None else self._rng
-        output = self.gain_linear * self.oscillator.downconvert(samples, sample_rate_hz)
-        if add_noise:
-            noise = self.sample_noise(samples.size, rng=generator)
-            output = output + noise
-        return output
 
     def __repr__(self) -> str:
         return (f"RadioChain(gain={self.gain_db:+.2f} dB, "

@@ -157,9 +157,10 @@ class ArrayReceiver:
             # second batch-sized buffer.  In-place add: elementwise addition
             # is correctly rounded, so it gives the same bytes as an
             # out-of-place sum.
+            sigmas = np.array([chain.noise_sigma for chain in self.chains])
             noise = np.empty(received.shape[1:], dtype=received.dtype)
             for index, generator in enumerate(generators):
-                self._packet_noise(generator, num_samples, out=noise)
+                self._packet_noise(generator, sigmas, noise)
                 np.add(received[index], noise, out=received[index])
         # Capture samples are read-only views into one shared batch buffer:
         # skipping B copies keeps capture cheap, and freezing the buffer
@@ -215,29 +216,20 @@ class ArrayReceiver:
             self._frontend_cache = frontend
         return self._frontend_cache
 
-    def _packet_noise(self, generator: np.random.Generator, num_samples: int,
-                      out: Optional[np.ndarray] = None) -> np.ndarray:
-        """One packet's thermal noise for every chain, shape (N, S).
+    @staticmethod
+    def _packet_noise(generator: np.random.Generator, sigmas: np.ndarray,
+                      out: np.ndarray) -> None:
+        """One packet's thermal noise for every chain, written into ``out``.
 
-        Drawn as two block draws (all real parts, then all imaginary parts)
-        from the packet's generator, so a packet's noise depends only on its
-        own generator, never on the batch around it.
+        One standard-normal fill of the (N, S) complex buffer's float64 view,
+        so real and imaginary parts interleave, then one broadcast multiply
+        scales each chain's row by its per-quadrature ``sigmas`` entry.  A
+        packet's noise depends only on its own generator, never on the batch
+        around it.
         """
-        sigmas = [chain.noise_sigma for chain in self.chains]
-        noise = out if out is not None else np.empty(
-            (self.num_chains, num_samples), dtype=complex)
-        if len(set(sigmas)) == 1:
-            shape = (self.num_chains, num_samples)
-            noise.real = generator.normal(0.0, sigmas[0], shape)
-            noise.imag = generator.normal(0.0, sigmas[0], shape)
-        else:
-            # Heterogeneous chains: per-row draws in the same (all-real,
-            # all-imaginary) order as the block draw above.
-            for index, sigma in enumerate(sigmas):
-                noise.real[index] = generator.normal(0.0, sigma, num_samples)
-            for index, sigma in enumerate(sigmas):
-                noise.imag[index] = generator.normal(0.0, sigma, num_samples)
-        return noise
+        quadratures = out.view(np.float64)
+        generator.standard_normal(out=quadratures)
+        quadratures *= sigmas[:, None]
 
     def __repr__(self) -> str:
         return (f"ArrayReceiver({self.num_chains} chains, "

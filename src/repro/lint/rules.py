@@ -186,6 +186,11 @@ _LEGACY_RANDOM = frozenset({
 #: Generator constructors that must stay inside ``repro.utils.rng``.
 _RNG_CONSTRUCTORS = ("random.default_rng", "random.SeedSequence")
 
+#: Classes that build a generator when called; only the call is flagged, so
+#: ``np.random.Generator`` still serves as a type annotation anywhere.
+_RNG_CLASS_CALLS = ("random.Generator", "random.SFC64", "random.PCG64",
+                    "random.PCG64DXSM", "random.Philox", "random.MT19937")
+
 
 def _is_spawn_bound(node: ast.AST) -> bool:
     """True for the ``2**31 - 1`` / ``2**63 - 1`` spawn-derivation bounds."""
@@ -202,12 +207,22 @@ def _is_spawn_bound(node: ast.AST) -> bool:
             and exponent.value in (31, 63))
 
 
+def _constructor_violation(context: FileContext, node: ast.AST,
+                           name: Optional[str]) -> Violation:
+    return context.violation(
+        "rng-discipline", node,
+        f"{name} outside repro.utils.rng; construct generators via "
+        "ensure_rng/spawn_rng/keyed_rng/keyed_noise_rng and derive seeds via "
+        "derive_seed so substream layouts stay canonical")
+
+
 @rule(
     "rng-discipline",
     "no legacy np.random global-state API anywhere; generator construction "
-    "and seed derivation only via repro.utils.rng (ensure_rng / spawn_rng / "
-    "derive_seed / keyed_rng), so shard seeds stay a pure function of the "
-    "spec")
+    "(np.random.Generator and bit-generator calls included) and seed "
+    "derivation only via repro.utils.rng (ensure_rng / spawn_rng / "
+    "derive_seed / keyed_rng / keyed_noise_rng), so shard seeds stay a pure "
+    "function of the spec")
 def check_rng_discipline(context: FileContext) -> Iterator[Violation]:
     aliases = numpy_aliases(context.tree)
     in_rng_module = _in_file(context, _RNG_MODULE)
@@ -227,11 +242,11 @@ def check_rng_discipline(context: FileContext) -> Iterator[Violation]:
                     continue
             if (not in_rng_module
                     and _is_numpy_call(name, aliases, _RNG_CONSTRUCTORS)):
-                yield context.violation(
-                    "rng-discipline", node,
-                    f"{name} outside repro.utils.rng; construct generators "
-                    "via ensure_rng/spawn_rng/keyed_rng and derive seeds via "
-                    "derive_seed so substream layouts stay canonical")
+                yield _constructor_violation(context, node, name)
+        elif (isinstance(node, ast.Call) and not in_rng_module
+                and _is_numpy_call(dotted_name(node.func), aliases,
+                                   _RNG_CLASS_CALLS)):
+            yield _constructor_violation(context, node, dotted_name(node.func))
         elif (isinstance(node, ast.Call) and not in_rng_module
                 and isinstance(node.func, ast.Attribute)
                 and node.func.attr == "integers"

@@ -35,7 +35,7 @@ from repro.mac.frames import Dot11Frame
 # perfbench stage tracer wraps both waveform entry points in this namespace.
 from repro.phy.packet import make_packet_waveform, make_packet_waveforms  # noqa: F401
 from repro.testbed.environment import TestbedEnvironment
-from repro.utils.rng import RngLike, derive_seed, ensure_rng, keyed_rng, spawn_rng
+from repro.utils.rng import RngLike, derive_seed, ensure_rng, keyed_noise_rng, keyed_rng, spawn_rng
 from repro.utils.validation import require_finite_non_negative
 
 
@@ -220,11 +220,13 @@ class TestbedSimulator:
         capture is a batch of one.  Requests take consecutive capture
         ordinals, in request order, and each packet's random substreams are
         keyed by its ordinal: fast fading (22), path phase walks (23) and
-        receiver noise (24) here, payload bits (21) and an attacker's
-        waveform shaping (25) in :meth:`transmit`.  So any partition of a
-        request sequence into batches gives the same captures — while ray
-        tracing hits the path cache, and the channel and receiver arithmetic
-        run batched.  Captures are read-only views.
+        receiver noise (24, on SFC64 via
+        :func:`~repro.utils.rng.keyed_noise_rng`; every other stream is
+        :func:`~repro.utils.rng.keyed_rng`'s PCG64) here, payload bits (21)
+        and an attacker's waveform shaping (25) in :meth:`transmit`.  So any
+        partition of a request sequence into batches gives the same
+        captures — while ray tracing hits the path cache, and the channel
+        and receiver arithmetic run batched.  Captures are read-only views.
 
         ``waveforms`` are the transmitted packets, one per request, as
         another simulator's :meth:`transmit` returned them; with ``None``
@@ -255,7 +257,7 @@ class TestbedSimulator:
             fading = self.dynamics.fast_fading_jitter(
                 len(paths), decorrelation=1.0, rng=keyed_rng(root, ordinal, 22))
             channel_rngs.append(keyed_rng(root, ordinal, 23))
-            receiver_rngs.append(keyed_rng(root, ordinal, 24))
+            receiver_rngs.append(keyed_noise_rng(root, ordinal, 24))
             paths_batch.append(paths)
             tx_powers.append(tx_power)
             fadings.append(fading)

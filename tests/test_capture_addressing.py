@@ -9,6 +9,7 @@ capture ordinal, stream id), so:
 * distinct ordinals never share a substream the way 31-bit spawn seeds did.
 """
 
+import copy
 from dataclasses import replace
 
 import pytest
@@ -121,23 +122,27 @@ class TestSkipCapturesProperty:
 
 class TestOrdinalsDoNotCollide:
     @staticmethod
-    def _receiver_state(ordinal, monkeypatch):
+    def _receiver_draws(ordinal, monkeypatch):
+        """The first draws of the receiver-noise generator at ``ordinal``."""
         simulator = Deployment(single_ap_scenario()).simulator()
         simulator.skip_captures(ordinal)
-        states = []
+        draws = []
         original = simulator.receiver.capture_batch
 
         def recording(signals, **kwargs):
-            states.extend(rng.bit_generator.state for rng in kwargs["rngs"])
+            # Draw from a copy of the packet's generator, so the capture
+            # itself is unchanged.
+            twin = copy.deepcopy(kwargs["rngs"][0])
+            draws.append(twin.standard_normal(4).tobytes())
             return original(signals, **kwargs)
 
         monkeypatch.setattr(simulator.receiver, "capture_batch", recording)
         simulator.capture_from_client(1)
-        return states[0]
+        return draws[0]
 
     def test_spawn_seed_collision_pair_is_distinct(self, monkeypatch):
         # With 31-bit spawn seeds these two captures of the seed-42 lone AP
         # drew identical receiver noise.
-        first = self._receiver_state(63_260, monkeypatch)
-        second = self._receiver_state(76_722, monkeypatch)
+        first = self._receiver_draws(63_260, monkeypatch)
+        second = self._receiver_draws(76_722, monkeypatch)
         assert first != second

@@ -1,4 +1,8 @@
-"""Tests for the radio-hardware models: captures, oscillators, chains, receiver."""
+"""Tests for the radio-hardware models: captures, oscillators, chains, receiver.
+
+The receiver's noise law and front-end arithmetic are checked in
+``test_receiver_noise_law.py``.
+"""
 
 import numpy as np
 import pytest
@@ -6,7 +10,7 @@ import pytest
 from repro.arrays.geometry import OctagonalArray
 from repro.hardware.capture import Capture
 from repro.hardware.oscillator import LocalOscillator, OscillatorBank
-from repro.hardware.radiochain import RadioChain, RadioChainConfig
+from repro.hardware.radiochain import RadioChainConfig
 from repro.hardware.receiver import ArrayReceiver, ReceiverConfig
 from repro.hardware.reference import CalibrationSource
 from repro.hardware.switch import RFSwitch, SwitchPosition
@@ -54,14 +58,12 @@ class TestCapture:
 class TestOscillators:
     def test_phase_offset_is_applied_to_samples(self):
         oscillator = LocalOscillator(phase_offset_rad=np.pi / 2.0)
-        samples = np.ones(8, dtype=complex)
-        output = oscillator.downconvert(samples, 20e6)
-        np.testing.assert_allclose(output, np.exp(-1j * np.pi / 2.0) * samples, atol=1e-12)
+        output = oscillator.mixer_conjugate(8, 20e6)
+        np.testing.assert_allclose(output, np.exp(-1j * np.pi / 2.0), atol=1e-12)
 
     def test_unlocked_oscillator_rotates_over_time(self):
         oscillator = LocalOscillator(phase_offset_rad=0.0, frequency_offset_hz=1e3)
-        samples = np.ones(2000, dtype=complex)
-        output = oscillator.downconvert(samples, 20e6)
+        output = oscillator.mixer_conjugate(2000, 20e6)
         assert not oscillator.is_phase_locked
         assert np.angle(output[-1]) != pytest.approx(np.angle(output[0]))
 
@@ -86,21 +88,6 @@ class TestRadioChain:
         # kTB in 20 MHz is about -101 dBm; +6 dB NF gives about -95 dBm.
         noise_dbm = 10 * np.log10(config.noise_power_watts * 1e3)
         assert noise_dbm == pytest.approx(-95.0, abs=0.5)
-
-    def test_noiseless_chain_applies_only_gain_and_phase(self):
-        oscillator = LocalOscillator(phase_offset_rad=0.3)
-        chain = RadioChain(oscillator, gain_db=0.0, rng=1)
-        samples = np.ones(16, dtype=complex)
-        output = chain.receive(samples, 20e6, add_noise=False)
-        np.testing.assert_allclose(output, np.exp(-1j * 0.3) * samples, atol=1e-12)
-
-    def test_noisy_chain_adds_the_expected_noise_power(self):
-        oscillator = LocalOscillator(phase_offset_rad=0.0)
-        chain = RadioChain(oscillator, gain_db=0.0, rng=2)
-        silent = np.zeros(200000, dtype=complex)
-        output = chain.receive(silent, 20e6, add_noise=True)
-        measured = np.mean(np.abs(output) ** 2)
-        assert measured == pytest.approx(chain.config.noise_power_watts, rel=0.05)
 
 
 class TestSwitchAndCalibrationSource:

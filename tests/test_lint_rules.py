@@ -151,6 +151,42 @@ class TestRngDiscipline:
             """}, rule="rng-discipline")
         assert report.violations == []
 
+    def test_bit_generator_calls_outside_utils_fire(self, tmp_path):
+        report = run_lint(tmp_path, {"src/repro/core/thing.py": """
+            import numpy as np
+
+            def f(seed):
+                return np.random.Generator(np.random.SFC64(seed))
+
+            def g(seed):
+                return [np.random.PCG64(seed), np.random.PCG64DXSM(seed),
+                        np.random.Philox(seed), np.random.MT19937(seed)]
+            """}, rule="rng-discipline")
+        hits = rule_hits(report, "rng-discipline")
+        assert len(hits) == 6
+        assert all("keyed_noise_rng" in hit.message for hit in hits)
+
+    def test_bit_generator_calls_inside_utils_rng_are_allowed(self, tmp_path):
+        report = run_lint(tmp_path, {"src/repro/utils/rng.py": """
+            import numpy as np
+
+            def keyed_noise_rng(root, *key):
+                return np.random.Generator(np.random.SFC64(
+                    np.random.SeedSequence(root, spawn_key=key)))
+            """}, rule="rng-discipline")
+        assert report.violations == []
+
+    def test_generator_type_annotation_is_fine(self, tmp_path):
+        report = run_lint(tmp_path, {"src/repro/core/thing.py": """
+            from typing import Optional
+
+            import numpy as np
+
+            def f(rng: np.random.Generator) -> Optional[np.random.Generator]:
+                return rng if isinstance(rng, np.random.Generator) else None
+            """}, rule="rng-discipline")
+        assert report.violations == []
+
 
 # ----------------------------------------------------------- atomic-write
 class TestAtomicWrite:

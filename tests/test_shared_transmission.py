@@ -10,8 +10,9 @@ same waveforms to every AP.  These tests pin that:
   packet, whatever the number of APs and whichever front door drives them;
 * with every per-link random effect off, the APs' captures are complex
   multiples of one waveform;
-* lone-AP and primary-AP captures keep their bytes: digests computed before
-  the split, plus the same captures from a stand-alone simulator.
+* lone-AP and primary-AP captures keep their bytes: pinned digests, with and
+  without receiver noise, plus the same captures from a stand-alone
+  simulator.
 """
 
 import hashlib
@@ -169,8 +170,13 @@ def _digest(packets, ap_name):
     return digest.hexdigest()
 
 
-def _traffic(scenario, mode, attacker=None):
-    deployment = Deployment(SCENARIOS.get(scenario)())
+def _traffic(scenario, mode, attacker=None, add_noise=True):
+    spec = SCENARIOS.get(scenario)()
+    if not add_noise:
+        spec = replace(spec, simulator=replace(
+            spec.simulator, receiver=replace(spec.simulator.receiver,
+                                             add_noise=False)))
+    deployment = Deployment(spec)
     victim = deployment.clients[5].address
     if mode == "batch":
         packets = deployment.traffic(3, num_packets=4, start_s=1.0)
@@ -186,13 +192,22 @@ def _traffic(scenario, mode, attacker=None):
 
 
 #: sha256 of the primary AP's capture bytes for ``_traffic`` (float64
-#: synthesis, phase walks drawn at their knots).  A lone AP and a
-#: deployment's primary AP transmit and receive the same bytes, so these move
-#: only when the synthesis model itself is re-drawn.
+#: synthesis, phase walks drawn at their knots, receiver noise in one SFC64
+#: fill per packet).  A lone AP and a deployment's primary AP transmit and
+#: receive the same bytes, so these move only when the synthesis model itself
+#: is re-drawn.
 PINNED_DIGESTS = {
-    "figure5": "31579a27a272d68ad33263fb3fae366b43aa6c2e0e32a625331180a4df54660f",
-    "replay": "9ac200703fd361ed34e24309f0d7d4016a92a3aa8ee8f44d5cac540046d6b5ff",
-    "fence": "5f5975cfe9bb8d14b0140c5573ea0c4023d97a891e85b67f59d3dad8a7c85496",
+    "figure5": "63544271d4b56f4cd3e2f650f52b9a77940bd818acc15cf9301b9a00b3801846",
+    "replay": "cbedc23de75d1af7b295d109f935b839add6879a2c8b4e4c809931abf341cc4d",
+    "fence": "154f39e11b503b2662b35e2958f557c65c27e424d5cff90f38178cde1f6037c6",
+}
+#: The same captures with receiver noise off.  Pinned before the noise draw
+#: moved to SFC64 and unchanged by it: every stream but the noise (24) keeps
+#: its bytes.
+NOISELESS_DIGESTS = {
+    "figure5": "c147998dbd0e21472f51a7d8a407dc7b6379c5f22b423eb663eab04aeb8eec02",
+    "replay": "1a062398b5e56c1d8dd18facc33397eeac457475908b3cd0518866cee3b1ca70",
+    "fence": "8bd7edd8a59f7e515cd20c3d487dff8bbaf4e730d795a5a9d2fbd377ae920ec8",
 }
 ATTACKERS = {"figure5": None, "replay": "replay-indoor", "fence": FENCE_ATTACKER}
 
@@ -217,16 +232,29 @@ def _kernel_fingerprint():
 PINNING_HOST_KERNELS = "6834fb764b22c17075b8830cebc3abec0be8959c5b81f5bd204d91377ea23003"
 
 
+def _skip_off_the_pinning_host():
+    if _kernel_fingerprint() != PINNING_HOST_KERNELS:
+        pytest.skip("numpy's kernels round differently here than on the "
+                    "pinning host; the stand-alone simulator test below "
+                    "checks the primary AP's bytes on any host")
+
+
 class TestPrimaryBytes:
     @pytest.mark.parametrize("mode", ["batch", "stream"])
     @pytest.mark.parametrize("scenario", sorted(PINNED_DIGESTS))
     def test_primary_captures_keep_their_digest(self, scenario, mode):
-        if _kernel_fingerprint() != PINNING_HOST_KERNELS:
-            pytest.skip("numpy's kernels round differently here than on the "
-                        "pinning host; the stand-alone simulator test below "
-                        "checks the primary AP's bytes on any host")
+        _skip_off_the_pinning_host()
         deployment, packets = _traffic(scenario, mode, ATTACKERS[scenario])
         assert _digest(packets, deployment.primary_ap_name) == PINNED_DIGESTS[scenario]
+
+    @pytest.mark.parametrize("mode", ["batch", "stream"])
+    @pytest.mark.parametrize("scenario", sorted(NOISELESS_DIGESTS))
+    def test_noiseless_captures_keep_their_digest(self, scenario, mode):
+        _skip_off_the_pinning_host()
+        deployment, packets = _traffic(scenario, mode, ATTACKERS[scenario],
+                                       add_noise=False)
+        assert (_digest(packets, deployment.primary_ap_name)
+                == NOISELESS_DIGESTS[scenario])
 
     def test_primary_captures_equal_a_stand_alone_simulator(self):
         deployment = Deployment(fence_scenario())
