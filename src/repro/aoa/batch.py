@@ -25,23 +25,31 @@ overhead-bound:
 
 Every item of a batch is computed independently by the underlying BLAS/LAPACK
 loops, so ``process_batch([c])`` is bit-for-bit identical to processing ``c``
-inside any larger batch — and :class:`~repro.aoa.estimator.AoAEstimator` is a
-thin B=1 wrapper over this engine, so the scalar and batched paths cannot
-diverge.  Calibration is per item too (``C R C^H`` with each item's own
-``C``), so one batch may mix captures calibrated with different tables: the
-multi-AP controller stacks every AP's capture of a packet into one call.
+inside any larger batch — and ``process`` is exactly that batch of one
+(:class:`~repro.aoa.estimator.AoAEstimator` is this class), so the scalar and
+batched paths cannot diverge.  Calibration is per item too (``C R C^H`` with
+each item's own ``C``), so one batch may mix captures calibrated with
+different tables: the multi-AP controller stacks every AP's capture of a
+packet into one call.
+
+This is the one implementation of correlation conditioning, model-order
+selection, the MUSIC/Bartlett/Capon values and estimate assembly in
+:mod:`repro.aoa`; the streaming
+:class:`~repro.aoa.subspace.SubspaceTracker` calls the same methods around
+its own running average and power iteration.
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
 from functools import lru_cache
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.aoa.estimator import AoAEstimate, CalibrationArg, EstimatorConfig
 from repro.aoa.peaks import find_peaks_batch
-from repro.aoa.source_count import estimate_num_sources
+from repro.aoa.source_count import source_counts
 from repro.aoa.spectrum import (
     PEAK_MIN_RELATIVE_HEIGHT,
     Pseudospectrum,
@@ -65,6 +73,31 @@ def _per_capture_tables(calibration: CalibrationArg,
     return calibration
 
 
+def _correction_stack(corrections: List[Optional[np.ndarray]],
+                      n: int) -> Optional[np.ndarray]:
+    """The (B, N) per-chain correction factors of a batch (ones for items
+    that are already calibrated), or ``None`` when no item needs one."""
+    if all(correction is None for correction in corrections):
+        return None
+    factors = np.ones((len(corrections), n), dtype=complex)
+    for index, correction in enumerate(corrections):
+        if correction is not None:
+            factors[index] = correction
+    return factors
+
+
+class _Scan(NamedTuple):
+    """What scanning one matrix size needs, built once per engine."""
+
+    grid: np.ndarray
+    steering: np.ndarray
+    #: ``||a(theta)||^2`` per grid angle.
+    power: np.ndarray
+    #: :func:`~repro.aoa.spectrum.grid_peak_params` of the grid.
+    wrap: bool
+    min_separation: int
+
+
 @lru_cache(maxsize=None)
 def _loading_terms(n: int) -> Tuple[np.ndarray, np.floating]:
     """Diagonal loading's read-only (n, n) identity and its power floor (the
@@ -77,22 +110,18 @@ def _loading_terms(n: int) -> Tuple[np.ndarray, np.floating]:
 class BatchAoAEstimator:
     """Estimate angle-of-arrival pseudospectra for whole batches of captures.
 
-    The engine accepts the same :class:`~repro.aoa.estimator.EstimatorConfig`
-    as the scalar facade and honours every knob (method, conditioning, source
-    counting, packet detection, calibration policy); it simply evaluates all
-    captures of a batch through stacked linear algebra.
+    The engine honours every :class:`~repro.aoa.estimator.EstimatorConfig`
+    knob (method, conditioning, source counting, packet detection,
+    calibration policy) and evaluates all captures of a batch through stacked
+    linear algebra; a single capture is a batch of one.
     """
 
     def __init__(self, array: AntennaArray, config: Optional[EstimatorConfig] = None):
         self.array = array
         self.config = config if config is not None else EstimatorConfig()
         self._detector: Optional[SchmidlCoxDetector] = None
-        #: Scan arrays for spatially smoothed (shrunken) correlation matrices,
-        #: keyed by subarray size, so their steering caches persist.
-        self._scan_arrays: Dict[int, AntennaArray] = {}
-        #: ``||a(theta)||^2`` per grid angle of each steering matrix in use,
-        #: keyed by matrix size and kept with the matrix it was computed from.
-        self._steering_powers: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
+        #: Scan terms per correlation-matrix size (smaller when smoothed).
+        self._scans: Dict[int, _Scan] = {}
         self._tracker = None  # lazy SubspaceTracker (subspace_tracking only)
 
     # ------------------------------------------------------------------ public
@@ -139,12 +168,15 @@ class BatchAoAEstimator:
             corrections = [None] * len(captures)
         return self._process_stack(samples_list, corrections, packet_starts)
 
+    def process_samples(self, samples: np.ndarray) -> AoAEstimate:
+        """Process one already-calibrated raw sample matrix, shape (N, T)."""
+        return self.process_samples_batch([samples])[0]
+
     def process_samples_batch(self, samples_list: Sequence[np.ndarray]) -> List[AoAEstimate]:
         """Process already-calibrated raw sample matrices, shape (N, T) each.
 
-        Wraps each matrix in a calibrated :class:`Capture`, exactly like the
-        scalar ``process_samples``, so validation and the optional packet
-        detection behave identically on both paths.
+        Each matrix is wrapped in a calibrated :class:`Capture`, so
+        validation and the optional packet detection behave as for captures.
         """
         return self.process_batch([
             Capture(samples=samples, calibrated=True) for samples in samples_list
@@ -196,32 +228,35 @@ class BatchAoAEstimator:
             return self._process_tracked(samples_list, corrections, packet_starts)
         num_samples = [samples.shape[1] for samples in samples_list]
         matrices = self._conditioned_correlation_stack(samples_list, corrections)
-        batch_size, n = matrices.shape[0], matrices.shape[1]
+        n = matrices.shape[1]
 
         # One stacked eigendecomposition serves both source counting and the
         # MUSIC subspace split (eigenvalues ascending, per LAPACK convention).
         eigenvalues, eigenvectors = kernels.eigh(matrices)
-        counts = self._source_counts(eigenvalues, num_samples, n)
+        counts = self._source_counts(eigenvalues, num_samples)
 
-        scan_array = self._scan_array(n)
-        grid = scan_array.angle_grid(config.resolution_deg)
-        steering = scan_array.steering_matrix(resolution_deg=config.resolution_deg)
-        values, metadata = self._spectra(matrices, eigenvectors, counts, steering, n)
+        scan = self._scan(n)
+        values, metadata = self._spectra(matrices, eigenvectors, counts, scan)
+        return self._estimates(scan, values, metadata, counts, packet_starts)
 
-        # Vectorised peak extraction over the whole (B, A) stack, mirroring
-        # Pseudospectrum.peak_bearings' defaults.  Each spectrum carries its
-        # full index list, so signatures reuse this search.
-        wrap, min_separation = grid_peak_params(grid)
-        peak_indices = find_peaks_batch(values, wrap=wrap,
+    def _estimates(self, scan: _Scan, values: np.ndarray, metadata: List[dict],
+                   counts: List[int], packet_starts: Sequence[Optional[int]]
+                   ) -> List[AoAEstimate]:
+        """Peaks and :class:`AoAEstimate` of each row of a (B, A) value stack.
+
+        The peak search runs vectorised over the whole stack, mirroring
+        Pseudospectrum.peak_bearings' defaults.  Each spectrum carries its
+        full index list, so signatures reuse this search.
+        """
+        grid = scan.grid
+        peak_indices = find_peaks_batch(values, wrap=scan.wrap,
                                         min_relative_height=PEAK_MIN_RELATIVE_HEIGHT,
-                                        min_separation=min_separation)
-
+                                        min_separation=scan.min_separation)
         estimates: List[AoAEstimate] = []
-        for index in range(batch_size):
-            row = values[index]
+        for index, row in enumerate(values):
             spectrum = Pseudospectrum.from_validated(
                 grid, row, metadata[index], peak_indices=tuple(peak_indices[index]))
-            peaks = [float(grid[i]) for i in peak_indices[index][:config.max_sources]]
+            peaks = [float(grid[i]) for i in peak_indices[index][:self.config.max_sources]]
             bearing = peaks[0] if peaks else float(grid[int(np.argmax(row))])
             estimates.append(AoAEstimate(
                 pseudospectrum=spectrum,
@@ -239,42 +274,47 @@ class BatchAoAEstimator:
         if config.smoothing_subarray is not None:
             if not isinstance(self.array, UniformLinearArray):
                 raise ValueError("spatial smoothing requires a uniform linear array")
-            matrices = self._smoothed_stack(samples_list, config.smoothing_subarray)
-        else:
-            matrices = kernels.correlation_stack(samples_list)
-            matrices = self._calibrate_matrices(matrices, corrections)
-        if config.forward_backward and isinstance(self.array, UniformLinearArray):
-            # J R* J flips a matrix along both axes; batched over the stack.
-            matrices = 0.5 * (matrices + matrices[:, ::-1, ::-1].conj())
-        if config.loading_factor > 0:
-            matrices = self._diagonal_loading(matrices, config.loading_factor)
+            return self._conditioned(
+                self._smoothed_stack(samples_list, config.smoothing_subarray), None)
+        matrices = kernels.correlation_stack(samples_list)
+        return self._conditioned(matrices,
+                                 _correction_stack(corrections, matrices.shape[1]))
+
+    def _conditioned(self, matrices: np.ndarray,
+                     factors: Optional[np.ndarray]) -> np.ndarray:
+        """Condition raw correlation matrices, shape (..., N, N).
+
+        Calibration as ``C R C^H`` with per-chain ``factors`` of shape
+        (..., N) (``None``: already calibrated), forward-backward averaging
+        on ULAs, and diagonal loading.
+        """
+        if factors is not None:
+            matrices = factors[..., :, None] * matrices * factors.conj()[..., None, :]
+        if self.config.forward_backward and isinstance(self.array, UniformLinearArray):
+            # J R* J flips a matrix along both axes.
+            matrices = 0.5 * (matrices + matrices[..., ::-1, ::-1].conj())
+        if self.config.loading_factor > 0:
+            matrices = self._diagonal_loading(matrices, self.config.loading_factor)
         return matrices
 
     @staticmethod
     def _diagonal_loading(matrices: np.ndarray, loading_factor: float) -> np.ndarray:
-        """Batched :func:`repro.aoa.covariance.diagonal_loading` over a stack."""
-        n = matrices.shape[1]
+        """Add ``loading_factor`` times the average diagonal power to the
+        diagonal of each (..., N, N) matrix, keeping inversions (Capon) and
+        eigendecompositions well conditioned on short or near-noiseless
+        captures."""
+        n = matrices.shape[-1]
         # Batched trace (diagonal gather, not a GEMM): no shared kernel
         # applies, and the O(B*N) sum is negligible next to the eigh.
-        power = np.einsum("bii->b", matrices).real / n  # repro-lint: disable=seam-bypass
+        power = np.einsum("...ii->...", matrices).real / n  # repro-lint: disable=seam-bypass
         eye, tiny = _loading_terms(n)
         load = loading_factor * np.maximum(power, tiny)
-        return matrices + load[:, None, None] * eye
-
-    @staticmethod
-    def _calibrate_matrices(matrices: np.ndarray,
-                            corrections: List[Optional[np.ndarray]]) -> np.ndarray:
-        """Apply per-chain corrections as ``C R C^H`` on the matrix stack."""
-        if all(correction is None for correction in corrections):
-            return matrices
-        n = matrices.shape[1]
-        factors = np.ones((len(corrections), n), dtype=matrices.dtype)
-        for index, correction in enumerate(corrections):
-            if correction is not None:
-                factors[index] = correction
-        return factors[:, :, None] * matrices * factors.conj()[:, None, :]
+        return matrices + load[..., None, None] * eye
 
     def _smoothed_stack(self, samples_list: List[np.ndarray], subarray_size: int) -> np.ndarray:
+        """Forward spatial smoothing: the mean correlation of every
+        ``subarray_size``-element subarray, restoring the signal subspace's
+        rank under coherent multipath at the cost of aperture."""
         num_antennas = self.array.num_elements
         if subarray_size > num_antennas:
             raise ValueError(
@@ -294,37 +334,32 @@ class BatchAoAEstimator:
         return matrices
 
     # ----------------------------------------------------------- model order
-    def _source_counts(self, eigenvalues: np.ndarray, num_samples: List[int],
-                       n: int) -> List[int]:
+    def _source_counts(self, eigenvalues: np.ndarray,
+                       num_samples: List[int]) -> List[int]:
+        """Model order of each item of a (B, N) eigenvalue stack."""
         config = self.config
-        batch_size = eigenvalues.shape[0]
+        n = eigenvalues.shape[1]
         if config.num_sources is not None:
-            return [min(config.num_sources, n - 1)] * batch_size
-        max_sources = min(config.max_sources, n - 1)
-        if config.source_count_method == "gap":
-            # The eigenvalue-gap heuristic vectorises over the stack: count
-            # eigenvalues above 5 % of the per-item maximum (ascending order,
-            # so the maximum is the last column).
-            largest = eigenvalues[:, -1]
-            counts = np.sum(eigenvalues > 0.05 * largest[:, None], axis=1)
-            counts = np.clip(counts, 1, n - 1)
-            counts[largest <= 0] = 1
-            return [int(count) for count in np.minimum(counts, max_sources)]
-        return [
-            estimate_num_sources(eigenvalues[index], num_samples[index],
-                                 method=config.source_count_method,
-                                 max_sources=max_sources)
-            for index in range(batch_size)
-        ]
+            return [min(config.num_sources, n - 1)] * eigenvalues.shape[0]
+        return source_counts(eigenvalues, num_samples,
+                             method=config.source_count_method,
+                             max_sources=config.max_sources)
 
     # --------------------------------------------------------------- spectra
     def _spectra(self, matrices: np.ndarray, eigenvectors: np.ndarray,
-                 counts: List[int], steering: np.ndarray,
-                 n: int) -> Tuple[np.ndarray, List[dict]]:
+                 counts: List[int], scan: _Scan) -> Tuple[np.ndarray, List[dict]]:
         config = self.config
-        batch_size = matrices.shape[0]
+        batch_size, n = matrices.shape[0], matrices.shape[1]
         if config.method == "music":
-            values = self._music_values(eigenvectors, counts, steering, n)
+            # Items are grouped by model order so each group is one batched
+            # matrix product; ascending eigenvalue order puts the signal
+            # subspace in the trailing `order` eigenvectors.
+            orders = np.asarray(counts, dtype=int)
+            values = np.empty((batch_size, scan.grid.size))
+            for order in np.unique(orders):
+                items = np.nonzero(orders == order)[0]
+                values[items] = self._music_values(
+                    eigenvectors[items, :, n - order:], scan)
             metadata = [{"estimator": "music", "num_sources": int(count), "num_antennas": n}
                         for count in counts]
             return values, metadata
@@ -332,51 +367,29 @@ class BatchAoAEstimator:
             raise ValueError(
                 f"{config.method} does not support spatially smoothed matrices")
         if config.method == "capon":
-            # Capon applies its own, heavier diagonal loading before inversion
-            # (matching the scalar capon_pseudospectrum default).
+            # Capon applies its own, heavier diagonal loading before inversion.
             loaded = self._diagonal_loading(matrices, 1e-3)
             inverses = kernels.inv(loaded)
-            denominator = kernels.beamscan_numerator(inverses, steering)
+            denominator = kernels.beamscan_numerator(inverses, scan.steering)
             values = 1.0 / np.maximum(denominator, 1e-15)
             metadata = [{"estimator": "capon"} for _ in range(batch_size)]
             return values, metadata
-        numerator = kernels.beamscan_numerator(matrices, steering)
-        normaliser = self._steering_power(steering)
-        values = np.maximum(numerator / np.maximum(normaliser, 1e-15), 0.0)
+        numerator = kernels.beamscan_numerator(matrices, scan.steering)
+        values = np.maximum(numerator / np.maximum(scan.power, 1e-15), 0.0)
         metadata = [{"estimator": "bartlett"} for _ in range(batch_size)]
         return values, metadata
 
-    def _music_values(self, eigenvectors: np.ndarray, counts: List[int],
-                      steering: np.ndarray, n: int) -> np.ndarray:
-        """Batched MUSIC via the signal-subspace complement.
+    @staticmethod
+    def _music_values(signal: np.ndarray, scan: _Scan) -> np.ndarray:
+        """MUSIC pseudospectra from (B, N, r) orthonormal signal bases.
 
-        Since the eigenvector basis is orthonormal, the noise-subspace power
-        is ``||a||^2`` minus the signal-subspace power; projecting the (few)
-        signal eigenvectors is much cheaper than projecting the noise
-        subspace.  Items are grouped by model order so each group is one
-        batched matrix product.
+        The noise-subspace power ``sum_noise |v_k^H a|^2`` is ``||a||^2``
+        minus the signal-subspace power; projecting the (few) signal vectors
+        is much cheaper than projecting the noise subspace.
         """
-        counts = np.asarray(counts, dtype=int)
-        total = self._steering_power(steering)  # ||a(theta)||^2, shape (A,)
-        denominator = np.empty((counts.size, steering.shape[1]),
-                               dtype=total.dtype)
-        for order in np.unique(counts):
-            items = np.nonzero(counts == order)[0]
-            # Ascending eigenvalue order: the signal subspace is the trailing
-            # `order` eigenvectors.
-            signal = eigenvectors[items, :, n - order:]
-            denominator[items] = total[None, :] - kernels.music_projection_power(
-                signal, steering)
+        denominator = scan.power[None, :] - kernels.music_projection_power(
+            signal, scan.steering)
         return 1.0 / np.maximum(denominator, 1e-15)
-
-    def _steering_power(self, steering: np.ndarray) -> np.ndarray:
-        """``||a(theta)||^2`` per grid angle, computed once per steering matrix."""
-        n = steering.shape[0]
-        cached = self._steering_powers.get(n)
-        if cached is None or cached[0] is not steering:
-            cached = (steering, np.sum(np.abs(steering) ** 2, axis=0))
-            self._steering_powers[n] = cached
-        return cached[1]
 
     # ---------------------------------------------------------- streaming path
     def _process_tracked(self, samples_list: List[np.ndarray],
@@ -388,12 +401,10 @@ class BatchAoAEstimator:
         (streaming semantics), so unlike the stacked path the results depend
         on everything processed since the tracker was created.
         """
-        from dataclasses import replace
-
-        # Imported here to break the batch <-> subspace module cycle.
-        from repro.aoa.subspace import SubspaceTracker
-
         if self._tracker is None:
+            # Imported here to break the batch <-> subspace module cycle.
+            from repro.aoa.subspace import SubspaceTracker
+
             self._tracker = SubspaceTracker(self.array, self.config)
         estimates = []
         for samples, correction, start in zip(samples_list, corrections, packet_starts):
@@ -403,22 +414,25 @@ class BatchAoAEstimator:
                              else replace(estimate, packet_start=start))
         return estimates
 
-    # ------------------------------------------------------------ scan arrays
-    def _scan_array(self, matrix_size: int) -> AntennaArray:
-        """The array whose manifold matches the (possibly smoothed) matrices.
+    # ------------------------------------------------------------ scan terms
+    def _scan(self, matrix_size: int) -> _Scan:
+        """The scan terms for (possibly smoothed) matrices of ``matrix_size``.
 
         Spatial smoothing shrinks the effective aperture; scanning uses a
-        matching sub-aperture with the same geometry (a shorter ULA), whose
-        steering cache is kept across batches.
+        matching sub-aperture with the same geometry (a shorter ULA).
         """
-        if matrix_size == self.array.num_elements:
-            return self.array
-        scan = self._scan_arrays.get(matrix_size)
+        scan = self._scans.get(matrix_size)
         if scan is None:
-            assert isinstance(self.array, UniformLinearArray)
-            scan = UniformLinearArray(
-                num_elements=matrix_size, spacing_m=self.array.spacing,
-                carrier_frequency_hz=self.array.carrier_frequency_hz,
-                name=f"{self.array.name}-smoothed")
-            self._scan_arrays[matrix_size] = scan
+            array = self.array
+            if matrix_size != array.num_elements:
+                assert isinstance(array, UniformLinearArray)
+                array = UniformLinearArray(
+                    num_elements=matrix_size, spacing_m=array.spacing,
+                    carrier_frequency_hz=array.carrier_frequency_hz,
+                    name=f"{array.name}-smoothed")
+            grid = array.angle_grid(self.config.resolution_deg)
+            steering = array.steering_matrix(resolution_deg=self.config.resolution_deg)
+            scan = self._scans[matrix_size] = _Scan(
+                grid, steering, np.sum(np.abs(steering) ** 2, axis=0),
+                *grid_peak_params(grid))
         return scan

@@ -4,9 +4,11 @@ Section 2.1 of the paper: "The best known AoA estimation algorithms are based
 on eigenstructure analysis of a correlation matrix formed by samplewise-
 multiplying the raw signal from the l-th antenna with the raw signal from the
 m-th antenna, then computing the mean of the result."  ``correlation_matrix``
-is exactly that computation; the other helpers are the standard conditioning
-steps (forward–backward averaging, spatial smoothing for coherent multipath on
-linear arrays, diagonal loading) used before eigendecomposition.
+is exactly that computation, and ``signal_noise_subspaces`` splits one matrix
+for the search-free estimators (root-MUSIC, ESPRIT) and beamforming.  The
+conditioning the spectral pipeline applies before its eigendecomposition
+(calibration, forward–backward averaging, spatial smoothing, diagonal
+loading) lives in :class:`repro.aoa.batch.BatchAoAEstimator`.
 """
 
 from __future__ import annotations
@@ -39,59 +41,6 @@ def correlation_matrix(samples: np.ndarray) -> np.ndarray:
     if num_antennas < 1 or num_samples < 1:
         raise ValueError("samples must contain at least one antenna and one sample")
     return samples @ samples.conj().T / num_samples
-
-
-def forward_backward_average(matrix: np.ndarray) -> np.ndarray:
-    """Forward–backward averaging of a correlation matrix.
-
-    Averages ``R`` with its rotated conjugate ``J R* J`` (J the exchange
-    matrix).  For linear arrays this doubles the effective number of looks and
-    helps decorrelate a pair of coherent paths.
-    """
-    matrix = _check_square(matrix)
-    n = matrix.shape[0]
-    exchange = np.fliplr(np.eye(n))
-    return 0.5 * (matrix + exchange @ matrix.conj() @ exchange)
-
-
-def spatial_smoothing(samples: np.ndarray, subarray_size: int) -> np.ndarray:
-    """Forward spatial smoothing for uniform linear arrays.
-
-    Splits the array into overlapping subarrays of ``subarray_size`` elements
-    and averages their correlation matrices.  This restores the rank of the
-    signal subspace when paths are coherent, at the cost of reducing the
-    effective aperture to ``subarray_size`` elements.  Only meaningful for
-    uniform linear arrays (the shift invariance it relies on does not hold for
-    circular geometries).
-    """
-    samples = np.asarray(samples, dtype=complex)
-    if samples.ndim != 2:
-        raise ValueError(f"samples must be (num_antennas, num_samples), got {samples.shape}")
-    num_antennas = samples.shape[0]
-    subarray_size = require_positive_int(subarray_size, "subarray_size")
-    if subarray_size > num_antennas:
-        raise ValueError(
-            f"subarray_size {subarray_size} exceeds the number of antennas {num_antennas}")
-    num_subarrays = num_antennas - subarray_size + 1
-    accumulator = np.zeros((subarray_size, subarray_size), dtype=complex)
-    for start in range(num_subarrays):
-        block = samples[start:start + subarray_size]
-        accumulator += correlation_matrix(block)
-    return accumulator / num_subarrays
-
-
-def diagonal_loading(matrix: np.ndarray, loading_factor: float = 1e-3) -> np.ndarray:
-    """Add a small multiple of the average diagonal power to the diagonal.
-
-    Keeps matrix inversions (Capon) and eigendecompositions well conditioned
-    when the capture is short or nearly noiseless.
-    """
-    matrix = _check_square(matrix)
-    if loading_factor < 0:
-        raise ValueError("loading_factor must be non-negative")
-    average_power = float(np.real(np.trace(matrix))) / matrix.shape[0]
-    return (matrix
-            + loading_factor * max(average_power, np.finfo(float).tiny) * np.eye(matrix.shape[0]))
 
 
 def signal_noise_subspaces(matrix: np.ndarray, num_sources: int):

@@ -1,29 +1,26 @@
-"""The AoA estimation facade.
+"""The AoA estimator's configuration and result types.
 
-``AoAEstimator`` strings together the steps Section 3 of the paper describes:
+The estimator strings together the steps Section 3 of the paper describes:
 take a capture, (optionally) locate the packet with Schmidl–Cox, form the
 correlation matrix over the whole packet, condition it, pick the number of
-sources, and run the chosen spectral estimator.  The result bundles the
-pseudospectrum (the SecureAngle signature input) with the bearing of its
-strongest peak (the paper's bearing estimate).
+sources, and run the chosen spectral estimator.  :class:`EstimatorConfig`
+selects those steps; an :class:`AoAEstimate` bundles the pseudospectrum (the
+SecureAngle signature input) with the bearing of its strongest peak (the
+paper's bearing estimate).
 
-The actual pipeline lives in :class:`repro.aoa.batch.BatchAoAEstimator`;
-``AoAEstimator.process`` is a thin batch-of-one wrapper over it, so the scalar
-and batched paths share one implementation and cannot diverge.  One stacked
-eigendecomposition serves both source counting and the MUSIC subspace split.
+``AoAEstimator`` is :class:`repro.aoa.batch.BatchAoAEstimator` itself: one
+class serves single captures (``process``, a batch of one) and whole batches,
+so the scalar and batched paths cannot diverge.
 """
 
 from __future__ import annotations
 
 import difflib
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
-import numpy as np
-
-from repro.arrays.geometry import AntennaArray
 from repro.calibration.table import CalibrationTable
-from repro.hardware.capture import Capture
+from repro.aoa.source_count import SOURCE_COUNT_METHODS
 from repro.aoa.spectrum import Pseudospectrum
 
 #: Calibration for a batch: one table for every capture, or one table (or
@@ -55,7 +52,7 @@ class EstimatorConfig:
     resolution_deg: float = 1.0
     #: Fixed number of sources; ``None`` estimates it per capture.
     num_sources: Optional[int] = None
-    #: Source-count criterion when ``num_sources`` is ``None``: "mdl", "aic", or "gap".
+    #: Source-count criterion when ``num_sources`` is ``None``: "gap", "mdl", or "aic".
     source_count_method: str = "gap"
     #: Cap on the estimated number of sources.  Overestimating the signal
     #: subspace on a calibrated-but-imperfect array produces spurious
@@ -87,11 +84,12 @@ class EstimatorConfig:
                 message += (f"; {self.method!r} is search-free (no pseudospectrum) — "
                             "use it via repro.api.AOA_METHODS instead")
             else:
-                close = difflib.get_close_matches(
-                    str(self.method), SPECTRAL_METHODS + PARAMETRIC_METHODS, n=2, cutoff=0.5)
-                if close:
-                    message += "; did you mean " + " or ".join(repr(c) for c in close) + "?"
+                message += _did_you_mean(self.method, SPECTRAL_METHODS + PARAMETRIC_METHODS)
             raise ValueError(message)
+        if self.source_count_method not in SOURCE_COUNT_METHODS:
+            raise ValueError(
+                f"unknown source-count method {self.source_count_method!r}"
+                + _did_you_mean(self.source_count_method, SOURCE_COUNT_METHODS))
         if self.resolution_deg <= 0:
             raise ValueError("resolution_deg must be positive")
         if self.num_sources is not None and self.num_sources < 1:
@@ -128,43 +126,13 @@ class AoAEstimate:
     packet_start: Optional[int] = None
 
 
-class AoAEstimator:
-    """Estimate angle-of-arrival pseudospectra from captures.
+def _did_you_mean(value: object, choices: Tuple[str, ...]) -> str:
+    """``"; did you mean 'x'?"`` for the closest ``choices``, or ``""``."""
+    close = difflib.get_close_matches(str(value), choices, n=2, cutoff=0.5)
+    if not close:
+        return ""
+    return "; did you mean " + " or ".join(repr(c) for c in close) + "?"
 
-    A thin facade over the batched engine: ``process`` runs a batch of one,
-    ``process_batch`` forwards whole batches.
-    """
 
-    def __init__(self, array: AntennaArray, config: Optional[EstimatorConfig] = None):
-        self.array = array
-        self.config = config if config is not None else EstimatorConfig()
-        # Imported here to break the estimator <-> batch module cycle (the
-        # engine needs EstimatorConfig/AoAEstimate from this module).
-        from repro.aoa.batch import BatchAoAEstimator
-
-        self._engine = BatchAoAEstimator(array, self.config)
-
-    # ------------------------------------------------------------------ public
-    def process(self, capture: Capture,
-                calibration: Optional[CalibrationTable] = None) -> AoAEstimate:
-        """Process one capture into an :class:`AoAEstimate`.
-
-        A raw capture can be calibrated on the fly by passing ``calibration``;
-        otherwise the capture must already be calibrated (unless the
-        configuration disables the check, as the calibration ablation does).
-        """
-        return self._engine.process_batch([capture], calibration=calibration)[0]
-
-    def process_batch(self, captures: Sequence[Capture],
-                      calibration: CalibrationArg = None) -> List[AoAEstimate]:
-        """Process a batch of captures through the batched engine.
-
-        ``calibration`` is one table for the whole batch, or one table (or
-        ``None``) per capture.
-        """
-        return self._engine.process_batch(captures, calibration=calibration)
-
-    def process_samples(self, samples: np.ndarray) -> AoAEstimate:
-        """Convenience wrapper for already-calibrated raw sample matrices."""
-        capture = Capture(samples=samples, calibrated=True)
-        return self.process(capture)
+# The engine imports the types above, so it is bound last.
+from repro.aoa.batch import BatchAoAEstimator as AoAEstimator  # noqa: E402

@@ -5,15 +5,22 @@ subspace.  The classical information-theoretic criteria (AIC and MDL,
 Wax & Kailath 1985) pick the model order that best explains the eigenvalue
 spread of the correlation matrix; both are implemented here, plus a simple
 eigenvalue-gap heuristic that is robust at the very high SNRs the cabled
-prototype sees.
+prototype sees.  :func:`source_counts` is the one rule that dispatches on
+them, for a whole stack of matrices at once.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
+
+#: The model-order criteria :func:`source_counts` dispatches on.
+SOURCE_COUNT_METHODS = ("gap", "mdl", "aic")
+
+#: The gap rule counts eigenvalues above this fraction of the largest one.
+GAP_THRESHOLD = 0.05
 
 
 def _criterion_terms(eigenvalues: np.ndarray, k: int, num_samples: int):
@@ -29,17 +36,8 @@ def _criterion_terms(eigenvalues: np.ndarray, k: int, num_samples: int):
     return -num_samples * (n - k) * math.log(ratio)
 
 
-def aic_order(eigenvalues: Sequence[float], num_samples: int) -> int:
-    """Akaike information criterion estimate of the number of sources."""
-    return _information_criterion(eigenvalues, num_samples, penalty="aic")
-
-
-def mdl_order(eigenvalues: Sequence[float], num_samples: int) -> int:
-    """Minimum description length estimate of the number of sources."""
-    return _information_criterion(eigenvalues, num_samples, penalty="mdl")
-
-
 def _information_criterion(eigenvalues: Sequence[float], num_samples: int, penalty: str) -> int:
+    """AIC (``penalty="aic"``) or MDL (``"mdl"``) model order of one matrix."""
     eigenvalues = np.sort(np.asarray(eigenvalues, dtype=float))[::-1]
     if eigenvalues.size < 2:
         raise ValueError("need at least two eigenvalues")
@@ -61,48 +59,45 @@ def _information_criterion(eigenvalues: Sequence[float], num_samples: int, penal
     return max(best_k, 1) if n > 1 else 1
 
 
-def eigenvalue_gap_order(eigenvalues: Sequence[float], threshold: float = 0.05) -> int:
-    """Count eigenvalues larger than ``threshold`` times the largest one.
-
-    A blunt but effective heuristic at high SNR: signal eigenvalues tower over
-    the noise floor, so counting "large" eigenvalues gives the source count.
-    """
-    eigenvalues = np.sort(np.asarray(eigenvalues, dtype=float))[::-1]
-    if eigenvalues.size < 2:
-        raise ValueError("need at least two eigenvalues")
-    if not 0.0 < threshold < 1.0:
-        raise ValueError("threshold must be in (0, 1)")
-    largest = float(eigenvalues[0])
-    if largest <= 0:
-        return 1
-    count = int(np.sum(eigenvalues > threshold * largest))
-    return max(min(count, eigenvalues.size - 1), 1)
-
-
-def estimate_num_sources(eigenvalues: Sequence[float], num_samples: int,
-                         method: str = "mdl", max_sources: int = None) -> int:
-    """Estimate the number of incident signals from correlation eigenvalues.
+def source_counts(eigenvalues: np.ndarray, num_samples: Sequence[int],
+                  method: str = "mdl", max_sources: Optional[int] = None) -> List[int]:
+    """Estimate the number of incident signals for each row of a (B, N) stack.
 
     Parameters
     ----------
     eigenvalues:
-        Eigenvalues of the (possibly smoothed) correlation matrix.
+        Eigenvalues of each (possibly smoothed) correlation matrix, one row
+        per matrix, in any order.
     num_samples:
-        Number of time samples the matrix was averaged over.
+        Number of time samples each matrix was averaged over.
     method:
-        ``"mdl"`` (default), ``"aic"``, or ``"gap"``.
+        One of :data:`SOURCE_COUNT_METHODS`.  ``"gap"`` counts eigenvalues
+        above :data:`GAP_THRESHOLD` times the row's largest, a blunt but
+        effective heuristic at high SNR where signal eigenvalues tower over
+        the noise floor; it runs vectorised over the stack.
     max_sources:
         Optional cap; defaults to one less than the number of antennas, the
         largest count MUSIC can handle.
     """
     eigenvalues = np.asarray(eigenvalues, dtype=float)
-    if method == "mdl":
-        order = mdl_order(eigenvalues, num_samples)
-    elif method == "aic":
-        order = aic_order(eigenvalues, num_samples)
-    elif method == "gap":
-        order = eigenvalue_gap_order(eigenvalues)
+    if eigenvalues.ndim != 2 or eigenvalues.shape[1] < 2:
+        raise ValueError("need a (batch, num_antennas) stack of at least two eigenvalues")
+    if method == "gap":
+        largest = np.max(eigenvalues, axis=1)
+        orders = np.sum(eigenvalues > GAP_THRESHOLD * largest[:, None], axis=1)
+        orders[largest <= 0] = 1
+    elif method in ("mdl", "aic"):
+        orders = [_information_criterion(row, count, penalty=method)
+                  for row, count in zip(eigenvalues, num_samples)]
     else:
         raise ValueError(f"unknown source-count method {method!r}")
-    cap = eigenvalues.size - 1 if max_sources is None else min(max_sources, eigenvalues.size - 1)
-    return int(max(1, min(order, cap)))
+    n = eigenvalues.shape[1]
+    cap = n - 1 if max_sources is None else min(max_sources, n - 1)
+    return [max(1, min(int(order), cap)) for order in orders]
+
+
+def estimate_num_sources(eigenvalues: Sequence[float], num_samples: int,
+                         method: str = "mdl", max_sources: Optional[int] = None) -> int:
+    """:func:`source_counts` for one matrix's eigenvalues (a batch of one)."""
+    return source_counts(np.asarray(eigenvalues, dtype=float)[None, :], [num_samples],
+                         method=method, max_sources=max_sources)[0]

@@ -24,29 +24,30 @@ the signal subspace moves slowly and can be *tracked* instead of recomputed.
   model order and re-anchor the basis, bounding drift under mobility.  A
   degenerate Gram-Schmidt sweep (vanishing column norm) forces a resync.
 
-The tracked noise-subspace power uses the same signal-complement identity as
-the batched engine (``||a||^2 - sum_signal |w^H a|^2``), the same peak
-extraction, and the same pseudospectrum container, so downstream signature
-code cannot tell the paths apart.  Accuracy against exact per-packet MUSIC
-is pinned by ``tests/test_subspace_tracker.py``.
+Only the decimation, the running average, the power iteration with its
+Gram-Schmidt sweep, and the resync policy are the tracker's own.  Everything
+else is the batched engine's code, called on one matrix: each packet's
+correlation is conditioned by :meth:`BatchAoAEstimator._conditioned`, the
+model order comes from its ``_source_counts``, and the spectrum, peaks and
+:class:`AoAEstimate` from its ``_music_values`` and ``_estimates``, so
+downstream signature code cannot tell the paths apart.  Accuracy against
+exact per-packet MUSIC is pinned by ``tests/test_subspace_tracker.py``.
 """
 
 from __future__ import annotations
 
 import math
-from typing import List, Optional
+from typing import Optional
 
 import numpy as np
 
+from repro.aoa.batch import BatchAoAEstimator
 from repro.aoa.estimator import AoAEstimate, EstimatorConfig
-from repro.aoa.peaks import find_peaks_batch
-from repro.aoa.source_count import estimate_num_sources
-from repro.aoa.spectrum import (
-    PEAK_MIN_RELATIVE_HEIGHT,
-    Pseudospectrum,
-    grid_peak_params,
-)
-from repro.arrays.geometry import AntennaArray, UniformLinearArray
+# Not called here: the engine's ``_estimates`` runs the tracker's peak
+# search.  The binding lets tests/test_peaks_once.py spy on this module and
+# prove that it never searches on its own.
+from repro.aoa.peaks import find_peaks_batch  # noqa: F401
+from repro.arrays.geometry import AntennaArray
 from repro.kernels.backend import kernels
 
 #: Default forgetting factor of the running correlation (survives ~10 packets).
@@ -95,15 +96,11 @@ class SubspaceTracker:
         self.warmup_packets = int(warmup_packets)
         self.resync_interval = int(resync_interval)
         self.max_correlation_samples = int(max_correlation_samples)
-        self._is_ula = isinstance(array, UniformLinearArray)
-        # Scan-grid cache (the grid never changes for one tracker).
-        n = array.num_elements
-        self._grid = array.angle_grid(config.resolution_deg)
-        self._steering = array.steering_matrix(resolution_deg=config.resolution_deg)
-        self._steering_total = np.sum(np.abs(self._steering) ** 2, axis=0)
-        self._wrap, self._min_separation = grid_peak_params(self._grid)
-        self._num_elements = n
-        self._identity = np.eye(n)
+        #: The engine whose conditioning, model order, MUSIC values and
+        #: estimate assembly every update runs.
+        self._engine = BatchAoAEstimator(array, config)
+        self._num_elements = array.num_elements
+        self._scan = self._engine._scan(self._num_elements)
         #: Relative column norm below which Gram-Schmidt forces a resync.
         self._degenerate_norm = float(np.sqrt(np.finfo(float).eps))
         self.reset()
@@ -162,55 +159,27 @@ class SubspaceTracker:
     # ------------------------------------------------------------ correlation
     def _packet_correlation(self, samples: np.ndarray,
                             correction: Optional[np.ndarray]) -> np.ndarray:
-        """One packet's conditioned correlation estimate.
+        """One packet's correlation, conditioned by the engine.
 
-        Mirrors the batched engine's conditioning (calibration as ``C R C^H``,
-        forward-backward averaging on ULAs, diagonal loading), but decimates
-        the capture to at most ``max_correlation_samples`` snapshots first —
-        the running average across packets restores the averaging depth.
+        The capture is decimated to at most ``max_correlation_samples``
+        snapshots first — the running average across packets restores the
+        averaging depth.
         """
         num_samples = samples.shape[1]
         if num_samples > self.max_correlation_samples:
             stride = -(-num_samples // self.max_correlation_samples)
             samples = np.ascontiguousarray(samples[:, ::stride])
-        matrix = kernels.correlation_stack([samples])[0]
-        if correction is not None:
-            matrix = correction[:, None] * matrix * correction.conj()[None, :]
-        if self.config.forward_backward and self._is_ula:
-            matrix = 0.5 * (matrix + matrix[::-1, ::-1].conj())
-        if self.config.loading_factor > 0:
-            power = np.trace(matrix).real / matrix.shape[0]
-            load = self.config.loading_factor * max(
-                power, float(np.finfo(matrix.real.dtype).tiny))
-            matrix = matrix + load * self._identity
-        return matrix
+        return self._engine._conditioned(kernels.correlation_stack([samples])[0],
+                                         correction)
 
     # ---------------------------------------------------------------- subspace
     def _resync(self, num_samples: int) -> None:
         """Exact eigendecomposition: re-estimate model order, re-anchor basis."""
         eigenvalues, eigenvectors = kernels.eigh(self._corr[None])
-        eigenvalues, eigenvectors = eigenvalues[0], eigenvectors[0]
-        self._rank = self._model_order(eigenvalues, num_samples)
+        self._rank = self._engine._source_counts(eigenvalues, [num_samples])[0]
         # Ascending eigenvalue order: the signal subspace is the trailing rank.
         self._basis = np.ascontiguousarray(
-            eigenvectors[:, self._num_elements - self._rank:])
-
-    def _model_order(self, eigenvalues: np.ndarray, num_samples: int) -> int:
-        config = self.config
-        n = self._num_elements
-        if config.num_sources is not None:
-            return min(config.num_sources, n - 1)
-        max_sources = min(config.max_sources, n - 1)
-        if config.source_count_method == "gap":
-            largest = eigenvalues[-1]
-            if largest <= 0:
-                return 1
-            count = int(np.sum(eigenvalues > 0.05 * largest))
-            return int(np.clip(count, 1, min(max_sources, n - 1)))
-        return estimate_num_sources(np.asarray(eigenvalues, dtype=float),
-                                    num_samples,
-                                    method=config.source_count_method,
-                                    max_sources=max_sources)
+            eigenvectors[0, :, self._num_elements - self._rank:])
 
     def _orthonormalized(self, basis: np.ndarray) -> Optional[np.ndarray]:
         """Modified Gram-Schmidt in place; None when a column degenerates."""
@@ -229,35 +198,17 @@ class SubspaceTracker:
 
     # ---------------------------------------------------------------- spectrum
     def _estimate(self) -> AoAEstimate:
-        """MUSIC spectrum from the tracked basis, batched-engine conventions."""
-        power = kernels.music_projection_power(
-            self._basis[None], self._steering)[0]
-        denominator = self._steering_total - power
-        values = 1.0 / np.maximum(denominator, 1e-15)
-
-        peak_indices = find_peaks_batch(
-            values[None], wrap=self._wrap,
-            min_relative_height=PEAK_MIN_RELATIVE_HEIGHT,
-            min_separation=self._min_separation)[0]
-        peaks: List[float] = [float(self._grid[i])
-                              for i in peak_indices[:self.config.max_sources]]
-        bearing = peaks[0] if peaks else float(self._grid[int(np.argmax(values))])
+        """The engine's MUSIC spectrum and estimate from the tracked basis."""
+        values = self._engine._music_values(self._basis[None], self._scan)
         metadata = {
             "estimator": "music",
-            "num_sources": int(self._rank),
+            "num_sources": self._rank,
             "num_antennas": self._num_elements,
             "subspace_tracking": True,
-            "tracking": bool(self.tracking),
+            "tracking": self.tracking,
         }
-        spectrum = Pseudospectrum.from_validated(self._grid, values, metadata,
-                                                 peak_indices=tuple(peak_indices))
-        return AoAEstimate(
-            pseudospectrum=spectrum,
-            bearing_deg=bearing,
-            peak_bearings_deg=peaks,
-            num_sources=int(self._rank),
-            packet_start=None,
-        )
+        return self._engine._estimates(self._scan, values, [metadata],
+                                       [self._rank], [None])[0]
 
 
 def _norm(vector: np.ndarray) -> float:

@@ -15,9 +15,9 @@ the full live stack — environment, per-AP testbed simulators, calibrated
   analysis) or batched (``mode="batch"``, the whole batch in one).  Scalar
   and batched paths share the per-packet policy code, so they cannot
   diverge.
-* :meth:`run` and :meth:`run_batch` are the v0 spellings of the two modes,
-  kept as thin shims over :meth:`process` so existing runners and examples
-  stay bit-identical.
+* :meth:`run_batch` is the v0 spelling of batch mode, kept as a thin shim
+  over :meth:`process` so existing runners stay bit-identical.  (The
+  stream-mode spelling ``run`` is gone; use ``process(packets)``.)
 
 Randomness: the scenario seed drives one master generator; AP simulators
 draw from it exactly as the hand-wired experiments used to (directly for a

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass
-from typing import Callable, Dict, FrozenSet, Iterable, Iterator, List, Optional, Set, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 from repro.lint.violations import FileContext, ProjectContext, Violation
 
@@ -76,26 +76,43 @@ def dotted_name(node: ast.AST) -> Optional[str]:
     return ".".join(reversed(parts))
 
 
-def numpy_aliases(tree: ast.Module) -> FrozenSet[str]:
-    """Names the module binds to the ``numpy`` package (``np``, usually)."""
-    aliases: Set[str] = set()
+def numpy_names(tree: ast.Module) -> Dict[str, str]:
+    """Each local name the module binds to numpy, with the numpy dotted path
+    it stands for.
+
+    ``import numpy as np`` binds ``np`` to ``numpy``, ``import numpy.linalg
+    as la`` binds ``la`` to ``numpy.linalg``, ``import numpy.random`` binds
+    ``numpy``, and ``from numpy.random import default_rng`` binds
+    ``default_rng`` to ``numpy.random.default_rng``.
+    """
+    names: Dict[str, str] = {}
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             for item in node.names:
                 if item.name == "numpy" or item.name.startswith("numpy."):
-                    aliases.add((item.asname or item.name).split(".")[0])
-    return frozenset(aliases)
+                    if item.asname:
+                        names[item.asname] = item.name
+                    else:
+                        names[item.name.split(".")[0]] = "numpy"
+        elif (isinstance(node, ast.ImportFrom) and node.level == 0 and node.module
+                and (node.module == "numpy" or node.module.startswith("numpy."))):
+            for item in node.names:
+                names[item.asname or item.name] = f"{node.module}.{item.name}"
+    return names
 
 
-def _is_numpy_call(name: Optional[str], aliases: FrozenSet[str],
-                   suffixes: Tuple[str, ...]) -> Optional[str]:
-    """The matched ``suffix`` when ``name`` is ``<numpy alias>.<suffix>``."""
-    if name is None or "." not in name:
+def numpy_path(node: ast.AST, names: Dict[str, str]) -> Optional[str]:
+    """The numpy member ``node`` names, relative to the package (``"linalg.eigh"``
+    for ``np.linalg.eigh`` or a from-imported ``eigh``), or ``None``."""
+    name = dotted_name(node)
+    if name is None:
         return None
     head, _, tail = name.partition(".")
-    if head in aliases and tail in suffixes:
-        return tail
-    return None
+    package = names.get(head)
+    if package is None:
+        return None
+    path = f"{package}.{tail}" if tail else package
+    return path[len("numpy."):] if path.startswith("numpy.") else None
 
 
 def _in_file(context: FileContext, *suffixes: str) -> bool:
@@ -134,28 +151,27 @@ _SEAM_MATMUL = ("matmul", "dot", "einsum")
 def check_seam_bypass(context: FileContext) -> Iterator[Violation]:
     if _in_file(context, _SEAM_MODULE):
         return
-    aliases = numpy_aliases(context.tree)
+    names = numpy_names(context.tree)
     hot_path = _in_file(context, *_HOT_PATH_MODULES)
     for node in ast.walk(context.tree):
         if isinstance(node, ast.Call):
+            path = numpy_path(node.func, names)
+            if path is None:
+                continue
             name = dotted_name(node.func)
-            matched = _is_numpy_call(name, aliases, _SEAM_LINALG)
-            if matched is not None:
+            if path in _SEAM_LINALG:
                 yield context.violation(
                     "seam-bypass", node,
                     f"direct {name}() bypasses repro.kernels; route through "
-                    f"kernels.{matched.split('.')[-1]}() so the ledger times "
+                    f"kernels.{path.split('.')[-1]}() so the ledger times "
                     "this path")
-                continue
-            matched = _is_numpy_call(name, aliases, _SEAM_FFT)
-            if matched is not None:
+            elif path in _SEAM_FFT:
                 yield context.violation(
                     "seam-bypass", node,
                     f"direct {name}() bypasses repro.kernels; use the kernel "
                     "FFTs (or document the exception) so the ledger times "
                     "this transform")
-                continue
-            if hot_path and _is_numpy_call(name, aliases, _SEAM_MATMUL):
+            elif hot_path and path in _SEAM_MATMUL:
                 yield context.violation(
                     "seam-bypass", node,
                     f"{name}() on a hot-path module must go through the "
@@ -224,28 +240,22 @@ def _constructor_violation(context: FileContext, node: ast.AST,
     "derive_seed / keyed_rng / keyed_noise_rng), so shard seeds stay a pure "
     "function of the spec")
 def check_rng_discipline(context: FileContext) -> Iterator[Violation]:
-    aliases = numpy_aliases(context.tree)
+    names = numpy_names(context.tree)
     in_rng_module = _in_file(context, _RNG_MODULE)
     for node in ast.walk(context.tree):
-        if isinstance(node, ast.Attribute):
-            name = dotted_name(node)
-            if name is None or "." not in name:
+        if isinstance(node, (ast.Name, ast.Attribute)):
+            path = numpy_path(node, names)
+            if path is None:
                 continue
-            head, _, tail = name.partition(".")
-            if head in aliases and tail.startswith("random."):
-                member = tail.partition(".")[2]
-                if member in _LEGACY_RANDOM:
-                    yield context.violation(
-                        "rng-discipline", node,
-                        f"legacy global-state API {name} is forbidden; use a "
-                        "seeded np.random.Generator via repro.utils.rng")
-                    continue
-            if (not in_rng_module
-                    and _is_numpy_call(name, aliases, _RNG_CONSTRUCTORS)):
-                yield _constructor_violation(context, node, name)
+            if path.startswith("random.") and path[len("random."):] in _LEGACY_RANDOM:
+                yield context.violation(
+                    "rng-discipline", node,
+                    f"legacy global-state API {dotted_name(node)} is forbidden; use "
+                    "a seeded np.random.Generator via repro.utils.rng")
+            elif not in_rng_module and path in _RNG_CONSTRUCTORS:
+                yield _constructor_violation(context, node, dotted_name(node))
         elif (isinstance(node, ast.Call) and not in_rng_module
-                and _is_numpy_call(dotted_name(node.func), aliases,
-                                   _RNG_CLASS_CALLS)):
+                and numpy_path(node.func, names) in _RNG_CLASS_CALLS):
             yield _constructor_violation(context, node, dotted_name(node.func))
         elif (isinstance(node, ast.Call) and not in_rng_module
                 and isinstance(node.func, ast.Attribute)

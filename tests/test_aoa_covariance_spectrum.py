@@ -5,13 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.aoa.covariance import (
-    correlation_matrix,
-    diagonal_loading,
-    forward_backward_average,
-    signal_noise_subspaces,
-    spatial_smoothing,
-)
+from repro.aoa.batch import BatchAoAEstimator
+from repro.aoa.covariance import correlation_matrix, signal_noise_subspaces
+from repro.aoa.estimator import EstimatorConfig
 from repro.aoa.peaks import find_peaks, find_peaks_batch
 from repro.aoa.source_count import estimate_num_sources
 from repro.aoa.spectrum import Pseudospectrum
@@ -50,26 +46,41 @@ class TestCorrelationMatrix:
         with pytest.raises(ValueError):
             correlation_matrix(np.ones(10))
 
+    # The conditioning steps below are the engine's: it is the one place
+    # that conditions correlation matrices before the eigendecomposition.
     def test_forward_backward_preserves_hermitian_structure(self):
         rng = np.random.default_rng(1)
         samples = rng.normal(size=(6, 200)) + 1j * rng.normal(size=(6, 200))
-        matrix = forward_backward_average(correlation_matrix(samples))
+        engine = BatchAoAEstimator(UniformLinearArray(num_elements=6),
+                                   EstimatorConfig(loading_factor=0.0))
+        matrix = engine._conditioned(correlation_matrix(samples), None)
         np.testing.assert_allclose(matrix, matrix.conj().T, atol=1e-12)
+        # Persymmetric too: J R* J = R.
+        np.testing.assert_allclose(matrix[::-1, ::-1].conj(), matrix, atol=1e-12)
 
     def test_spatial_smoothing_shrinks_the_matrix(self):
         rng = np.random.default_rng(2)
         samples = rng.normal(size=(8, 200)) + 1j * rng.normal(size=(8, 200))
-        smoothed = spatial_smoothing(samples, subarray_size=5)
-        assert smoothed.shape == (5, 5)
-        with pytest.raises(ValueError):
-            spatial_smoothing(samples, subarray_size=9)
+        array = UniformLinearArray(num_elements=8)
+        smoothed = BatchAoAEstimator(array)._smoothed_stack([samples], 5)
+        assert smoothed.shape == (1, 5, 5)
+        # The mean of the four 5-element subarrays' correlation matrices.
+        expected = sum(correlation_matrix(samples[start:start + 5])
+                       for start in range(4)) / 4
+        np.testing.assert_allclose(smoothed[0], expected, atol=1e-12)
+        engine = BatchAoAEstimator(array, EstimatorConfig(smoothing_subarray=9))
+        with pytest.raises(ValueError, match="exceeds the number of antennas"):
+            engine.process_samples(samples)
 
     def test_diagonal_loading_improves_conditioning(self):
         matrix = np.diag([1.0, 1e-18, 1e-18]).astype(complex)
-        loaded = diagonal_loading(matrix, 1e-3)
+        loaded = BatchAoAEstimator._diagonal_loading(matrix, 1e-3)
         assert np.linalg.cond(loaded) < np.linalg.cond(matrix)
+        # One matrix and a stack of it load identically.
+        assert np.array_equal(
+            BatchAoAEstimator._diagonal_loading(matrix[None], 1e-3)[0], loaded)
         with pytest.raises(ValueError):
-            diagonal_loading(matrix, -1.0)
+            EstimatorConfig(loading_factor=-1.0)
 
     def test_subspace_split_dimensions(self):
         rng = np.random.default_rng(3)

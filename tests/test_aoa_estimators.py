@@ -1,14 +1,16 @@
-"""Tests for the AoA estimators: MUSIC, baselines, and the estimator facade."""
+"""Tests for the AoA estimators: MUSIC, baselines, and the estimator itself.
+
+MUSIC and the Bartlett and Capon baselines have one implementation, the
+batched engine; these tests drive it through ``process_samples`` on synthetic
+plane waves.
+"""
 
 import numpy as np
 import pytest
 
-from repro.aoa.bartlett import bartlett_pseudospectrum
-from repro.aoa.capon import capon_pseudospectrum
-from repro.aoa.covariance import correlation_matrix, forward_backward_average
+from repro.aoa.covariance import correlation_matrix
 from repro.aoa.esprit import esprit_bearings
 from repro.aoa.estimator import AoAEstimator, EstimatorConfig
-from repro.aoa.music import music_pseudospectrum
 from repro.aoa.phase_interferometry import two_antenna_bearing
 from repro.aoa.root_music import root_music_bearings
 from repro.arrays.geometry import OctagonalArray, UniformCircularArray, UniformLinearArray
@@ -34,24 +36,29 @@ def _plane_wave_samples(array, angles_deg, powers_db=None, num_samples=500,
     return clean + noise
 
 
+def _estimate(array, samples, **config):
+    """The engine's estimate of already-calibrated ``samples``."""
+    return AoAEstimator(array, EstimatorConfig(**config)).process_samples(samples)
+
+
 class TestMusic:
     def test_single_source_peak_at_true_angle_ula(self):
         array = UniformLinearArray(num_elements=8)
         samples = _plane_wave_samples(array, [25.0])
-        spectrum = music_pseudospectrum(correlation_matrix(samples), array, 1)
-        assert abs(spectrum.peak_bearing() - 25.0) <= 1.0
+        estimate = _estimate(array, samples, num_sources=1)
+        assert abs(estimate.bearing_deg - 25.0) <= 1.0
 
     def test_single_source_peak_at_true_angle_circular(self):
         array = OctagonalArray()
         samples = _plane_wave_samples(array, [217.0])
-        spectrum = music_pseudospectrum(correlation_matrix(samples), array, 1)
-        assert float(angular_difference(spectrum.peak_bearing(), 217.0)) <= 1.0
+        estimate = _estimate(array, samples, num_sources=1)
+        assert float(angular_difference(estimate.bearing_deg, 217.0)) <= 1.0
 
     def test_resolves_two_sources(self):
         array = UniformLinearArray(num_elements=8)
         samples = _plane_wave_samples(array, [-40.0, 30.0])
-        spectrum = music_pseudospectrum(correlation_matrix(samples), array, 2)
-        peaks = sorted(spectrum.peak_bearings(max_peaks=2))
+        estimate = _estimate(array, samples, num_sources=2)
+        peaks = sorted(estimate.peak_bearings_deg[:2])
         assert abs(peaks[0] - (-40.0)) <= 2.0
         assert abs(peaks[1] - 30.0) <= 2.0
 
@@ -60,14 +67,10 @@ class TestMusic:
         close_pair = [10.0, 28.0]
         small = UniformLinearArray(num_elements=4)
         large = UniformLinearArray(num_elements=8)
-        small_spec = music_pseudospectrum(
-            correlation_matrix(_plane_wave_samples(small, close_pair, rng=3)), small, 2)
-        large_spec = music_pseudospectrum(
-            correlation_matrix(_plane_wave_samples(large, close_pair, rng=3)), large, 2)
-        small_peaks = [p for p in small_spec.peak_bearings(max_peaks=2, min_separation_deg=5.0)
-                       if -90 <= p <= 90]
-        large_peaks = [p for p in large_spec.peak_bearings(max_peaks=2, min_separation_deg=5.0)
-                       if -90 <= p <= 90]
+        small_peaks = _estimate(small, _plane_wave_samples(small, close_pair, rng=3),
+                                num_sources=2).peak_bearings_deg[:2]
+        large_peaks = _estimate(large, _plane_wave_samples(large, close_pair, rng=3),
+                                num_sources=2).peak_bearings_deg[:2]
         assert len(large_peaks) >= len(small_peaks)
         # And the 8-antenna peaks are closer to the truth.
         best_large = min(abs(large_peaks[0] - a) for a in close_pair)
@@ -76,53 +79,61 @@ class TestMusic:
     def test_smoothed_matrix_scans_with_a_matching_subarray(self):
         array = UniformLinearArray(num_elements=8)
         samples = _plane_wave_samples(array, [20.0])
-        from repro.aoa.covariance import spatial_smoothing
-
-        smoothed = spatial_smoothing(samples, subarray_size=5)
-        spectrum = music_pseudospectrum(smoothed, array, 1)
-        assert abs(spectrum.peak_bearing() - 20.0) <= 2.0
+        estimate = _estimate(array, samples, num_sources=1, smoothing_subarray=5)
+        # The smoothed 5x5 matrix is scanned with a 5-element ULA on the
+        # broadside [-90, 90] grid.
+        assert estimate.pseudospectrum.metadata["num_antennas"] == 5
+        assert estimate.pseudospectrum.angles_deg[0] == -90.0
+        assert abs(estimate.bearing_deg - 20.0) <= 2.0
 
     def test_wrong_shapes_rejected(self):
         array = UniformLinearArray(num_elements=4)
-        with pytest.raises(ValueError):
-            music_pseudospectrum(np.eye(6, dtype=complex), array, 1)
-        with pytest.raises(ValueError):
-            music_pseudospectrum(np.ones((3, 4), dtype=complex), array, 1)
+        with pytest.raises(ValueError, match="array has 4 elements"):
+            _estimate(array, np.ones((6, 64), dtype=complex))
+        with pytest.raises(ValueError, match="exceeds the number of antennas"):
+            _estimate(array, np.ones((4, 64), dtype=complex), smoothing_subarray=5)
 
 
 class TestBeamformerBaselines:
     def test_bartlett_and_capon_peak_near_the_true_angle(self):
         array = UniformLinearArray(num_elements=8)
         samples = _plane_wave_samples(array, [-15.0])
-        matrix = correlation_matrix(samples)
-        assert abs(bartlett_pseudospectrum(matrix, array).peak_bearing() + 15.0) <= 2.0
-        assert abs(capon_pseudospectrum(matrix, array).peak_bearing() + 15.0) <= 2.0
+        assert abs(_estimate(array, samples, method="bartlett").bearing_deg + 15.0) <= 2.0
+        assert abs(_estimate(array, samples, method="capon").bearing_deg + 15.0) <= 2.0
 
     def test_music_resolves_what_bartlett_cannot(self):
         # Two sources a beamwidth apart: classic super-resolution comparison.
         array = UniformLinearArray(num_elements=8)
         pair = [0.0, 12.0]
         samples = _plane_wave_samples(array, pair, rng=5, snr_db=35.0)
-        matrix = correlation_matrix(samples)
-        bartlett_peaks = bartlett_pseudospectrum(matrix, array).peak_bearings(
-            max_peaks=2, min_separation_deg=5.0)
-        music_peaks = music_pseudospectrum(matrix, array, 2).peak_bearings(
-            max_peaks=2, min_separation_deg=5.0)
-        assert len(music_peaks) >= len(bartlett_peaks)
+        bartlett_peaks = _estimate(array, samples, method="bartlett",
+                                   max_sources=2).peak_bearings_deg
 
-    def test_shape_validation(self):
+        def resolved(peaks):
+            return all(any(abs(peak - source) <= 2.0 for peak in peaks)
+                       for source in pair)
+
+        music_peaks = _estimate(array, samples, num_sources=2).peak_bearings_deg[:2]
+        assert resolved(music_peaks)
+        assert not resolved(bartlett_peaks)
+
+    @pytest.mark.parametrize("method", ["bartlett", "capon"])
+    def test_shape_validation(self, method):
         array = UniformLinearArray(num_elements=4)
-        with pytest.raises(ValueError):
-            bartlett_pseudospectrum(np.eye(6, dtype=complex), array)
-        with pytest.raises(ValueError):
-            capon_pseudospectrum(np.eye(6, dtype=complex), array)
+        with pytest.raises(ValueError, match="array has 4 elements"):
+            _estimate(array, np.ones((6, 64), dtype=complex), method=method)
+        with pytest.raises(ValueError, match="does not support spatially smoothed"):
+            _estimate(array, _plane_wave_samples(array, [10.0]), method=method,
+                      smoothing_subarray=3)
 
 
 class TestSearchFreeEstimators:
     def test_root_music_matches_the_true_angles(self):
         array = UniformLinearArray(num_elements=8)
         samples = _plane_wave_samples(array, [-35.0, 20.0])
-        matrix = forward_backward_average(correlation_matrix(samples))
+        matrix = correlation_matrix(samples)
+        # Forward-backward averaging (J R* J flips both axes) on the ULA.
+        matrix = 0.5 * (matrix + matrix[::-1, ::-1].conj())
         bearings = sorted(root_music_bearings(matrix, array, 2))
         assert abs(bearings[0] + 35.0) <= 2.0
         assert abs(bearings[1] - 20.0) <= 2.0

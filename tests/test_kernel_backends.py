@@ -31,7 +31,6 @@ KERNEL_CALL_SITES = (
     "repro.aoa.batch",
     "repro.aoa.subspace",
     "repro.aoa.covariance",
-    "repro.aoa.capon",
     "repro.core.beamforming",
     "repro.channel.channel",
     "repro.phy.ofdm",

@@ -188,6 +188,75 @@ class TestRngDiscipline:
         assert report.violations == []
 
 
+# ------------------------------------------------- numpy import spellings
+#: (rule, owner module, source, violations outside the owner): every way of
+#: binding a numpy member resolves to the same dotted path for both rules.
+NUMPY_IMPORT_FORMS = {
+    "from-numpy-random": ("rng-discipline", "src/repro/utils/rng.py", """
+        from numpy.random import SFC64, Generator, default_rng
+
+        def f(seed):
+            return Generator(SFC64(seed)), default_rng(seed)
+        """, 3),
+    "numpy-random-alias": ("rng-discipline", "src/repro/utils/rng.py", """
+        import numpy.random as npr
+
+        def f(seed):
+            return npr.default_rng(seed), npr.Generator(npr.PCG64(seed))
+        """, 3),
+    "from-numpy-linalg": ("seam-bypass", "src/repro/kernels/backend.py", """
+        from numpy.linalg import eigh
+
+        def f(m):
+            return eigh(m)
+        """, 1),
+    "numpy-linalg-alias": ("seam-bypass", "src/repro/kernels/backend.py", """
+        import numpy.linalg as la
+
+        def f(m):
+            return la.eigh(m), la.inv(m)
+        """, 2),
+    "from-numpy-fft": ("seam-bypass", "src/repro/kernels/backend.py", """
+        from numpy.fft import fft, fftfreq
+
+        def f(x):
+            return fft(x) * fftfreq(x.size)
+        """, 1),
+}
+
+
+class TestNumpyImportForms:
+    @pytest.mark.parametrize("form", sorted(NUMPY_IMPORT_FORMS))
+    def test_form_outside_its_owner_fires(self, tmp_path, form):
+        rule, _, source, expected = NUMPY_IMPORT_FORMS[form]
+        report = run_lint(tmp_path, {"src/repro/core/thing.py": source}, rule=rule)
+        assert len(rule_hits(report, rule)) == expected
+
+    @pytest.mark.parametrize("form", sorted(NUMPY_IMPORT_FORMS))
+    def test_form_inside_its_owner_is_allowed(self, tmp_path, form):
+        rule, owner, source, _ = NUMPY_IMPORT_FORMS[form]
+        report = run_lint(tmp_path, {owner: source}, rule=rule)
+        assert report.violations == []
+
+    def test_from_imported_legacy_global_fires_even_in_the_owner(self, tmp_path):
+        report = run_lint(tmp_path, {"src/repro/utils/rng.py": """
+            from numpy.random import seed
+
+            def f():
+                seed(0)
+            """}, rule="rng-discipline")
+        assert len(rule_hits(report, "rng-discipline")) == 1
+
+    def test_from_imported_generator_annotation_is_fine(self, tmp_path):
+        report = run_lint(tmp_path, {"src/repro/core/thing.py": """
+            from numpy.random import Generator
+
+            def f(rng: Generator) -> Generator:
+                return rng
+            """}, rule="rng-discipline")
+        assert report.violations == []
+
+
 # ----------------------------------------------------------- atomic-write
 class TestAtomicWrite:
     def test_bare_open_write_in_campaign_fires(self, tmp_path):

@@ -11,20 +11,35 @@ one-row fast path of ``delay_ramps`` that keeps a batch of one cheap.
 import numpy as np
 import pytest
 
+import repro.aoa as aoa_package
 import repro.phy.packet as packet_module
+from repro.aoa import covariance as covariance_module
+from repro.aoa import source_count as source_count_module
+from repro.aoa.batch import BatchAoAEstimator
+from repro.aoa.subspace import SubspaceTracker
 from repro.api import Deployment, fence_scenario
+from repro.api import deployment as deployment_module
 from repro.api.events import PacketEvent
 from repro.arrays.geometry import OctagonalArray
+from repro.attacks.attacker import Attacker
 from repro.channel.channel import ArrayChannel
+from repro.channel.dynamics import EnvironmentDynamics
 from repro.channel.raytracer import RayTracer
+from repro.core import fence as fence_module
 from repro.core.access_point import SecureAngleAP
 from repro.core.controller import SecureAngleController
+from repro.core.fence import VirtualFence
+from repro.core.spoofing import SpoofingDetector
+from repro.core.tracker import SignatureTracker
 from repro.hardware.receiver import ArrayReceiver
 from repro.hardware.reference import CalibrationSource
 from repro.hardware.switch import SwitchPosition
-from repro.kernels.backend import delay_ramps
+from repro.kernels.backend import NumpyBackend, delay_ramps
 from repro.phy.ofdm import OfdmModulator
+from repro.serve import tenants as tenants_module
+from repro.serve.batcher import MicroBatcher
 from repro.testbed import scenario as scenario_module
+from repro.utils.serde import JsonSerializable
 from repro.testbed.scenario import CaptureRequest
 from repro.testbed.scenario import TestbedSimulator as Simulator
 
@@ -305,6 +320,25 @@ class TestTrain:
     (SecureAngleController, "localize_batch"),
     (SecureAngleController, "fence_check_batch"),
     (PacketEvent, "latency_s"),
+    # One AoA implementation: the scalar spectra, the scalar conditioning,
+    # the second and third gap rules and the tracker's model-order copy.
+    (aoa_package, "music"),
+    (aoa_package, "bartlett"),
+    (aoa_package, "capon"),
+    (aoa_package, "music_pseudospectrum"),
+    (aoa_package, "bartlett_pseudospectrum"),
+    (aoa_package, "capon_pseudospectrum"),
+    (aoa_package, "forward_backward_average"),
+    (aoa_package, "spatial_smoothing"),
+    (aoa_package, "diagonal_loading"),
+    (covariance_module, "forward_backward_average"),
+    (covariance_module, "spatial_smoothing"),
+    (covariance_module, "diagonal_loading"),
+    (source_count_module, "eigenvalue_gap_order"),
+    (source_count_module, "aic_order"),
+    (source_count_module, "mdl_order"),
+    (SubspaceTracker, "_model_order"),
+    (BatchAoAEstimator, "_calibrate_matrices"),
 ])
 def test_removed_twin_is_gone(owner, name):
     assert not hasattr(owner, name)
@@ -322,8 +356,36 @@ def test_removed_twin_is_gone(owner, name):
     (Deployment, "process"),
     (Deployment, "run_batch"),
     (SecureAngleAP, "decide"),
+    (BatchAoAEstimator, "process_batch"),
+    *[(NumpyBackend, kernel) for kernel in (
+        "eigh", "correlation_stack", "music_projection_power", "phase_walk",
+        "fractional_delay", "matmul", "ifft")],
+    # Subclass overrides are wrapped only where a class defines one.
+    (Attacker, "shape_waveform"),
+    (Attacker, "shape_paths"),
+    (RayTracer, "trace"),
+    (EnvironmentDynamics, "paths_at"),
+    (SpoofingDetector, "check"),
+    (SignatureTracker, "observe"),
+    (VirtualFence, "check_bearings"),
+    (fence_module, "triangulate_bearings"),
+    (deployment_module, "triangulate_bearings"),
+    (deployment_module, "signatures_from_pseudospectra"),
+    (JsonSerializable, "to_dict"),
+    (Simulator, "__init__"),
+    (tenants_module, "synthesize_packet"),
+    (MicroBatcher, "next_batch"),
 ])
 def test_layer_entry_points_stay_own_attributes(owner, name):
     # Stage tracers wrap these by looking them up in the owner's own
     # namespace, so each must stay defined there (not inherited).
     assert callable(vars(owner)[name])
+
+
+def test_the_estimator_is_the_engine():
+    # One class: the stage tracer's wrapper on BatchAoAEstimator.process_batch
+    # times every AoAEstimator call too.
+    from repro.aoa import AoAEstimator
+    from repro.aoa.estimator import AoAEstimator as estimator_module_class
+
+    assert AoAEstimator is BatchAoAEstimator is estimator_module_class

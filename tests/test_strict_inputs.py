@@ -12,6 +12,7 @@ import json
 
 import pytest
 
+from repro.aoa.estimator import EstimatorConfig
 from repro.api.spec import AccessPointSpec, ScenarioSpec
 from repro.campaign import CampaignSpec
 from repro.campaign.cli import main
@@ -110,3 +111,17 @@ def test_negative_seeds_and_streams_name_their_field(build, field):
     assert "\n" not in message
     if field == "--seeds":
         assert error.type is SystemExit and message.startswith("--seeds")
+
+
+@pytest.mark.parametrize("build", [
+    lambda: EstimatorConfig(source_count_method="mld"),
+    lambda: ScenarioSpec.from_json(json.dumps(
+        {"estimator": {"source_count_method": "mld"}})),
+    lambda: ScenarioSpec.from_json(json.dumps(
+        {"access_points": [{"name": "a", "estimator": {"source_count_method": "mld"}}]})),
+], ids=["config", "scenario-estimator", "ap-estimator"])
+def test_unknown_source_count_method_fails_when_built(build):
+    # Not at the first analysed packet: the config itself refuses it.
+    with pytest.raises(ValueError,
+                       match=r"unknown source-count method 'mld'; did you mean 'mdl'\?"):
+        build()

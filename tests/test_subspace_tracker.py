@@ -11,7 +11,7 @@ paths together at stream start.
 import numpy as np
 import pytest
 
-from repro.aoa import AoAEstimator, EstimatorConfig, SubspaceTracker
+from repro.aoa import AoAEstimator, BatchAoAEstimator, EstimatorConfig, SubspaceTracker
 from repro.aoa.estimator import STREAMING_METHODS
 from repro.api import AOA_METHODS
 from repro.testbed.scenario import TestbedSimulator as Simulator
@@ -175,6 +175,50 @@ class TestPolicy:
         assert estimate.pseudospectrum.metadata["estimator"] == "music"
 
 
+# ------------------------------------------------------------ engine reuse
+class TestEngineReuse:
+    """The tracker's own code is the running average, the power iteration
+    and the resync policy; conditioning, model order, the MUSIC values and
+    the estimate come from the engine."""
+
+    ENGINE_STEPS = ("_conditioned", "_source_counts", "_music_values", "_estimates")
+
+    def test_update_runs_the_engine_steps(self, linear_array, rng, monkeypatch):
+        tracker = SubspaceTracker(linear_array,
+                                  EstimatorConfig(subspace_tracking=True),
+                                  warmup_packets=1)
+        assert isinstance(tracker._engine, BatchAoAEstimator)
+        calls = []
+        for name in self.ENGINE_STEPS:
+            original = getattr(tracker._engine, name)
+
+            def spy(*args, _name=name, _original=original, **kwargs):
+                calls.append(_name)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(tracker._engine, name, spy)
+        # Warm-up: an exact resync re-estimates the model order.
+        tracker.update(plane_wave(linear_array, 15.0, 128, rng))
+        assert calls == list(self.ENGINE_STEPS)
+        calls.clear()
+        # Tracking: power iteration keeps the model order.
+        tracker.update(plane_wave(linear_array, 15.0, 128, rng))
+        assert tracker.tracking
+        assert calls == ["_conditioned", "_music_values", "_estimates"]
+
+    def test_first_packet_conditioning_is_the_engines(self, octagon_array, rng):
+        # A calibrated first packet: the tracker's running matrix is exactly
+        # the engine's conditioned correlation.
+        samples = plane_wave(octagon_array, 120.0, 256, rng)
+        correction = np.exp(1j * rng.uniform(-np.pi, np.pi, octagon_array.num_elements))
+        config = EstimatorConfig(subspace_tracking=True)
+        tracker = SubspaceTracker(octagon_array, config)
+        tracker.update(samples, correction)
+        engine = BatchAoAEstimator(octagon_array, config)
+        expected = engine._conditioned_correlation_stack([samples], [correction])[0]
+        assert np.array_equal(tracker._corr, expected)
+
+
 # ----------------------------------------------------------------- streaming
 class TestStreamingIntegration:
     def test_estimator_engine_keeps_one_tracker(self, linear_array, rng):
@@ -182,7 +226,7 @@ class TestStreamingIntegration:
                                  EstimatorConfig(subspace_tracking=True))
         for _ in range(3):
             estimator.process_samples(plane_wave(linear_array, 15.0, 128, rng))
-        tracker = estimator._engine._tracker
+        tracker = estimator._tracker
         assert isinstance(tracker, SubspaceTracker)
         assert tracker.packets_seen == 3
 
@@ -190,9 +234,9 @@ class TestStreamingIntegration:
         estimator = AoAEstimator(linear_array,
                                  EstimatorConfig(subspace_tracking=True))
         batch = [plane_wave(linear_array, 15.0, 128, rng) for _ in range(4)]
-        estimates = estimator._engine.process_samples_batch(batch)
+        estimates = estimator.process_samples_batch(batch)
         assert len(estimates) == 4
-        assert estimator._engine._tracker.packets_seen == 4
+        assert estimator._tracker.packets_seen == 4
 
     def test_calibration_applies_on_the_fly(self, environment, octagon_array):
         simulator = Simulator(environment, octagon_array, rng=17)
