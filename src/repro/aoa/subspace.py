@@ -43,10 +43,6 @@ import numpy as np
 
 from repro.aoa.batch import BatchAoAEstimator
 from repro.aoa.estimator import AoAEstimate, EstimatorConfig
-# Not called here: the engine's ``_estimates`` runs the tracker's peak
-# search.  The binding lets tests/test_peaks_once.py spy on this module and
-# prove that it never searches on its own.
-from repro.aoa.peaks import find_peaks_batch  # noqa: F401
 from repro.arrays.geometry import AntennaArray
 from repro.kernels.backend import kernels
 

@@ -14,8 +14,10 @@ which is what :mod:`repro.calibration` uses to recover the phase offsets.
 
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from typing import Iterable, Iterator, List, Optional, Sequence
 
 import numpy as np
 
@@ -74,6 +76,7 @@ class ArrayReceiver:
         # keyed by packet length (the sample rate is fixed per receiver).
         self._frontend_cache_key: Optional[int] = None
         self._frontend_cache: Optional[np.ndarray] = None
+        self._noise_sigmas_cache: Optional[np.ndarray] = None
 
     @property
     def num_chains(self) -> int:
@@ -105,16 +108,28 @@ class ArrayReceiver:
                       metadata: Optional[Sequence[Optional[dict]]] = None,
                       add_noise: Optional[bool] = None,
                       rngs: Optional[Sequence[RngLike]] = None) -> List[Capture]:
-        """Receive a whole batch of packets in one vectorized pass.
+        """Receive a whole batch of packets.
 
         ``antenna_signals`` is ``(B, num_antennas, num_samples)``: the stacked
-        noiseless outputs of :meth:`ArrayChannel.propagate_batch`.  Gain and
-        downconversion are applied as one broadcast multiply over the batch;
-        thermal noise is drawn packet by packet from ``rngs`` (one pinned
-        generator per packet, or the receiver's own generator when ``None``),
-        so each returned :class:`Capture` is the same whatever batch it was
+        noiseless outputs of :meth:`ArrayChannel.propagate_batch`.  Each
+        packet's row is its signals times the fused gain and downconversion
+        table, plus thermal noise drawn from that packet's generator in
+        ``rngs`` (or from the receiver's own generator when ``None``), so
+        each returned :class:`Capture` is the same whatever batch it was
         received in.  The switches are not thrown here: they rest in the
         antenna position, and only :meth:`capture_calibration` moves them.
+
+        When every packet has its own bit generator (as in every
+        :class:`TestbedSimulator` batch of two or more) and the process may
+        use more than one CPU, one helper thread receives packets alongside
+        the calling thread, each taking the next packet not yet taken; the
+        helper is joined before this returns, and an exception on either
+        thread is raised here.  No byte depends on the split: each row is
+        written by one thread, from its own signals and generator, with the
+        same elementwise arithmetic.  The noise fill, the multiply and the
+        add release the GIL, so the two threads run on two cores.  A shared
+        generator (``rngs=None``, or one repeated) is drawn in row order, so
+        such a batch stays on the calling thread, like a batch of one.
         """
         signals = np.asarray(antenna_signals, dtype=complex)
         if signals.ndim != 3 or signals.shape[1] != self.num_chains:
@@ -148,20 +163,16 @@ class ArrayReceiver:
                 raise ValueError(
                     f"expected {batch_size} rng substreams, got {len(generators)}")
 
-        # One broadcast multiply applies every chain's gain and downconversion
-        # to the whole batch.
         frontend = self._frontend_table(num_samples)
-        received = signals * frontend[None, :, :]
-        if add_noise:
-            # One packet's noise at a time in a reused (N, S) scratch, not a
-            # second batch-sized buffer.  In-place add: elementwise addition
-            # is correctly rounded, so it gives the same bytes as an
-            # out-of-place sum.
-            sigmas = np.array([chain.noise_sigma for chain in self.chains])
-            noise = np.empty(received.shape[1:], dtype=received.dtype)
-            for index, generator in enumerate(generators):
-                self._packet_noise(generator, sigmas, noise)
-                np.add(received[index], noise, out=received[index])
+        sigmas = self._noise_sigmas() if add_noise else None
+        received = np.empty(signals.shape, dtype=complex)
+        rows = iter(range(batch_size))
+        if _splittable(generators):
+            self._receive_split(signals, frontend, sigmas, generators,
+                                received, rows)
+        else:
+            self._receive_rows(signals, frontend, sigmas, generators,
+                               received, rows)
         # Capture samples are read-only views into one shared batch buffer:
         # skipping B copies keeps capture cheap, and freezing the buffer
         # guarantees no consumer can corrupt a sibling packet in place.
@@ -200,6 +211,71 @@ class ArrayReceiver:
             self.switch.set_all(SwitchPosition.ANTENNA)
 
     # ---------------------------------------------------------------- internals
+    def _receive_split(self, signals: np.ndarray, frontend: np.ndarray,
+                       sigmas: Optional[np.ndarray],
+                       generators: Sequence[np.random.Generator],
+                       received: np.ndarray, rows: Iterator[int]) -> None:
+        """Receive ``rows`` on this thread and one helper thread at once.
+
+        Both threads take packets from the one shared iterator (``next`` on
+        a range iterator is atomic under the GIL), so each packet is
+        received once, and a helper whose core is busy elsewhere leaves its
+        share to the caller instead of stalling it.  The helper runs
+        :meth:`_receive_rows` only (numpy only): no kernel or traced entry
+        point ever runs off the calling thread.
+        """
+        errors: List[BaseException] = []
+
+        def receive_on_helper() -> None:
+            try:
+                self._receive_rows(signals, frontend, sigmas, generators,
+                                   received, rows)
+            except BaseException as error:  # re-raised on the calling thread
+                errors.append(error)
+
+        helper = threading.Thread(target=receive_on_helper,
+                                  name="receiver-rows", daemon=True)
+        helper.start()
+        try:
+            self._receive_rows(signals, frontend, sigmas, generators,
+                               received, rows)
+        finally:
+            helper.join()
+        if errors:
+            raise errors[0]
+
+    def _receive_rows(self, signals: np.ndarray, frontend: np.ndarray,
+                      sigmas: Optional[np.ndarray],
+                      generators: Sequence[np.random.Generator],
+                      received: np.ndarray, rows: Iterable[int]) -> None:
+        """Front end plus thermal noise for each packet in ``rows``.
+
+        Each packet's noise is drawn into one reused (N, S) scratch, not a
+        batch-sized buffer, and added in place: elementwise multiplication
+        and addition are correctly rounded, so a row's bytes do not depend
+        on which thread receives it or in what order.
+        """
+        noise = np.empty(frontend.shape, dtype=complex)
+        for index in rows:
+            row = received[index]
+            np.multiply(signals[index], frontend, out=row)
+            if sigmas is not None:
+                self._packet_noise(generators[index], sigmas, noise)
+                np.add(row, noise, out=row)
+
+    def _noise_sigmas(self) -> np.ndarray:
+        """Per-chain, per-quadrature noise σ, shape (N,), built once.
+
+        A chain's σ depends only on its frozen :class:`RadioChainConfig`;
+        like the front-end table, it is read from the chains at the first
+        capture.
+        """
+        if self._noise_sigmas_cache is None:
+            sigmas = np.array([chain.noise_sigma for chain in self.chains])
+            sigmas.flags.writeable = False
+            self._noise_sigmas_cache = sigmas
+        return self._noise_sigmas_cache
+
     def _frontend_table(self, num_samples: int) -> np.ndarray:
         """Fused per-chain ``gain * mixer_conjugate`` factors, shape (N, S).
 
@@ -235,3 +311,16 @@ class ArrayReceiver:
         return (f"ArrayReceiver({self.num_chains} chains, "
                 f"{self.config.carrier_frequency_hz / 1e9:.3f} GHz, "
                 f"array={self.array.name})")
+
+
+def _splittable(generators: Sequence[np.random.Generator]) -> bool:
+    """Whether a batch may be received on two threads: two or more packets,
+    no two sharing a bit generator (so no packet's draws depend on draw
+    order), and more than one CPU this process may run on."""
+    if len(generators) < 2:
+        return False
+    if len({id(generator.bit_generator) for generator in generators}) < len(generators):
+        return False
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0)) > 1
+    return (os.cpu_count() or 1) > 1

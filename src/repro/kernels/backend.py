@@ -38,17 +38,22 @@ PHASE_WALK_KNOT_SPACING = 16
 
 
 @lru_cache(maxsize=None)
-def _triangle_masks(n: int) -> Tuple[np.ndarray, np.ndarray]:
-    """The (n, n) masks ``np.triu`` zeroes for ``k=0`` and ``k=1``.
+def _hermitian_fill(n: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The (n, n) constants that finish a ``zherk`` triangle.
 
-    Strictly below the diagonal, and on or below it; built once per matrix
-    size (read-only) instead of by every ``np.triu`` call.
+    The masks of the entries strictly below the diagonal and of the rest,
+    and the complex ``offset`` added to every entry: +0.0 to each part
+    (which turns a -0.0 into +0.0) except the imaginary parts below the
+    diagonal, which add -0.0 (which changes nothing).  Built once per matrix
+    size, read-only.
     """
     below = np.tri(n, n, k=-1, dtype=bool)
-    on_or_below = np.tri(n, n, k=0, dtype=bool)
-    below.flags.writeable = False
-    on_or_below.flags.writeable = False
-    return below, on_or_below
+    offset = np.zeros((n, n), dtype=complex)
+    offset.imag[below] = -0.0
+    constants = (below, ~below, offset)
+    for constant in constants:
+        constant.flags.writeable = False
+    return constants
 
 
 # --------------------------------------------------------------------- numpy
@@ -82,22 +87,24 @@ class NumpyBackend:
         triangle only (half the gemm flops, no materialised conjugate);
         ``trans=2`` feeds the C-ordered samples as their Fortran-ordered
         transpose view, yielding ``(X^T)^H X^T = (X X^H)^T = conj(X X^H)`` —
-        undone by the batched conjugate-fill of both triangles afterwards.
-        The triangles are ``np.triu``'s own ``where`` over cached masks, and
-        the fill stays conj-then-add: ``conj`` turns the diagonal's zero
-        imaginary part into -0.0 and adding the +0.0 of the transposed
-        strict triangle makes it +0.0 again.
+        undone by mirroring the upper triangle below and then conjugating
+        the upper triangle, all in place.  The result is exactly
+        ``conj(triu(Z)) + triu(Z, 1)^T``, down to signed zeros and NaN signs:
+        the cached offset adds +0.0 (a -0.0 becomes +0.0) wherever that sum
+        added a zero, and -0.0 (no change) to the mirrored imaginary parts,
+        so the diagonal's zero imaginary part comes out +0.0.  The lengths
+        are complex, so the division is the same complex division without a
+        cast per call.
         """
         n = samples_list[0].shape[0]
         matrices = np.empty((len(samples_list), n, n), dtype=complex)
         for index, samples in enumerate(samples_list):
             matrices[index] = zherk(1.0, samples.T, trans=2, lower=0)
-        below, on_or_below = _triangle_masks(n)
-        zero = np.zeros(1, dtype=complex)
-        upper = np.where(below, zero, matrices)
-        strict_upper = np.where(on_or_below, zero, matrices)
-        matrices = upper.conj() + strict_upper.transpose(0, 2, 1)
-        lengths = np.array([samples.shape[1] for samples in samples_list], dtype=float)
+        below, on_or_above, offset = _hermitian_fill(n)
+        np.copyto(matrices, matrices.transpose(0, 2, 1), where=below)
+        np.conjugate(matrices, out=matrices, where=on_or_above)
+        matrices += offset
+        lengths = np.array([samples.shape[1] for samples in samples_list], dtype=complex)
         matrices /= lengths[:, None, None]
         return matrices
 

@@ -10,6 +10,7 @@ import inspect
 
 import numpy as np
 import pytest
+from scipy.linalg.blas import zherk
 
 from repro.aoa.estimator import EstimatorConfig
 from repro.arrays.geometry import UniformLinearArray
@@ -110,6 +111,27 @@ class TestNumpyKernels:
                                        rtol=1e-12)
             # Hermitian by construction (the conjugate triangle fill).
             assert np.array_equal(stack[index], stack[index].conj().T)
+
+    def test_correlation_stack_is_the_triangle_fill_to_the_bit(self, numpy_backend, rng):
+        """The in-place fill gives the bytes of ``conj(triu(Z)) +
+        triu(Z, 1)^T`` over a float division, signed zeros and NaNs too."""
+        zeros = np.zeros((8, 64), dtype=complex)
+        zeros[0], zeros[3], zeros[5], zeros[6] = 1.0, -1j, -1.0, -0.0 - 0.0j
+        nonfinite = zeros.copy()
+        nonfinite[1, 3], nonfinite[2, 4] = np.inf, np.nan
+        cases = [
+            [rng.standard_normal((8, t)) + 1j * rng.standard_normal((8, t))
+             for t in (1920, 960, 5)],
+            [rng.standard_normal((3, 7)).astype(complex)],
+            [zeros, -zeros, 1j * zeros, zeros.conj()],
+            [nonfinite],
+        ]
+        for samples in cases:
+            stack = numpy_backend.correlation_stack(samples)
+            for index, x in enumerate(samples):
+                z = zherk(1.0, x.T, trans=2, lower=0)
+                expected = (np.triu(z).conj() + np.triu(z, 1).T) / float(x.shape[1])
+                assert stack[index].tobytes() == expected.tobytes()
 
     def test_correlation_stack_widens_complex64_input(self, numpy_backend, rng):
         samples = (rng.standard_normal((4, 64))

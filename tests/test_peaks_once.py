@@ -15,7 +15,6 @@ import pytest
 
 from repro.aoa import batch as batch_module
 from repro.aoa import peaks as peaks_module
-from repro.aoa import subspace as subspace_module
 from repro.aoa.batch import BatchAoAEstimator
 from repro.aoa.spectrum import Pseudospectrum
 from repro.api import Deployment, fence_scenario, single_ap_scenario
@@ -25,7 +24,7 @@ from repro.core.signature import AoASignature, signatures_from_pseudospectra
 #: Every module that binds ``find_peaks_batch``; the scalar ``find_peaks``
 #: reaches it through the peaks module's own binding.
 SEARCHERS = {"peaks": peaks_module, "engine": batch_module,
-             "signature": signature_module, "subspace": subspace_module}
+             "signature": signature_module}
 
 SCENARIOS = {"fence": fence_scenario,
              "figure5": lambda: single_ap_scenario(name="figure5")}
@@ -92,7 +91,6 @@ def test_one_search_per_engine_call_and_per_blend(name, mode, searches):
     assert searches["engine_calls"] == (len(packets) if mode == "stream" else 1)
     assert searches["blends"] > 0
     assert searches["signature"] == 0
-    assert searches["subspace"] == 0
     assert searches["engine"] == searches["engine_calls"]
     # The only other searches are the blended signatures' own.
     assert searches["peaks"] == searches["blends"]
