@@ -352,15 +352,20 @@ class Deployment:
         (:meth:`TestbedSimulator.transmit`: payload bits, modulation, attacker
         waveform shaping), and every AP's simulator, the primary's included,
         receives those same waveforms through its own paths, fading, phase
-        walks and noise in one :meth:`TestbedSimulator.capture_batch` call.
-        Returns each AP's captures in request order, keyed by AP name.
+        walks and noise.  All of it is one
+        :meth:`TestbedSimulator.capture_batch` pass over every (AP, packet)
+        row: each AP plans its rows, each waveform is Fourier transformed
+        once for every AP, and the rows share the channel kernels and one
+        receive.  The captures are byte for byte those of each AP's own
+        ``capture_batch`` of the same requests and waveforms.  Returns each
+        AP's captures in request order, keyed by AP name.
         """
         requests = list(requests)
-        waveforms = self.simulator().transmit(requests)
-        return {
-            name: simulator.capture_batch(requests, waveforms=waveforms)
-            for name, simulator in self.simulators.items()
-        }
+        captures = self.simulator().capture_batch(
+            requests, simulators=list(self.simulators.values()))
+        count = len(requests)
+        return {name: captures[position * count:(position + 1) * count]
+                for position, name in enumerate(self.simulators)}
 
     def _synthesize(self, metadata: Dict[str, object],
                     burst: List[BurstItem]) -> List[Packet]:

@@ -162,7 +162,9 @@ class ArrayChannel:
                         paths_batch: Sequence[Sequence[PropagationPath]],
                         tx_power_dbm: float = 15.0,
                         path_fading: Optional[Sequence[Optional[np.ndarray]]] = None,
-                        rngs: Optional[Sequence[RngLike]] = None) -> np.ndarray:
+                        rngs: Optional[Sequence[RngLike]] = None,
+                        channels: Optional[Sequence["ArrayChannel"]] = None,
+                        ) -> np.ndarray:
         """Propagate a whole batch of packets, vectorized over chunks of
         :data:`PROPAGATION_CHUNK` packets.
 
@@ -171,13 +173,22 @@ class ArrayChannel:
         any partition of a batch gives the same bytes, provided the same
         per-packet generators are supplied: pass ``rngs`` as one generator
         per packet (pinned rng substreams), or leave it ``None`` to consume
-        the channel's own generator packet by packet.
+        each packet's channel's own generator packet by packet.
+
+        ``channels`` names the link each packet crosses (default: this
+        channel for every packet), so one call can carry every AP's copy of
+        a packet: each packet's steering, coefficients, delays and
+        delay-ramp lookups come from its own channel, while the forward FFT
+        of each distinct waveform object, the inverse FFT, the phase walks
+        and the GEMM run once over the whole batch.  Every channel must
+        share this one's antenna count and :class:`ChannelConfig`.
 
         Parameters
         ----------
         waveforms:
             ``B`` unit-power transmit waveforms of equal length (a ``(B, S)``
-            array or a sequence of 1-D arrays).
+            array or a sequence of 1-D arrays; packets given the same array
+            object share its forward FFT).
         paths_batch:
             One path set per packet; path counts may differ between packets.
         tx_power_dbm:
@@ -186,14 +197,22 @@ class ArrayChannel:
             Optional per-packet fading factor arrays (``None`` entries allowed).
         rngs:
             Optional per-packet generators for the stochastic phase walks.
+        channels:
+            Optional per-packet channels (see above).
         """
-        waveform_matrix = np.asarray(waveforms, dtype=complex)
+        items = list(waveforms)
+        batch_size = len(items)
+        if batch_size == 0:
+            raise ValueError("waveforms must contain at least one packet")
+        # Each distinct waveform object is one row of the waveform matrix.
+        firsts: dict = {}
+        sources = [firsts.setdefault(id(item), len(firsts)) for item in items]
+        waveform_matrix = np.asarray(
+            list({id(item): item for item in items}.values()), dtype=complex)
         if waveform_matrix.ndim != 2:
             raise ValueError(
                 f"waveforms must stack into a (B, S) matrix, got shape {waveform_matrix.shape}")
-        batch_size, num_samples = waveform_matrix.shape
-        if batch_size == 0:
-            raise ValueError("waveforms must contain at least one packet")
+        num_samples = waveform_matrix.shape[1]
         if num_samples == 0:
             raise ValueError("waveforms must not be empty")
         paths_batch = [list(paths) for paths in paths_batch]
@@ -211,15 +230,26 @@ class ArrayChannel:
             if len(fading_batch) != batch_size:
                 raise ValueError(
                     f"expected {batch_size} path_fading entries, got {len(fading_batch)}")
+        num_antennas = self.array.num_elements
+        if channels is None:
+            links = [self] * batch_size
+        else:
+            links = list(channels)
+            if len(links) != batch_size:
+                raise ValueError(f"expected {batch_size} channels, got {len(links)}")
+            for link in {id(link): link for link in links}.values():
+                if (link.array.num_elements != num_antennas
+                        or link.config != self.config):
+                    raise ValueError("every channel of a batch must share this "
+                                     "channel's antenna count and config")
         if rngs is None:
-            generators = [self._rng] * batch_size
+            generators = [link._rng for link in links]
         else:
             generators = [ensure_rng(rng) for rng in rngs]
             if len(generators) != batch_size:
                 raise ValueError(
                     f"expected {batch_size} rng substreams, got {len(generators)}")
 
-        num_antennas = self.array.num_elements
         max_paths = max(len(paths) for paths in paths_batch)
         lambda_m = self.config.wavelength
         # Per-(packet, path) steering vectors, complex coefficients, and
@@ -228,12 +258,13 @@ class ArrayChannel:
         # add exact complex zeros and cannot perturb the bit pattern.  A
         # static client repeats one path set for the whole burst, so the
         # geometry-only quantities (steering, dry coefficients, delays) are
-        # computed once per distinct path set and reused.
+        # computed once per distinct (channel, path set) and reused.
         steering = np.zeros((batch_size, max_paths, num_antennas), dtype=complex)
         coefficients = np.zeros((batch_size, max_paths), dtype=complex)
         delays = np.zeros((batch_size, max_paths))
         geometry_memo: dict = {}
         for index, paths in enumerate(paths_batch):
+            link = links[index]
             count = len(paths)
             fading = fading_batch[index]
             if fading is not None:
@@ -242,14 +273,15 @@ class ArrayChannel:
                     raise ValueError(
                         f"path_fading[{index}] must have shape ({count},), "
                         f"got {fading.shape}")
-            memo_key = (tuple(id(path) for path in paths), float(tx_powers[index]))
+            memo_key = (id(link), tuple(id(path) for path in paths),
+                        float(tx_powers[index]))
             cached = geometry_memo.get(memo_key)
             if cached is None:
                 cached = (
-                    self._steering_stack(paths, lambda_m),
-                    self._path_coefficients(paths, float(tx_powers[index]),
+                    link._steering_stack(paths, lambda_m),
+                    link._path_coefficients(paths, float(tx_powers[index]),
                                             lambda_m),
-                    self._relative_delays(paths),
+                    link._relative_delays(paths),
                 )
                 geometry_memo[memo_key] = cached
             path_steering, dry_coefficients, relative_delays = cached
@@ -268,31 +300,28 @@ class ArrayChannel:
         # kernels.matmul (np.matmul) runs the same GEMM per batch item, so a
         # packet's bytes do not depend on the batch or chunk it is in.
         weighted = (steering * coefficients[:, :, None]).transpose(0, 2, 1)
-        # Padded rows multiply zero-coefficient paths; any finite walk value
-        # works, and 1.0 keeps them inert.
-        padded = any(len(paths) != max_paths for paths in paths_batch)
+        # Each packet's row of the waveform matrix and of its spectra.
+        rows = np.array(sources) if len(firsts) < batch_size else None
+        if self.config.apply_path_delays:
+            spectra = kernels.fft(waveform_matrix)
+            stores = [link.ramp_store for link in links]
+        walk_std = self.config.path_phase_walk_std_rad
         signals = np.empty((batch_size, num_antennas, num_samples), dtype=complex)
         for start in range(0, batch_size, PROPAGATION_CHUNK):
             stop = min(start + PROPAGATION_CHUNK, batch_size)
+            chunk = slice(start, stop) if rows is None else rows[start:stop]
+            out_shape = (stop - start, max_paths, num_samples)
             if self.config.apply_path_delays:
-                modulated = fractional_delay_batch(
-                    waveform_matrix[start:stop, None, :], delays[start:stop],
-                    store=self.ramp_store)
+                modulated = kernels.fractional_delay(
+                    spectra[chunk, None, :], waveform_matrix[chunk, None, :],
+                    delays[start:stop], out_shape, stores[start:stop])
             else:
-                modulated = np.broadcast_to(
-                    waveform_matrix[start:stop, None, :],
-                    (stop - start, max_paths, num_samples))
-            if self.config.path_phase_walk_std_rad > 0:
-                walks = np.empty((stop - start, max_paths, num_samples),
-                                 dtype=complex)
-                if padded:
-                    walks[:] = 1.0
-                for row, index in enumerate(range(start, stop)):
-                    count = len(paths_batch[index])
-                    walks[row, :count] = phase_random_walk_batch(
-                        count, num_samples, self.config.path_phase_walk_std_rad,
-                        generators[index])
-                modulated = modulated * walks
+                modulated = np.broadcast_to(waveform_matrix[chunk, None, :],
+                                            out_shape)
+            if walk_std > 0:
+                modulated = modulated * _chunk_walks(
+                    [len(paths) for paths in paths_batch[start:stop]],
+                    max_paths, num_samples, walk_std, generators[start:stop])
             signals[start:stop] = kernels.matmul(weighted[start:stop], modulated)
         return signals
 
@@ -396,7 +425,9 @@ def fractional_delay_batch(waveforms: np.ndarray,
     lead_shape = np.broadcast_shapes(waveforms.shape[:-1], delays.shape)
     out_shape = lead_shape + (n,)
     delays = np.broadcast_to(delays, lead_shape)
-    return kernels.fractional_delay(waveforms, delays, out_shape, store)
+    stores = None if store is None else [store] * int(np.prod(lead_shape[:-1]))
+    return kernels.fractional_delay(kernels.fft(waveforms), waveforms, delays,
+                                    out_shape, stores)
 
 
 def phase_random_walk(num_samples: int, step_std_rad: float,
@@ -424,14 +455,43 @@ def phase_random_walk_batch(num_walks: int, num_samples: int,
     if num_samples <= 0:
         raise ValueError("num_samples must be positive")
     require_finite_non_negative(step_std_rad, "step_std_rad")
-    generator = ensure_rng(rng)
-    spacing = PHASE_WALK_KNOT_SPACING
-    num_knots = -(-(num_samples - 1) // spacing) + 1  # ceil, plus knot 0
     initials = np.empty(num_walks)
-    steps = np.empty((num_walks, num_knots))
-    for walk in range(num_walks):
-        initials[walk] = generator.uniform(0.0, 2.0 * np.pi)
-        steps[walk] = generator.normal(0.0, step_std_rad * np.sqrt(spacing),
-                                       size=num_knots)
-    steps[:, 0] = 0.0
+    steps = np.empty((num_walks, _num_knots(num_samples)))
+    _draw_walk_knots(ensure_rng(rng), step_std_rad, initials, steps)
     return kernels.phase_walk(initials, steps)[:, :num_samples]
+
+
+def _num_knots(num_samples: int) -> int:
+    """Knots of a walk over ``num_samples`` samples: knot 0 plus the ceiling."""
+    return -(-(num_samples - 1) // PHASE_WALK_KNOT_SPACING) + 1
+
+
+def _draw_walk_knots(generator: np.random.Generator, step_std_rad: float,
+                     initials: np.ndarray, steps: np.ndarray) -> None:
+    """Draw walk after walk into ``initials`` (W,) and ``steps`` (W, knots)."""
+    for walk in range(len(initials)):
+        initials[walk] = generator.uniform(0.0, 2.0 * np.pi)
+        steps[walk] = generator.normal(
+            0.0, step_std_rad * np.sqrt(PHASE_WALK_KNOT_SPACING),
+            size=steps.shape[1])
+    steps[:, 0] = 0.0
+
+
+def _chunk_walks(counts: Sequence[int], max_paths: int, num_samples: int,
+                 step_std_rad: float,
+                 generators: Sequence[np.random.Generator]) -> np.ndarray:
+    """Every path walk of a chunk of packets from one phase-walk kernel call.
+
+    Returns ``(b, max_paths, num_samples)``: packet ``i``'s first
+    ``counts[i]`` walks are :func:`phase_random_walk_batch` on its own
+    generator.  A padded path keeps all-zero knots, which the kernel turns
+    into exactly ``1 + 0j`` at every sample, so padded rows stay inert.
+    """
+    initials = np.zeros((len(counts), max_paths))
+    steps = np.zeros((len(counts), max_paths, _num_knots(num_samples)))
+    for row, (count, generator) in enumerate(zip(counts, generators)):
+        _draw_walk_knots(generator, step_std_rad, initials[row, :count],
+                         steps[row, :count])
+    walks = kernels.phase_walk(initials.reshape(-1),
+                               steps.reshape(-1, steps.shape[-1]))
+    return walks.reshape(len(counts), max_paths, -1)[:, :, :num_samples]

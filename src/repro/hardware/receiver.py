@@ -17,7 +17,7 @@ from __future__ import annotations
 import os
 import threading
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, List, Optional, Sequence
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -107,29 +107,26 @@ class ArrayReceiver:
                       timestamps_s: Optional[Sequence[float]] = None,
                       metadata: Optional[Sequence[Optional[dict]]] = None,
                       add_noise: Optional[bool] = None,
-                      rngs: Optional[Sequence[RngLike]] = None) -> List[Capture]:
+                      rngs: Optional[Sequence[RngLike]] = None,
+                      receivers: Optional[Sequence["ArrayReceiver"]] = None,
+                      ) -> List[Capture]:
         """Receive a whole batch of packets.
 
         ``antenna_signals`` is ``(B, num_antennas, num_samples)``: the stacked
         noiseless outputs of :meth:`ArrayChannel.propagate_batch`.  Each
-        packet's row is its signals times the fused gain and downconversion
-        table, plus thermal noise drawn from that packet's generator in
-        ``rngs`` (or from the receiver's own generator when ``None``), so
-        each returned :class:`Capture` is the same whatever batch it was
-        received in.  The switches are not thrown here: they rest in the
-        antenna position, and only :meth:`capture_calibration` moves them.
+        packet's row is its signals times its receiver's fused gain and
+        downconversion table, plus thermal noise drawn from that packet's
+        generator in ``rngs`` (or from its receiver's own generator when
+        ``None``), so each returned :class:`Capture` is the same whatever
+        batch it was received in.  ``receivers`` names the receiver of each
+        packet (default: this one for every packet; all must have this
+        one's chain count), so one call can receive every AP's copy of a
+        packet; ``add_noise=None`` follows each receiver's config.  The
+        switches are not thrown here: they rest in the antenna position, and
+        only :meth:`capture_calibration` moves them.
 
-        When every packet has its own bit generator (as in every
-        :class:`TestbedSimulator` batch of two or more) and the process may
-        use more than one CPU, one helper thread receives packets alongside
-        the calling thread, each taking the next packet not yet taken; the
-        helper is joined before this returns, and an exception on either
-        thread is raised here.  No byte depends on the split: each row is
-        written by one thread, from its own signals and generator, with the
-        same elementwise arithmetic.  The noise fill, the multiply and the
-        add release the GIL, so the two threads run on two cores.  A shared
-        generator (``rngs=None``, or one repeated) is drawn in row order, so
-        such a batch stays on the calling thread, like a batch of one.
+        The rows are received by :func:`_receive`, which may split them
+        across two threads; no byte depends on the split.
         """
         signals = np.asarray(antenna_signals, dtype=complex)
         if signals.ndim != 3 or signals.shape[1] != self.num_chains:
@@ -139,8 +136,6 @@ class ArrayReceiver:
         batch_size, _, num_samples = signals.shape
         if batch_size == 0:
             raise ValueError("capture_batch needs at least one packet")
-        if add_noise is None:
-            add_noise = self.config.add_noise
         if timestamps_s is None:
             timestamps = [0.0] * batch_size
         else:
@@ -155,38 +150,41 @@ class ArrayReceiver:
             if len(metadata_list) != batch_size:
                 raise ValueError(
                     f"expected {batch_size} metadata entries, got {len(metadata_list)}")
+        if receivers is None:
+            owners = [self] * batch_size
+        else:
+            owners = list(receivers)
+            if len(owners) != batch_size:
+                raise ValueError(f"expected {batch_size} receivers, got {len(owners)}")
+            if any(owner.num_chains != self.num_chains for owner in owners):
+                raise ValueError("every receiver of a batch must have "
+                                 f"{self.num_chains} chains")
         if rngs is None:
-            generators = [self._rng] * batch_size
+            generators = [owner._rng for owner in owners]
         else:
             generators = [ensure_rng(rng) for rng in rngs]
             if len(generators) != batch_size:
                 raise ValueError(
                     f"expected {batch_size} rng substreams, got {len(generators)}")
 
-        frontend = self._frontend_table(num_samples)
-        sigmas = self._noise_sigmas() if add_noise else None
-        received = np.empty(signals.shape, dtype=complex)
-        rows = iter(range(batch_size))
-        if _splittable(generators):
-            self._receive_split(signals, frontend, sigmas, generators,
-                                received, rows)
-        else:
-            self._receive_rows(signals, frontend, sigmas, generators,
-                               received, rows)
-        # Capture samples are read-only views into one shared batch buffer:
-        # skipping B copies keeps capture cheap, and freezing the buffer
-        # guarantees no consumer can corrupt a sibling packet in place.
-        received.flags.writeable = False
+        jobs = [
+            (owner._frontend_table(num_samples),
+             owner._noise_sigmas() if (owner.config.add_noise if add_noise is None
+                                       else add_noise) else None,
+             generator)
+            for owner, generator in zip(owners, generators)
+        ]
+        received = _receive(signals, jobs)
         return [
             Capture(
                 samples=received[index],
-                sample_rate_hz=self.config.sample_rate_hz,
-                carrier_frequency_hz=self.config.carrier_frequency_hz,
+                sample_rate_hz=owner.config.sample_rate_hz,
+                carrier_frequency_hz=owner.config.carrier_frequency_hz,
                 timestamp_s=timestamps[index],
                 calibrated=False,
                 metadata=dict(metadata_list[index] or {}),
             )
-            for index in range(batch_size)
+            for index, owner in enumerate(owners)
         ]
 
     def capture_calibration(self, source: CalibrationSource,
@@ -211,58 +209,6 @@ class ArrayReceiver:
             self.switch.set_all(SwitchPosition.ANTENNA)
 
     # ---------------------------------------------------------------- internals
-    def _receive_split(self, signals: np.ndarray, frontend: np.ndarray,
-                       sigmas: Optional[np.ndarray],
-                       generators: Sequence[np.random.Generator],
-                       received: np.ndarray, rows: Iterator[int]) -> None:
-        """Receive ``rows`` on this thread and one helper thread at once.
-
-        Both threads take packets from the one shared iterator (``next`` on
-        a range iterator is atomic under the GIL), so each packet is
-        received once, and a helper whose core is busy elsewhere leaves its
-        share to the caller instead of stalling it.  The helper runs
-        :meth:`_receive_rows` only (numpy only): no kernel or traced entry
-        point ever runs off the calling thread.
-        """
-        errors: List[BaseException] = []
-
-        def receive_on_helper() -> None:
-            try:
-                self._receive_rows(signals, frontend, sigmas, generators,
-                                   received, rows)
-            except BaseException as error:  # re-raised on the calling thread
-                errors.append(error)
-
-        helper = threading.Thread(target=receive_on_helper,
-                                  name="receiver-rows", daemon=True)
-        helper.start()
-        try:
-            self._receive_rows(signals, frontend, sigmas, generators,
-                               received, rows)
-        finally:
-            helper.join()
-        if errors:
-            raise errors[0]
-
-    def _receive_rows(self, signals: np.ndarray, frontend: np.ndarray,
-                      sigmas: Optional[np.ndarray],
-                      generators: Sequence[np.random.Generator],
-                      received: np.ndarray, rows: Iterable[int]) -> None:
-        """Front end plus thermal noise for each packet in ``rows``.
-
-        Each packet's noise is drawn into one reused (N, S) scratch, not a
-        batch-sized buffer, and added in place: elementwise multiplication
-        and addition are correctly rounded, so a row's bytes do not depend
-        on which thread receives it or in what order.
-        """
-        noise = np.empty(frontend.shape, dtype=complex)
-        for index in rows:
-            row = received[index]
-            np.multiply(signals[index], frontend, out=row)
-            if sigmas is not None:
-                self._packet_noise(generators[index], sigmas, noise)
-                np.add(row, noise, out=row)
-
     def _noise_sigmas(self) -> np.ndarray:
         """Per-chain, per-quadrature noise σ, shape (N,), built once.
 
@@ -313,11 +259,108 @@ class ArrayReceiver:
                 f"array={self.array.name})")
 
 
+#: Fewest rows received on two threads.  Measured on a 2-vCPU host with one
+#: BLAS thread, interleaved split/sequential rounds: receiving a fence
+#: packet's 3 rows sequentially ran the 3:1 client:attacker stream 5.6%
+#: faster (10 of 12 rounds of 100 packets); whole fence bursts of 6 and 9
+#: rows read split/sequential 0.953 (split faster 3/12) and 1.001 (6/12).
+#: Receiving alone (8 x 1920 rows, 300 interleaved pairs) the split cost
+#: 1.13x at 3 rows, 1.10x at 4, 1.06x at 8 and 1.05x at 10, and saved 41% at
+#: 12 and 48% at 64: below about one 5 ms interpreter switch interval of
+#: sequential work the helper adds its start-up and takes few rows.  The
+#: break-even lies between 10 and 12 rows; 10 keeps 10-packet training
+#: batches and 64-packet bursts split.
+SPLIT_MIN_ROWS = 10
+
+#: A row's receive job: its receiver's front-end table (N, S), that
+#: receiver's per-chain noise sigmas (``None`` for a noiseless row) and the
+#: row's noise generator.
+ReceiveJob = Tuple[np.ndarray, Optional[np.ndarray], np.random.Generator]
+
+
+def _receive(signals: np.ndarray, jobs: Sequence[ReceiveJob]) -> np.ndarray:
+    """Front end plus thermal noise for every row, into one read-only buffer.
+
+    Row ``i`` is ``signals[i]`` times its front-end table plus its own noise
+    fill.  When :func:`_splittable` holds for the rows' generators, one
+    helper thread receives rows alongside the calling thread, each taking
+    the next row not yet taken; the helper is joined before this returns,
+    and an exception on either thread is raised here.  No byte depends on
+    the split: each row is written by one thread, from its own signals and
+    generator, with the same elementwise arithmetic.  The noise fill, the
+    multiply and the add release the GIL, so the two threads run on two
+    cores.  A shared generator is drawn in row order, so such rows stay on
+    the calling thread.
+
+    Capture samples are read-only views into the returned buffer: skipping
+    B copies keeps capture cheap, and freezing the buffer guarantees no
+    consumer can corrupt a sibling packet in place.
+    """
+    received = np.empty(signals.shape, dtype=complex)
+    rows = iter(range(len(jobs)))
+    if _splittable([generator for _, _, generator in jobs]):
+        _receive_split(signals, jobs, received, rows)
+    else:
+        _receive_rows(signals, jobs, received, rows)
+    received.flags.writeable = False
+    return received
+
+
+def _receive_split(signals: np.ndarray, jobs: Sequence[ReceiveJob],
+                   received: np.ndarray, rows: Iterator[int]) -> None:
+    """Receive ``rows`` on this thread and one helper thread at once.
+
+    Both threads take rows from the one shared iterator (``next`` on a
+    range iterator is atomic under the GIL), so each row is received once,
+    and a helper whose core is busy elsewhere leaves its share to the caller
+    instead of stalling it.  The helper runs :func:`_receive_rows` only
+    (numpy only): no kernel or traced entry point ever runs off the calling
+    thread.
+    """
+    errors: List[BaseException] = []
+
+    def receive_on_helper() -> None:
+        try:
+            _receive_rows(signals, jobs, received, rows)
+        except BaseException as error:  # re-raised on the calling thread
+            errors.append(error)
+
+    helper = threading.Thread(target=receive_on_helper,
+                              name="receiver-rows", daemon=True)
+    helper.start()
+    try:
+        _receive_rows(signals, jobs, received, rows)
+    finally:
+        helper.join()
+    if errors:
+        raise errors[0]
+
+
+def _receive_rows(signals: np.ndarray, jobs: Sequence[ReceiveJob],
+                  received: np.ndarray, rows: Iterable[int]) -> None:
+    """Front end plus thermal noise for each row in ``rows``.
+
+    Each row's noise is drawn into one reused (N, S) scratch, not a
+    batch-sized buffer, and added in place: elementwise multiplication and
+    addition are correctly rounded, so a row's bytes do not depend on which
+    thread receives it or in what order.
+    """
+    noise = np.empty(signals.shape[1:], dtype=complex)
+    for index in rows:
+        frontend, sigmas, generator = jobs[index]
+        row = received[index]
+        np.multiply(signals[index], frontend, out=row)
+        if sigmas is not None:
+            ArrayReceiver._packet_noise(generator, sigmas, noise)
+            np.add(row, noise, out=row)
+
+
 def _splittable(generators: Sequence[np.random.Generator]) -> bool:
-    """Whether a batch may be received on two threads: two or more packets,
-    no two sharing a bit generator (so no packet's draws depend on draw
-    order), and more than one CPU this process may run on."""
-    if len(generators) < 2:
+    """Whether rows may be received on two threads: at least
+    :data:`SPLIT_MIN_ROWS` rows, no two sharing a bit generator (so no row's
+    draws depend on draw order), and more than one CPU this process may run
+    on."""
+    if len(generators) < SPLIT_MIN_ROWS:
         return False
     if len({id(generator.bit_generator) for generator in generators}) < len(generators):
         return False

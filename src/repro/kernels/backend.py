@@ -133,16 +133,20 @@ class NumpyBackend:
             for angle in np.asarray(angles_deg, dtype=float).reshape(-1)
         ])
 
-    def fractional_delay(self, waveforms: np.ndarray, delays: np.ndarray,
-                         out_shape: Tuple[int, ...],
-                         store: Optional[DelayRampStore] = None) -> np.ndarray:
-        """FFT-domain fractional delays; see ``fractional_delay_batch``.
+    def fractional_delay(self, spectra: np.ndarray, waveforms: np.ndarray,
+                         delays: np.ndarray, out_shape: Tuple[int, ...],
+                         stores: Optional[Sequence[Optional[DelayRampStore]]] = None,
+                         ) -> np.ndarray:
+        """FFT-domain fractional delays of transformed waveforms; see
+        ``fractional_delay_batch``.
 
-        ``store`` keeps the ramps of delay rows seen before (see
-        :func:`delay_ramps`).
+        ``spectra`` are the waveforms' forward FFTs (:meth:`fft`), taken once
+        per waveform however many rows delay it; ``spectra`` and
+        ``waveforms`` broadcast to ``out_shape``.  ``stores`` names, for each
+        row of ``delays`` (leading dimensions flattened), the store that
+        keeps that row's ramps (see :func:`delay_ramps`).
         """
-        spectra = np.fft.fft(waveforms, axis=-1)
-        ramp = delay_ramps(delays, out_shape[-1], store)
+        ramp = _row_ramps(delays, out_shape[-1], stores)
         # The ramp is a named array, never an anonymous temporary: numpy would
         # elide a >256 KB temporary into an in-place complex multiply, whose
         # rounding differs in the last ulp from the out-of-place loop and
@@ -182,9 +186,31 @@ class NumpyBackend:
         walks = block.transpose(1, 2, 0).reshape(len(initials), -1)
         return walks[:, :(phases.shape[1] - 1) * spacing + 1]
 
+    def fft(self, a: np.ndarray) -> np.ndarray:
+        """Forward FFT along the last axis."""
+        return np.fft.fft(a, axis=-1)
+
     def ifft(self, a: np.ndarray) -> np.ndarray:
         """Inverse FFT along the last axis."""
         return np.fft.ifft(a, axis=-1)
+
+
+def _row_ramps(delays: np.ndarray, n: int,
+               stores: Optional[Sequence[Optional["DelayRampStore"]]]) -> np.ndarray:
+    """:func:`delay_ramps` with each row of ``delays`` looked up in its own
+    store: rows of several links are gathered per store, so each store sees
+    its rows exactly as in a call of its own."""
+    if stores is None:
+        return delay_ramps(delays, n)
+    owners = {id(store): store for store in stores}
+    if len(owners) == 1:
+        return delay_ramps(delays, n, stores[0])
+    rows = delays.reshape(-1, delays.shape[-1])
+    ramps = np.empty(rows.shape + (n,), dtype=complex)
+    for key, store in owners.items():
+        picked = [index for index, owner in enumerate(stores) if id(owner) == key]
+        ramps[picked] = delay_ramps(rows[picked], n, store)
+    return ramps.reshape(delays.shape + (n,))
 
 
 def delay_ramps(delays: np.ndarray, n: int,

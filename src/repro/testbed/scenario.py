@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -36,7 +36,7 @@ from repro.mac.frames import Dot11Frame
 from repro.phy.packet import make_packet_waveform, make_packet_waveforms  # noqa: F401
 from repro.testbed.environment import TestbedEnvironment
 from repro.utils.rng import RngLike, derive_seed, ensure_rng, keyed_noise_rng, keyed_rng, spawn_rng
-from repro.utils.validation import require_finite_non_negative
+from repro.utils.validation import require_finite, require_finite_non_negative
 
 
 @dataclass(frozen=True)
@@ -70,6 +70,7 @@ class SimulatorConfig:
             raise ValueError("payload_symbols must be at least 1")
         if self.path_cache_size < 1:
             raise ValueError("path_cache_size must be at least 1")
+        require_finite(self.default_tx_power_dbm, "default_tx_power_dbm")
 
 
 @dataclass(frozen=True)
@@ -78,7 +79,8 @@ class CaptureRequest:
 
     ``elapsed_s`` and ``timestamp_s`` must be finite and non-negative: the
     environment dynamics are keyed by the elapsed time, and epoch 0 is the
-    reference capture.
+    reference capture.  ``tx_power_dbm`` must be finite when given: a NaN or
+    infinite power would reach the samples as NaN or as silence.
     """
 
     position: Point
@@ -91,8 +93,22 @@ class CaptureRequest:
 
     def __post_init__(self) -> None:
         require_finite_non_negative(self.elapsed_s, "elapsed_s")
+        if self.tx_power_dbm is not None:
+            require_finite(self.tx_power_dbm, "tx_power_dbm")
         if self.timestamp_s is not None:
             require_finite_non_negative(self.timestamp_s, "timestamp_s")
+
+
+class _Row(NamedTuple):
+    """One AP's plan for one packet: everything but the transmitted waveform."""
+
+    paths: List[PropagationPath]
+    tx_power_dbm: float
+    fading: np.ndarray
+    channel_rng: np.random.Generator
+    receiver_rng: np.random.Generator
+    timestamp_s: float
+    metadata: dict
 
 
 class TestbedSimulator:
@@ -186,9 +202,9 @@ class TestbedSimulator:
         :meth:`capture_batch` will give that request: payload bits and
         padding from substream 21, modulated with one stacked IFFT, then the
         attacker's waveform shaping from substream 25.  Draws no other stream and does not
-        advance the ordinal, so a :class:`~repro.api.Deployment` can transmit
-        a packet once on its primary AP and hand the same waveforms to every
-        AP's :meth:`capture_batch`.
+        advance the ordinal, so a packet is transmitted once on one AP and
+        the same waveforms reach every AP that captures it (see
+        :meth:`capture_batch`'s ``waveforms`` and ``simulators``).
         """
         requests = list(requests)
         if not requests:
@@ -213,6 +229,7 @@ class TestbedSimulator:
 
     def capture_batch(self, requests: Sequence[CaptureRequest],
                       waveforms: Optional[Sequence[np.ndarray]] = None,
+                      simulators: Optional[Sequence["TestbedSimulator"]] = None,
                       ) -> List[Capture]:
         """Simulate a whole batch of packets in one vectorized pass.
 
@@ -231,66 +248,81 @@ class TestbedSimulator:
         ``waveforms`` are the transmitted packets, one per request, as
         another simulator's :meth:`transmit` returned them; with ``None``
         this simulator transmits for itself.
+
+        ``simulators`` are the APs that capture the packets (default: this
+        one alone); a :class:`~repro.api.Deployment` passes all of its own.
+        Each plans its rows on the calling thread — its own ordinals, paths,
+        fading, generators and metadata — and then every (AP, packet) row
+        goes through one :meth:`ArrayChannel.propagate_batch` and one
+        :meth:`ArrayReceiver.capture_batch` (per waveform length and
+        antenna count), so each waveform is Fourier transformed once and the
+        rows share the channel kernels and the receive.  No byte depends on
+        which rows share a pass.  Returns the captures AP by AP, each AP's
+        in request order.
         """
         requests = list(requests)
         if not requests:
             return []
-        if waveforms is not None:
+        simulators = [self] if simulators is None else list(simulators)
+        if waveforms is None:
+            waveforms = self.transmit(requests)
+        else:
             waveforms = list(waveforms)
             if len(waveforms) != len(requests):
                 raise ValueError(f"expected {len(requests)} waveforms, "
                                  f"got {len(waveforms)}")
-        first_ordinal = self._next_ordinal
-        paths_batch: List[List[PropagationPath]] = []
-        tx_powers: List[float] = []
-        fadings: List[np.ndarray] = []
-        channel_rngs: List[np.random.Generator] = []
-        receiver_rngs: List[np.random.Generator] = []
-        timestamps: List[float] = []
-        metadata_list: List[dict] = []
+        plans = [simulator._plan(requests) for simulator in simulators]
+
+        # Rows share a pass when their arrays stack: oversized frames grow
+        # their packet, and APs may differ in antenna count or channel model.
+        groups: "OrderedDict[tuple, list]" = OrderedDict()
+        for position, (simulator, plan) in enumerate(zip(simulators, plans)):
+            for index, row in enumerate(plan):
+                waveform = waveforms[index]
+                key = (waveform.size, simulator.array.num_elements,
+                       simulator.config.channel)
+                groups.setdefault(key, []).append(
+                    (position * len(requests) + index, simulator, waveform, row))
+        captures: List[Optional[Capture]] = [None] * (len(simulators) * len(requests))
+        for members in groups.values():
+            slots, owners, packets, rows = zip(*members)
+            signals = owners[0].channel.propagate_batch(
+                packets, [row.paths for row in rows],
+                tx_power_dbm=np.array([row.tx_power_dbm for row in rows]),
+                path_fading=[row.fading for row in rows],
+                rngs=[row.channel_rng for row in rows],
+                channels=[owner.channel for owner in owners])
+            received = owners[0].receiver.capture_batch(
+                signals, timestamps_s=[row.timestamp_s for row in rows],
+                metadata=[row.metadata for row in rows],
+                rngs=[row.receiver_rng for row in rows],
+                receivers=[owner.receiver for owner in owners])
+            for slot, capture in zip(slots, received):
+                captures[slot] = capture
+        return list(captures)  # type: ignore[arg-type]
+
+    def _plan(self, requests: Sequence[CaptureRequest]) -> List["_Row"]:
+        """This AP's row of each request, taking the next capture ordinals."""
         root = self._capture_root
-        for ordinal, request in enumerate(requests, start=first_ordinal):
-            tx_power = (self.config.default_tx_power_dbm
-                        if request.tx_power_dbm is None else request.tx_power_dbm)
+        rows = []
+        for ordinal, request in enumerate(requests, start=self._next_ordinal):
             paths = self._resolve_paths(request.position, request.elapsed_s,
                                         request.attacker)
-            fading = self.dynamics.fast_fading_jitter(
-                len(paths), decorrelation=1.0, rng=keyed_rng(root, ordinal, 22))
-            channel_rngs.append(keyed_rng(root, ordinal, 23))
-            receiver_rngs.append(keyed_noise_rng(root, ordinal, 24))
-            paths_batch.append(paths)
-            tx_powers.append(tx_power)
-            fadings.append(fading)
-            timestamps.append(request.elapsed_s if request.timestamp_s is None
-                              else request.timestamp_s)
-            metadata_list.append(self._capture_metadata(
-                request.position, request.frame, request.attacker, paths,
-                request.metadata))
-        if waveforms is None:
-            waveforms = self.transmit(requests)
+            rows.append(_Row(
+                paths=paths,
+                tx_power_dbm=(self.config.default_tx_power_dbm
+                              if request.tx_power_dbm is None else request.tx_power_dbm),
+                fading=self.dynamics.fast_fading_jitter(
+                    len(paths), decorrelation=1.0, rng=keyed_rng(root, ordinal, 22)),
+                channel_rng=keyed_rng(root, ordinal, 23),
+                receiver_rng=keyed_noise_rng(root, ordinal, 24),
+                timestamp_s=(request.elapsed_s if request.timestamp_s is None
+                             else request.timestamp_s),
+                metadata=self._capture_metadata(
+                    request.position, request.frame, request.attacker, paths,
+                    request.metadata)))
         self._next_ordinal += len(requests)
-
-        # Packets of one batch normally share a waveform length; oversized
-        # frames grow their packet, so group by length and batch per group.
-        captures: List[Optional[Capture]] = [None] * len(requests)
-        by_length: "OrderedDict[int, List[int]]" = OrderedDict()
-        for index, waveform in enumerate(waveforms):
-            by_length.setdefault(waveform.size, []).append(index)
-        for indices in by_length.values():
-            signals = self.channel.propagate_batch(
-                [waveforms[i] for i in indices],
-                [paths_batch[i] for i in indices],
-                tx_power_dbm=np.array([tx_powers[i] for i in indices]),
-                path_fading=[fadings[i] for i in indices],
-                rngs=[channel_rngs[i] for i in indices])
-            group = self.receiver.capture_batch(
-                signals,
-                timestamps_s=[timestamps[i] for i in indices],
-                metadata=[metadata_list[i] for i in indices],
-                rngs=[receiver_rngs[i] for i in indices])
-            for i, capture in zip(indices, group):
-                captures[i] = capture
-        return list(captures)  # type: ignore[arg-type]
+        return rows
 
     def capture_from_client(self, client_id: int, frame: Optional[Dot11Frame] = None,
                             tx_power_dbm: Optional[float] = None,

@@ -30,6 +30,7 @@ import pytest
 
 from repro.api.deployment import Deployment
 from repro.api.scenarios import fence_scenario
+from repro.api.spec import ScenarioSpec
 from repro.arrays import OctagonalArray
 from repro.channel import channel as channel_module
 from repro.channel.channel import DELAY_RAMP_SLOTS, fractional_delay_batch
@@ -46,7 +47,7 @@ from repro.serve import (
 )
 from repro.serve.smoke import SmokeClient
 from repro.testbed import TestbedSimulator as Simulator, figure4_environment
-from repro.testbed.scenario import CaptureRequest
+from repro.testbed.scenario import CaptureRequest, SimulatorConfig
 
 
 def bits_equal(a: np.ndarray, b: np.ndarray) -> bool:
@@ -394,3 +395,39 @@ class TestInvalidCaptureTimes:
         assert error["op"] == "error" and "timestamp_s" in error["error"]
         assert ack["seqs"] == [0]
         assert event["event"]["index"] == 0
+
+
+# ------------------------------------------------------ invalid transmit power
+BAD_POWERS = [float("nan"), float("inf"), float("-inf")]
+
+
+class TestInvalidTransmitPower:
+    """A non-finite power used to reach the synthesis: NaN or +inf gave
+    all-NaN captures with only a RuntimeWarning, -inf a silent noise-only
+    capture."""
+
+    @pytest.mark.parametrize("value", BAD_POWERS)
+    def test_capture_request_refuses_a_non_finite_power(self, value):
+        with pytest.raises(ValueError, match="tx_power_dbm must be finite"):
+            CaptureRequest(position=Point(1.0, 1.0), tx_power_dbm=value)
+
+    @pytest.mark.parametrize("value", BAD_POWERS)
+    def test_simulator_config_refuses_a_non_finite_default_power(self, value):
+        with pytest.raises(ValueError, match="default_tx_power_dbm must be finite"):
+            SimulatorConfig(default_tx_power_dbm=value)
+
+    def test_spec_documents_refuse_a_non_finite_default_power(self):
+        document = json.loads(fence_scenario().to_json())
+        document["simulator"]["default_tx_power_dbm"] = float("inf")
+        with pytest.raises(ValueError, match="default_tx_power_dbm must be finite"):
+            ScenarioSpec.from_json(json.dumps(document))
+
+    def test_finite_powers_still_capture(self):
+        deployment = Deployment(fence_scenario())
+        position = deployment.environment.client_position(3)
+        quiet = CaptureRequest(position=position, tx_power_dbm=-20.0)
+        default = CaptureRequest(position=position, tx_power_dbm=None)
+        captures = deployment.capture([quiet, default])
+        for ap_captures in captures.values():
+            assert all(np.isfinite(capture.samples).all() for capture in ap_captures)
+        assert SimulatorConfig(default_tx_power_dbm=-3.5).default_tx_power_dbm == -3.5

@@ -22,7 +22,7 @@ from repro.channel.channel import (
 )
 from repro.hardware.receiver import ArrayReceiver
 from repro.kernels import NumpyBackend, delay_ramps, kernels
-from repro.kernels.backend import PHASE_WALK_KNOT_SPACING
+from repro.kernels.backend import PHASE_WALK_KNOT_SPACING, DelayRampStore
 from repro.phy.ofdm import OfdmModulator
 from repro.phy.packet import make_packet_waveform, make_packet_waveforms
 from repro.testbed.scenario import SimulatorConfig
@@ -166,7 +166,8 @@ class TestNumpyKernels:
         waveforms = rng.standard_normal((1, 1, 128)) + \
             1j * rng.standard_normal((1, 1, 128))
         delays = np.array([[0.0, 1.25, 3.5]])
-        out = numpy_backend.fractional_delay(waveforms, delays, (1, 3, 128))
+        out = numpy_backend.fractional_delay(numpy_backend.fft(waveforms),
+                                             waveforms, delays, (1, 3, 128))
         # Zero delay bypasses the FFT round trip entirely.
         assert np.array_equal(out[0, 0], waveforms[0, 0])
         # A whole-sample delay is a circular shift (windows are padded upstream).
@@ -187,6 +188,26 @@ class TestNumpyKernels:
         phases = initials[:, None] + np.cumsum(steps, axis=1)
         assert np.array_equal(walks[:, ::PHASE_WALK_KNOT_SPACING],
                               np.cos(phases) + 1j * np.sin(phases))
+
+    def test_fractional_delay_rows_keep_their_own_stores(self, numpy_backend, rng):
+        # Rows of two links in one call: each link's store sees only its own
+        # rows, and the result equals each link's rows delayed on their own.
+        waveforms = rng.standard_normal((1, 1, 64)) + 1j * rng.standard_normal((1, 1, 64))
+        spectra = numpy_backend.fft(waveforms)
+        delays = np.array([[0.0, 1.25], [0.0, 2.5], [0.0, 1.25]])
+        first, second = DelayRampStore(8), DelayRampStore(8)
+        for _ in range(2):  # a row is stored the second time it is seen
+            both = numpy_backend.fractional_delay(
+                spectra, waveforms, delays, (3, 2, 64), [first, second, first])
+        assert len(first) == 1 and len(second) == 1
+        alone = [numpy_backend.fractional_delay(spectra, waveforms, delays[[row]],
+                                                (1, 2, 64))[0] for row in range(3)]
+        assert both.tobytes() == np.stack(alone).tobytes()
+
+    def test_fft(self, numpy_backend, rng):
+        waveforms = rng.standard_normal((2, 64)) + 1j * rng.standard_normal((2, 64))
+        assert np.array_equal(numpy_backend.fft(waveforms),
+                              np.fft.fft(waveforms, axis=-1))
 
     def test_ifft(self, numpy_backend, rng):
         spectra = rng.standard_normal((2, 64)) + 1j * rng.standard_normal((2, 64))

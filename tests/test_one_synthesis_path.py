@@ -266,15 +266,22 @@ class TestLazyGenerators:
                                            num_packets=3, start_s=20.0)
         assert all(packets_equal(a, b) for a, b in zip(after, expected_after))
 
-    def test_generators_capture_one_request_per_ap_per_packet(self, fence_spec,
-                                                              count_calls):
+    def test_generators_capture_each_packet_in_one_pass_over_the_aps(
+            self, fence_spec, count_calls):
         deployment = Deployment(fence_spec)
         batches = count_calls(Simulator, "capture_batch")
+        propagations = count_calls(ArrayChannel, "propagate_batch")
+        receptions = count_calls(ArrayReceiver, "capture_batch")
+        delays = count_calls(NumpyBackend, "fractional_delay")
         packets = deployment.client_packets(2, num_packets=4)
         next(packets)
-        assert [len(args[1]) for args in batches] == [1, 1, 1]
+        # One pass per packet: one request, every AP's row of it.
+        assert [len(args[1]) for args in batches] == [1]
+        assert [len(args[1]) for args in propagations] == [3]
+        assert [args[1].shape[0] for args in receptions] == [3]
+        assert len(delays) == 1
         next(packets)
-        assert len(batches) == 6
+        assert len(batches) == len(propagations) == len(receptions) == 2
 
 
 class TestTrain:

@@ -12,7 +12,9 @@ same waveforms to every AP.  These tests pin that:
   multiples of one waveform;
 * lone-AP and primary-AP captures keep their bytes: pinned digests, with and
   without receiver noise, plus the same captures from a stand-alone
-  simulator.
+  simulator;
+* every AP of the three-AP fence keeps its bytes too, in batch and stream
+  mode, with and without receiver noise.
 """
 
 import hashlib
@@ -239,6 +241,24 @@ def _skip_off_the_pinning_host():
                     "checks the primary AP's bytes on any host")
 
 
+#: sha256 of every fence AP's capture bytes for ``_traffic("fence", ...)``,
+#: keyed by receiver noise on or off.  Pinned when each AP still synthesised
+#: its own rows in a separate batch, so they hold the one-pass synthesis over
+#: every AP to the bytes of the per-AP batches it replaced.
+FENCE_AP_DIGESTS = {
+    True: {
+        "ap-main": "154f39e11b503b2662b35e2958f557c65c27e424d5cff90f38178cde1f6037c6",
+        "ap-east": "0559eaa66bbf7d2fde7678a8e091cc34cab3a886234160cea0f0e262ba3c1949",
+        "ap-south": "370ef79309c4600d9fe2fce71ac1242429969aa2d817c8242148c9add0d5243a",
+    },
+    False: {
+        "ap-main": "8bd7edd8a59f7e515cd20c3d487dff8bbaf4e730d795a5a9d2fbd377ae920ec8",
+        "ap-east": "11e542ea6cd4458afe255eb66511b2359ac7ce81e3b0ca16cbdb0221ae4fed2c",
+        "ap-south": "0a7b102723dcbda72bfa5254721f88231c2a101aa41bb948aac9890c8575de90",
+    },
+}
+
+
 class TestPrimaryBytes:
     @pytest.mark.parametrize("mode", ["batch", "stream"])
     @pytest.mark.parametrize("scenario", sorted(PINNED_DIGESTS))
@@ -274,3 +294,15 @@ class TestPrimaryBytes:
         assert all(np.array_equal(a.samples.view(np.uint8), b.samples.view(np.uint8))
                    and a.metadata == b.metadata
                    for a, b in zip(shared["ap-main"], alone))
+
+
+class TestEveryApBytes:
+    @pytest.mark.parametrize("add_noise", [True, False], ids=["noise", "noiseless"])
+    @pytest.mark.parametrize("mode", ["batch", "stream"])
+    def test_every_fence_ap_keeps_its_digest(self, mode, add_noise):
+        _skip_off_the_pinning_host()
+        deployment, packets = _traffic("fence", mode, FENCE_ATTACKER,
+                                       add_noise=add_noise)
+        assert list(deployment.simulators) == ["ap-main", "ap-east", "ap-south"]
+        assert ({name: _digest(packets, name) for name in deployment.simulators}
+                == FENCE_AP_DIGESTS[add_noise])
